@@ -15,10 +15,9 @@ import numpy as np
 
 from . import __version__
 from .certificate import alpha0_certificate
-from .curvature_core import bianchi_project, decompose
+from .curvature_core import decompose
 from .errors import ArgumentError
-from .lie_basis import wedge_count
-from .model_spaces import sphere_product, w_cp2
+from .model_spaces import random_weyl, sphere_product, w_cp2
 from .potential_flow import fixed_point_residual, flow_run, flow_state
 from .report import canonical_json, clusters_to_csv, render_report
 from .shi_bounds import format_table, table_rows
@@ -229,11 +228,9 @@ def flow(dim, steps, dt, seed, sample_every, start, out):
     try:
         if start == "product":
             w = decompose(sphere_product(dim // 2, dim - dim // 2)).weyl.mat
+            w = w / np.linalg.norm(w)
         else:
-            rng = np.random.default_rng(seed)
-            s = rng.standard_normal((wedge_count(dim),) * 2)
-            w = decompose(bianchi_project(0.5 * (s + s.T)).mat).weyl.mat
-        w = w / np.linalg.norm(w)
+            w = random_weyl(np.random.default_rng(seed), dim)
         state = flow_run(
             flow_state(w), steps=steps, dt=dt, sample_every=max(sample_every, 1)
         )

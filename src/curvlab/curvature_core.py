@@ -4,9 +4,19 @@ A curvature operator is a symmetric N x N matrix (N = n(n-1)/2) in the wedge
 basis that satisfies the first Bianchi identity.  This module provides the
 validated containers, the Bianchi projection onto that subspace, Ricci and
 scalar traces, the O(n)-irreducible decomposition, the wedge product of
-symmetric matrices, the sharp product (trace route, bracket route, and the
+symmetric matrices, the sharp product (GEMM route, bracket route, and the
 fast diagonal path), the quadratic map Q with its potential and trilinear
 form, angles to the identity, and the rotation action.
+
+The GEMM route expands R and S to 4-tensors and forms, with one n^2 x n^2
+matrix product,
+
+    B_ijkl = sum_{p,q} R_piqj S_pkql,
+    (R#S)_ijkl = 1/2 (B_ikjl - B_iljk + B_jlik - B_jkil),
+
+where the last two terms are the first two with R and S swapped, so the
+product is polarized in (R, S).  It costs O(n^6) against the O(n^8) of the
+trace pairing -1/2 tr(ad_v R ad_w S) over all pairs of basis bivectors.
 
 Inner products: bivectors use the dot product in wedge coordinates (the
 matrix pairing -1/2 tr(AB)); operators use the Frobenius pairing, so
@@ -209,12 +219,13 @@ def _bianchi_indices(n: int):
     quads = list(itertools.combinations(range(1, n + 1), 4))
     if not quads:
         empty = np.zeros(0, dtype=int)
+        empty.setflags(write=False)
         return (empty,) * 6
     out = []
     for sel in ((0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2)):
-        out.append(
-            np.array([wedge_rank(q[sel[0]], q[sel[1]], n) for q in quads], dtype=int)
-        )
+        arr = np.array([wedge_rank(q[sel[0]], q[sel[1]], n) for q in quads], dtype=int)
+        arr.setflags(write=False)
+        out.append(arr)
     return tuple(out)
 
 
@@ -339,15 +350,59 @@ def decompose(r) -> DecompositionReport:
 
 # --- sharp product ----------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _sharp_gather(n: int):
+    """Index arrays of the GEMM route to the sharp product in dimension n.
+
+    take[(p,q),(k,l)] is the flat position of R_pkql in the N x N wedge
+    matrix and sign its sign (0 where p = k or q = l), so
+    mat.ravel()[take] * sign is the n^2 x n^2 matrix Y[(p,q),(k,l)] = R_pkql.
+    read[:, ij, kl] holds the flat positions of B_ikjl, B_jlik, B_iljk and
+    B_jkil in the n^2 x n^2 product B, for the wedge rows i<j and k<l.
+    """
+    N = wedge_count(n)
+    iu, ju = np.triu_indices(n, 1)
+    rank = np.zeros((n, n), dtype=np.intp)
+    rank[iu, ju] = rank[ju, iu] = np.arange(N)
+    sgn = np.zeros((n, n))
+    sgn[iu, ju], sgn[ju, iu] = 1.0, -1.0
+    take = (rank[:, None, :, None] * N + rank[None, :, None, :]).reshape(n * n, -1)
+    sign = (sgn[:, None, :, None] * sgn[None, :, None, :]).reshape(n * n, -1)
+    i, j, k, l = iu[:, None], ju[:, None], iu[None, :], ju[None, :]
+    read = np.stack([
+        (i * n + k) * n * n + j * n + l,
+        (j * n + l) * n * n + i * n + k,
+        (i * n + l) * n * n + j * n + k,
+        (j * n + k) * n * n + i * n + l,
+    ])
+    for arr in (take, sign, read):
+        arr.setflags(write=False)
+    return take, sign, read
+
+
 def _sharp_mat(rm: np.ndarray, sm: np.ndarray, n: int) -> np.ndarray:
-    """<(R#S)v, w> = -1/2 tr(ad_v R ad_w S), symmetrized in (R, S)."""
-    A = structure_constants(n).ad_stack
-    N = rm.shape[0]
-    P = A @ rm  # P[g] = ad_g R
-    U = A @ sm if sm is not rm else P
-    # T[g, d] = tr(P[g] U[d])
-    T = P.reshape(N, -1) @ U.transpose(0, 2, 1).reshape(N, -1).T
-    return -0.25 * (T + T.T)
+    """R # S by the GEMM route; sm may also be a (c, N, N) stack of operators.
+
+    With Y(S)[(p,q),(k,l)] = S_pkql, B = Y(R)^T Y(S) holds
+    B_ijkl = sum_{p,q} R_piqj S_pkql, and the wedge entry (ij, kl) of R # S is
+    1/2 (B_ikjl + B_jlik - B_iljk - B_jkil).  The result is symmetrized in
+    (ij, kl), which it is up to rounding.
+    """
+    take, sign, read = _sharp_gather(n)
+    y = np.take(rm.ravel(), take) * sign
+    z = y if sm is rm else np.take(sm.reshape(*sm.shape[:-2], -1), take, axis=-1) * sign
+    b = (y.T @ z).reshape(*z.shape[:-2], -1)[..., read]
+    m = b[..., 0, :, :] + b[..., 1, :, :] - b[..., 2, :, :] - b[..., 3, :, :]
+    return 0.25 * (m + np.swapaxes(m, -1, -2))
+
+
+def _q_mat(rm: np.ndarray, sm: np.ndarray, n: int) -> np.ndarray:
+    """Q(R, S) = 1/2 (RS + SR) + R # S as a raw matrix (R^2 + R # R if sm is rm).
+
+    sm may also be a (c, N, N) stack, giving Q(R, S_c) for every c.
+    """
+    sym = rm @ rm if sm is rm else 0.5 * (rm @ sm + sm @ rm)
+    return sym + _sharp_mat(rm, sm, n)
 
 
 def sharp(r, s=None) -> SymmetricOperator:
@@ -414,22 +469,18 @@ def q_map(r, s=None) -> CurvatureOperator:
     """
     rm, n = _as_mat(r)
     if s is None:
-        sym = rm @ rm
-        shp = _sharp_mat(rm, rm, n)
+        sm = rm
     else:
         sm, m = _as_mat(s)
         if m != n:
             raise ArgumentError("q_map arguments live in different dimensions")
-        sym = 0.5 * (rm @ sm + sm @ rm)
-        shp = _sharp_mat(rm, sm, n)
-    return CurvatureOperator(sym + shp, dim=n)
+    return CurvatureOperator(_q_mat(rm, sm, n), dim=n)
 
 
 def potential(r) -> float:
     """Cubic potential P(R) = <Q(R), R> in the Frobenius pairing."""
     mat, n = _as_mat(r)
-    q = (mat @ mat + _sharp_mat(mat, mat, n)) * mat
-    return float(np.sum(q))
+    return float(np.sum(_q_mat(mat, mat, n) * mat))
 
 
 def potential_normalized(r) -> float:

@@ -4,7 +4,8 @@ Round spheres, products of round spheres, complex projective spaces, the unit
 Weyl operator of CP^2 embedded in higher dimensions, the Einstein family
 lambda/(n-1) Id + cos(phi) W + sin(phi) W', and the two critical operators
 obtained by normalizing these families.  Everything returns a validated
-CurvatureOperator in the lexicographic wedge basis.
+CurvatureOperator in the lexicographic wedge basis, except the seeded random
+draws random_curvature and random_weyl, which return raw matrices.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 
 from .curvature_core import (
     CurvatureOperator,
+    bianchi_project,
     decompose,
     ricci,
     _as_mat,
@@ -37,6 +39,8 @@ __all__ = [
     "Interval",
     "intermediate_range",
     "ModelSpec",
+    "random_curvature",
+    "random_weyl",
 ]
 
 #: potential of the embedded CP^2 Weyl operator; the upper end of every
@@ -283,3 +287,21 @@ class ModelSpec:
         except KeyError:
             raise ArgumentError("model JSON needs a 'kind' field") from None
         return cls(kind, payload)
+
+
+# --- seeded random operators --------------------------------------------------
+
+def random_curvature(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Bianchi projection of a symmetrized standard normal N x N matrix.
+
+    Draws exactly one (N, N) standard normal array from rng, so seeded callers
+    reproduce the same operator.
+    """
+    s = rng.standard_normal((wedge_count(n),) * 2)
+    return bianchi_project(0.5 * (s + s.T)).mat
+
+
+def random_weyl(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Unit-norm Weyl part of random_curvature(rng, n), as a raw matrix."""
+    w = decompose(random_curvature(rng, n)).weyl.mat
+    return w / np.linalg.norm(w)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import mpmath
 import numpy as np
@@ -24,7 +24,6 @@ import numpy as np
 from .curvature_core import (
     CurvatureOperator,
     _as_mat,
-    potential,
     q_map,
     ricci,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "flow_run",
     "fixed_point_residual",
     "trajectory_to_csv",
-    "admissible_projector",
     "admissibility_defect",
     "admissible_part",
     "profile_coefficients",
@@ -56,12 +54,18 @@ _RICCI_TOL = 1e-9
 
 @dataclass(frozen=True)
 class FlowState:
-    """A point on the unit sphere of Weyl operators, with flow time and value."""
+    """A point on the unit sphere of Weyl operators, with flow time and value.
+
+    q is Q(W) as a read-only matrix when known, so that the flow evaluates it
+    once per state; None makes flow_step and flow_run compute it.  A state
+    that replaces w must replace q too.
+    """
 
     w: CurvatureOperator
     t: float
     potential: float
     history: tuple = ()
+    q: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if abs(self.w.norm() - 1.0) > _UNIT_TOL:
@@ -70,23 +74,36 @@ class FlowState:
             raise ArgumentError("flow state must be a Weyl operator")
 
 
+def _evaluated(op: CurvatureOperator, **changes) -> dict:
+    """Fields w, q and potential of a state at op: Q(W) once, P = <Q(W), W>."""
+    q = q_map(op).mat
+    return dict(changes, w=op, q=q, potential=float(np.sum(q * op.mat)))
+
+
 def flow_state(w, t: float = 0.0, history: tuple = ()) -> FlowState:
     """Wrap a unit Weyl operator as an initial flow state."""
     mat, n = _as_mat(w)
     op = w if isinstance(w, CurvatureOperator) else CurvatureOperator(mat, dim=n)
-    return FlowState(w=op, t=t, potential=potential(op), history=history)
+    return FlowState(**_evaluated(op, t=t, history=history))
 
 
-def _field(mat: np.ndarray, n: int) -> np.ndarray:
-    q = q_map(mat).mat
+def _with_q(state: FlowState) -> FlowState:
+    return state if state.q is not None else replace(state, q=q_map(state.w).mat)
+
+
+def _tangent(q: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Q(W) - <Q(W), W> W, the sphere-projected gradient at W."""
     return q - float(np.sum(q * mat)) * mat
+
+
+def _field(mat: np.ndarray) -> np.ndarray:
+    return _tangent(q_map(mat).mat, mat)
 
 
 def fixed_point_residual(w) -> float:
     """Distance from being an eigenvector of Q: ||Q(W) - P(W) W|| for unit W."""
     mat, _ = _as_mat(w)
-    q = q_map(mat).mat
-    return float(np.linalg.norm(q - potential(mat) * mat))
+    return float(np.linalg.norm(_tangent(q_map(mat).mat, mat)))
 
 
 def flow_step(state: FlowState, dt: float) -> FlowState:
@@ -94,17 +111,14 @@ def flow_step(state: FlowState, dt: float) -> FlowState:
     if dt <= 0:
         raise ArgumentError(f"step size must be positive, got {dt}")
     mat = state.w.mat
-    n = state.w.dim
-    k1 = _field(mat, n)
-    k2 = _field(mat + 0.5 * dt * k1, n)
-    k3 = _field(mat + 0.5 * dt * k2, n)
-    k4 = _field(mat + dt * k3, n)
+    k1 = _tangent(_with_q(state).q, mat)
+    k2 = _field(mat + 0.5 * dt * k1)
+    k3 = _field(mat + 0.5 * dt * k2)
+    k4 = _field(mat + dt * k3)
     new = mat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     new /= np.linalg.norm(new)
-    op = CurvatureOperator(new, dim=n)
-    return replace(
-        state, w=op, t=state.t + dt, potential=potential(op)
-    )
+    op = CurvatureOperator(new, dim=state.w.dim)
+    return replace(state, **_evaluated(op, t=state.t + dt))
 
 
 def flow_run(
@@ -121,14 +135,15 @@ def flow_run(
     if steps < 0:
         raise ArgumentError("steps must be non-negative")
     history = list(state.history)
+    state = _with_q(state)
     for i in range(steps):
         step = dt
         if step is None:
-            q_norm = np.linalg.norm(q_map(state.w.mat).mat)
-            step = 1.0 / (10.0 * max(q_norm, 1e-12))
+            step = 1.0 / (10.0 * max(np.linalg.norm(state.q), 1e-12))
         state = flow_step(state, step)
         if sample_every and (i % sample_every == 0 or i == steps - 1):
-            history.append((state.t, state.potential, fixed_point_residual(state.w)))
+            residual = float(np.linalg.norm(_tangent(state.q, state.w.mat)))
+            history.append((state.t, state.potential, residual))
     return replace(state, history=tuple(history))
 
 
@@ -151,13 +166,9 @@ def _excluded_span(n: int) -> np.ndarray:
     rows = np.vstack([w0.ravel()[None, :], comms.reshape(comms.shape[0], -1)])
     _, s, vt = np.linalg.svd(rows, full_matrices=False)
     rank = int(np.sum(s > 1e-8 * s[0]))
-    return vt[:rank]
-
-
-def admissible_projector(n: int) -> np.ndarray:
-    """Projector (flattened coordinates) onto R W0 + orbit tangent at W0."""
-    span = _excluded_span(n)
-    return span.T @ span
+    span = vt[:rank]
+    span.setflags(write=False)
+    return span
 
 
 def admissibility_defect(w) -> float:

@@ -1,5 +1,14 @@
 """Closed-form derivative-estimate constants for Einstein manifolds with
-bounded curvature operator, and the catalogued table they round up to.
+bounded curvature operator, and the catalogued table printed next to them.
+
+CATALOGUED_TABLE holds the printed values as they stand, and they follow no
+single rounding rule.  C1 is the integer ceiling in every row.  C2 is
+rounded up to tens: C2(11) = 2050 for 2048.05, whose ceiling is 2049.  C3 is
+the integer ceiling except at n = 10, where 367142 is the floor of
+367142.14, and at n = 8, where 328939 is one digit away from the ceiling
+328959.  The verification suite judges each cell by the window
+0.97*entry <= formula <= entry and flags the cells outside it (C1(8),
+C3(8) and C3(10)) instead of rounding them away.
 
 Two routes are kept side by side and never merged: the statement-level
 constants C1, C2, C3 (normative, used by derivative_bound) and the
@@ -31,7 +40,9 @@ __all__ = [
     "format_table",
 ]
 
-# catalogued integer ceilings, rows (C1, C2, C3) by dimension
+# printed values of (C1, C2, C3) by dimension, kept as catalogued; mostly
+# round-ups (C2 to tens), judged by the suite's 0.97*entry <= formula <= entry
+# window rather than by a rounding rule
 CATALOGUED_TABLE = {
     11: (18, 2050, 385661),
     10: (18, 1990, 367142),
@@ -166,7 +177,7 @@ def derivative_bound(n: int, K: float, lam: float, order: int) -> float:
 
 
 def table_rows(dims=(11, 10, 9, 8)) -> list:
-    """Formula values next to the catalogued ceilings, one dict per row."""
+    """Formula values next to the catalogued values, one dict per row."""
     rows = []
     for n in dims:
         c = shi_constants(n)

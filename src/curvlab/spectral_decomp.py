@@ -23,6 +23,7 @@ import numpy as np
 from .curvature_core import (
     CurvatureOperator,
     _as_mat,
+    _q_mat,
     bianchi_project,
     ricci,
     wedge_product,
@@ -128,6 +129,11 @@ def weyl_basis(n: int) -> WeylBasis:
     return WeylBasis(dim=n, vectors=tuple(vectors))
 
 
+# Basis operators per batch of Q(W0, b_i) in hessian_matrix; at n = 12 each
+# of a batch's 16 x n^2 x n^2 arrays takes 2.5 MiB.
+_HESSIAN_CHUNK = 16
+
+
 def hessian_matrix(w0, basis: WeylBasis) -> np.ndarray:
     """Matrix of W -> Q(W0, W) on a Weyl basis: entries <Q(W0, b_i), b_j>.
 
@@ -141,16 +147,10 @@ def hessian_matrix(w0, basis: WeylBasis) -> np.ndarray:
     if np.max(np.abs(ricci(mat))) > 1e-8:
         raise ArgumentError("hessian base point must be a Weyl operator")
     stack = basis.stack()
-    count, N = stack.shape[0], stack.shape[1]
-    ad = structure_constants(n).ad_stack
-    p2 = (ad @ mat).reshape(N, -1)
-    q_rows = np.empty((count, N * N))
-    for idx in range(count):
-        b = stack[idx]
-        t = p2 @ (ad @ b).transpose(0, 2, 1).reshape(N, -1).T
-        q = 0.5 * (mat @ b + b @ mat) - 0.25 * (t + t.T)
-        q_rows[idx] = q.ravel()
-    h = q_rows @ stack.reshape(count, -1).T
+    q = np.empty_like(stack)
+    for lo in range(0, len(stack), _HESSIAN_CHUNK):
+        q[lo:lo + _HESSIAN_CHUNK] = _q_mat(mat, stack[lo:lo + _HESSIAN_CHUNK], n)
+    h = q.reshape(len(q), -1) @ stack.reshape(len(stack), -1).T
     return 0.5 * (h + h.T)
 
 
@@ -281,7 +281,9 @@ def x_space_basis(k: int) -> np.ndarray:
     rank = int(np.sum(s > 1e-10 * s[0]))
     if rank != x_dim(k):
         raise RuntimeError(f"X_{k} rank {rank} does not match formula {x_dim(k)}")
-    return vt[:rank]
+    basis = vt[:rank]
+    basis.setflags(write=False)
+    return basis
 
 
 def _x4_split_dims() -> tuple[int, int]:

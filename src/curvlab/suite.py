@@ -46,7 +46,7 @@ from .spectral_decomp import (
     weyl_dim,
 )
 from .symmetry_op import d2, d2_family_norm
-from .model_spaces import r_lambda, w_cp2
+from .model_spaces import r_lambda, random_curvature, random_weyl, w_cp2
 
 __all__ = ["DEFAULT_TOLERANCES", "SUPPORTED_DIMS", "run_suite"]
 
@@ -78,16 +78,6 @@ _LADDER = (1.0, 0.5, 1.0 / 3.0, 0.0, -1.0 / 6.0, -0.5, -1.0)
 _NEIGHBORHOOD_QUOTES = {11: (0.13, 0.9934), 10: (0.26, 0.9796)}
 
 
-def _random_curvature(rng: np.random.Generator, n: int) -> np.ndarray:
-    s = rng.standard_normal((wedge_count(n),) * 2)
-    return bianchi_project(0.5 * (s + s.T)).mat
-
-
-def _random_weyl(rng: np.random.Generator, n: int) -> np.ndarray:
-    w = decompose(_random_curvature(rng, n)).weyl.mat
-    return w / np.linalg.norm(w)
-
-
 def _random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     return q * np.sign(np.diag(r))
@@ -111,8 +101,7 @@ def _residual_record(name, tag, tol, worst, detail="") -> CheckRecord:
 def _check_bianchi_idempotence(name, n, rng, tol):
     worst = 0.0
     for _ in range(_SAMPLES):
-        s = rng.standard_normal((wedge_count(n),) * 2)
-        once = bianchi_project(0.5 * (s + s.T)).mat
+        once = random_curvature(rng, n)
         twice = bianchi_project(once).mat
         worst = max(worst, float(np.max(np.abs(twice - once))), bianchi_residual(once))
     return _residual_record(name, "bianchi-idempotence", tol, worst)
@@ -121,7 +110,7 @@ def _check_bianchi_idempotence(name, n, rng, tol):
 def _check_decomposition_orthogonality(name, n, rng, tol):
     worst = 0.0
     for _ in range(_SAMPLES):
-        r = _random_curvature(rng, n)
+        r = random_curvature(rng, n)
         d = decompose(r)
         parts = (d.scalar_part, d.ricci_part, d.weyl.mat)
         worst = max(worst, float(np.max(np.abs(sum(parts) - r))))
@@ -138,7 +127,7 @@ def _check_bw_identity(name, n, rng, tol):
     worst = 0.0
     eye = np.eye(wedge_count(n))
     for _ in range(_SAMPLES):
-        r = _random_curvature(rng, n)
+        r = random_curvature(rng, n)
         d = decompose(r)
         lhs = r + sharp(r, eye).mat
         rhs = (n - 1) * d.scalar_part + 0.5 * (n - 2) * d.ricci_part
@@ -161,7 +150,7 @@ def _check_sharp_routes(name, n, rng, tol):
 def _check_q_equivariance(name, n, rng, tol):
     worst = 0.0
     for _ in range(_SAMPLES // 2):
-        r = _random_curvature(rng, n)
+        r = random_curvature(rng, n)
         ad = adjoint_rotation(_random_orthogonal(rng, n))
         lhs = q_map(ad.T @ r @ ad).mat
         worst = max(worst, float(np.max(np.abs(lhs - ad.T @ q_map(r).mat @ ad))))
@@ -171,7 +160,7 @@ def _check_q_equivariance(name, n, rng, tol):
 def _check_sharp_equivariance(name, n, rng, tol):
     worst = 0.0
     for _ in range(_SAMPLES // 2):
-        r = _random_curvature(rng, n)
+        r = random_curvature(rng, n)
         ad = adjoint_rotation(_random_orthogonal(rng, n))
         lhs = sharp(ad.T @ r @ ad).mat
         worst = max(worst, float(np.max(np.abs(lhs - ad.T @ sharp(r).mat @ ad))))
@@ -181,7 +170,7 @@ def _check_sharp_equivariance(name, n, rng, tol):
 def _check_d2_equivariance(name, n, rng, tol):
     worst = 0.0
     for _ in range(_SAMPLES // 2):
-        r = _random_curvature(rng, n)
+        r = random_curvature(rng, n)
         g = _random_orthogonal(rng, n)
         ad = adjoint_rotation(g)
         v = rng.standard_normal(wedge_count(n))
@@ -194,7 +183,7 @@ def _check_d2_equivariance(name, n, rng, tol):
 def _check_tri_symmetry(name, n, rng, tol):
     worst = 0.0
     for _ in range(_SAMPLES // 2):
-        ops = [_random_curvature(rng, n) for _ in range(3)]
+        ops = [random_curvature(rng, n) for _ in range(3)]
         vals = [
             tri(ops[i], ops[j], ops[k])
             for i, j, k in (
@@ -339,7 +328,7 @@ def _check_certificate_quoted(name, n, rng, tol):
 
 
 def _check_flow_monotonicity(name, n, rng, tol):
-    state = flow_state(_random_weyl(rng, n))
+    state = flow_state(random_weyl(rng, n))
     state = flow_run(state, steps=60, sample_every=1)
     values = [row[1] for row in state.history]
     worst = max(

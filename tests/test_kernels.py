@@ -1,0 +1,183 @@
+"""The GEMM sharp kernel against its independent oracle, the batched Hessian
+assembly against the per-vector definition, the flow's reuse of Q(W), and the
+read-only caches the kernels share."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from curvlab import curvature_core
+from curvlab.curvature_core import (
+    _bianchi_indices,
+    _sharp_gather,
+    _sharp_mat,
+    bianchi_project,
+    potential,
+    q_map,
+    sharp,
+    sharp_via_brackets,
+)
+from curvlab.lie_basis import wedge_count
+from curvlab.model_spaces import random_weyl, w_cp2
+from curvlab.potential_flow import (
+    FlowState,
+    _excluded_span,
+    fixed_point_residual,
+    flow_run,
+    flow_state,
+)
+from curvlab.spectral_decomp import hessian_matrix, weyl_basis, x_space_basis
+
+# Inputs have unit Frobenius norm; the routes differ only by rounding.
+TOL = 1e-13
+
+
+def unit_symmetric(rng, n, bianchi):
+    s = rng.standard_normal((wedge_count(n),) * 2)
+    mat = 0.5 * (s + s.T)
+    if bianchi:
+        mat = bianchi_project(mat).mat
+    return mat / np.linalg.norm(mat)
+
+
+def gap(a, b) -> float:
+    return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+
+
+class TestSharpOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(3, 12), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_sharp_and_potential(self, n, bianchi, seed):
+        rng = np.random.default_rng(seed)
+        r = unit_symmetric(rng, n, bianchi)
+        s = unit_symmetric(rng, n, bianchi)
+        oracle_rr = sharp_via_brackets(r).mat
+        assert gap(sharp(r).mat, oracle_rr) < TOL
+        assert gap(sharp(r, r.copy()).mat, oracle_rr) < TOL
+        assert gap(sharp(r, s).mat, sharp_via_brackets(r, s).mat) < TOL
+        assert gap(sharp(s, r).mat, sharp(r, s).mat) < TOL
+        oracle_p = float(np.sum((r @ r + oracle_rr) * r))
+        assert abs(potential(r) - oracle_p) < TOL
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(3, 12), st.integers(0, 2**32 - 1))
+    def test_q_map(self, n, seed):
+        # Q only accepts first-Bianchi inputs: it returns a CurvatureOperator
+        rng = np.random.default_rng(seed)
+        r = unit_symmetric(rng, n, True)
+        s = unit_symmetric(rng, n, True)
+        assert gap(q_map(r).mat, r @ r + sharp_via_brackets(r).mat) < TOL
+        oracle_rs = 0.5 * (r @ s + s @ r) + sharp_via_brackets(r, s).mat
+        assert gap(q_map(r, s).mat, oracle_rs) < TOL
+
+    def test_sharp_output_is_exactly_symmetric(self, rng):
+        for n in (4, 9, 12):
+            r = unit_symmetric(rng, n, False)
+            s = unit_symmetric(rng, n, False)
+            for out in (sharp(r).mat, sharp(r, s).mat):
+                assert np.array_equal(out, out.T)
+
+    @pytest.mark.parametrize("n", [13, 14, 15, 16])
+    def test_raw_kernel_beyond_the_basis_cap(self, n, rng):
+        r = unit_symmetric(rng, n, True)
+        s = unit_symmetric(rng, n, False)
+        assert gap(_sharp_mat(r, r, n), sharp_via_brackets(r).mat) < TOL
+        assert gap(_sharp_mat(r, s, n), sharp_via_brackets(r, s).mat) < TOL
+
+    @pytest.mark.parametrize("n", [3, 6, 11, 16])
+    def test_stack_argument(self, n, rng):
+        r = unit_symmetric(rng, n, True)
+        stack = np.array([unit_symmetric(rng, n, b) for b in (True, False, True)])
+        batched = _sharp_mat(r, stack, n)
+        assert batched.shape == stack.shape
+        for out, s in zip(batched, stack):
+            assert gap(out, _sharp_mat(r, s, n)) < TOL
+            assert gap(out, sharp_via_brackets(r, s).mat) < TOL
+
+
+class TestHessianAssembly:
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_matches_per_vector_q(self, n):
+        basis = weyl_basis(n)
+        w0 = w_cp2(n)
+        naive = np.array(
+            [[float(np.sum(q_map(w0, bi).mat * bj.mat)) for bj in basis.vectors]
+             for bi in basis.vectors]
+        )
+        assert gap(hessian_matrix(w0, basis), naive) < TOL
+
+
+class TestFlowReusesQ:
+    def test_samples_match_recomputed_values(self):
+        start = flow_state(random_weyl(np.random.default_rng(3), 6))
+        run = flow_run(start, steps=12, sample_every=1)
+        state = start
+        for t, p, residual in run.history:
+            state = flow_run(state, steps=1)
+            assert t == state.t
+            assert abs(p - potential(state.w)) < TOL
+            assert abs(residual - fixed_point_residual(state.w)) < TOL
+        assert np.array_equal(run.w.mat, state.w.mat)
+        assert (run.t, run.potential) == (state.t, state.potential)
+
+    def test_strided_samples(self):
+        start = flow_state(random_weyl(np.random.default_rng(4), 5))
+        run = flow_run(start, steps=7, sample_every=3)
+        state, rows = start, []
+        for i in range(7):
+            state = flow_run(state, steps=1)
+            if i % 3 == 0 or i == 6:
+                rows.append(
+                    (state.t, potential(state.w), fixed_point_residual(state.w))
+                )
+        assert len(run.history) == len(rows)
+        for got, want in zip(run.history, rows):
+            assert got[0] == want[0]
+            assert abs(got[1] - want[1]) < TOL and abs(got[2] - want[2]) < TOL
+
+    def test_state_without_q_flows_identically(self):
+        start = flow_state(random_weyl(np.random.default_rng(5), 5))
+        bare = FlowState(w=start.w, t=start.t, potential=start.potential)
+        assert bare.q is None and bare == start
+        assert "q=" not in repr(start)
+        a = flow_run(start, steps=5, sample_every=1)
+        b = flow_run(bare, steps=5, sample_every=1)
+        assert np.array_equal(a.w.mat, b.w.mat) and a.history == b.history
+
+    def test_potential_is_bitwise_that_of_potential(self):
+        state = flow_run(flow_state(random_weyl(np.random.default_rng(6), 7)), steps=3)
+        assert state.potential == potential(state.w)
+        assert np.array_equal(state.q, q_map(state.w).mat)
+
+    def test_four_sharp_evaluations_per_step(self, monkeypatch):
+        start = flow_state(random_weyl(np.random.default_rng(7), 5))
+        calls = []
+        kernel = curvature_core._sharp_mat
+
+        def counting(rm, sm, n):
+            calls.append(n)
+            return kernel(rm, sm, n)
+
+        monkeypatch.setattr(curvature_core, "_sharp_mat", counting)
+        flow_run(start, steps=6, sample_every=1)
+        assert len(calls) == 4 * 6
+
+
+class TestReadOnlyCaches:
+    @pytest.mark.parametrize(
+        "arrays",
+        [
+            lambda: _bianchi_indices(6),
+            lambda: _bianchi_indices(3),
+            lambda: _sharp_gather(5),
+            lambda: (_excluded_span(6),),
+            lambda: (x_space_basis(4),),
+        ],
+        ids=["bianchi-indices", "bianchi-indices-empty", "sharp-gather",
+             "excluded-span", "x-space-basis"],
+    )
+    def test_writes_raise(self, arrays):
+        for arr in arrays():
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1.0
