@@ -283,7 +283,8 @@ def ricci(r) -> np.ndarray:
     """Ricci matrix Ric(v, w) = sum_i <R(v ^ e_i), w ^ e_i>."""
     mat, n = _as_mat(r)
     B = _vertex_embedding(n)
-    return np.einsum("aiA,AB,biB->ab", B, mat, B, optimize=True)
+    N = mat.shape[0]
+    return (B.reshape(n * n, N) @ mat).reshape(n, n * N) @ B.reshape(n, n * N).T
 
 
 def scalar(r) -> float:

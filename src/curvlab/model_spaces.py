@@ -11,7 +11,7 @@ draws random_curvature and random_weyl, which return raw matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,6 @@ __all__ = [
     "theta_threshold",
     "Interval",
     "intermediate_range",
-    "ModelSpec",
     "random_curvature",
     "random_weyl",
 ]
@@ -219,74 +218,6 @@ def intermediate_range(n: int) -> Interval:
     if n < 5:
         raise UnsupportedDimensionError(f"need n >= 5, got {n}")
     return Interval(theta_threshold(n), LAMBDA_CRIT)
-
-
-_MODEL_KINDS = {
-    "Sphere",
-    "SphereProduct",
-    "CPn",
-    "WCP2Embedded",
-    "RLambda",
-    "CritSym",
-    "CritCP2",
-}
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """Serializable recipe for a model operator, as consumed by the CLI."""
-
-    kind: str
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in _MODEL_KINDS:
-            raise ArgumentError(
-                f"unknown model kind {self.kind!r}; expected one of {sorted(_MODEL_KINDS)}"
-            )
-        p = self.params
-        if self.kind == "SphereProduct":
-            if "k" not in p or "l" not in p:
-                raise ArgumentError("SphereProduct needs parameters k and l")
-            if "n" in p and p["n"] != p["k"] + p["l"]:
-                raise ArgumentError("SphereProduct needs k + l = n")
-        elif self.kind == "RLambda":
-            if "lambda" not in p or "n" not in p:
-                raise ArgumentError("RLambda needs parameters lambda and n")
-            if not p["lambda"] > 0:
-                raise ArgumentError("RLambda needs lambda > 0")
-            if not 0 <= p.get("phi", 0.0) <= math.pi / 2:
-                raise ArgumentError("RLambda needs 0 <= phi <= pi/2")
-        elif "n" not in p:
-            raise ArgumentError(f"{self.kind} needs parameter n")
-
-    def build(self) -> CurvatureOperator:
-        p = self.params
-        if self.kind == "Sphere":
-            return sphere(p["n"])
-        if self.kind == "SphereProduct":
-            return sphere_product(p["k"], p["l"])
-        if self.kind == "CPn":
-            return cpn(p["n"])
-        if self.kind == "WCP2Embedded":
-            return w_cp2(p["n"])
-        if self.kind == "RLambda":
-            return r_lambda(p["lambda"], p["n"], p.get("phi", 0.0))
-        if self.kind == "CritSym":
-            return crit_sym(p["n"])
-        return crit_cp2(p["n"])
-
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, **self.params}
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "ModelSpec":
-        payload = dict(payload)
-        try:
-            kind = payload.pop("kind")
-        except KeyError:
-            raise ArgumentError("model JSON needs a 'kind' field") from None
-        return cls(kind, payload)
 
 
 # --- seeded random operators --------------------------------------------------

@@ -2,8 +2,12 @@
 dimension bookkeeping of the invariant decompositions.
 
 weyl_basis(n) produces an orthonormal basis of the space of Weyl operators
-(trace-free Ricci, first Bianchi identity) by projecting the standard
-symmetric basis and rank-revealing the span.  hessian_matrix represents
+(first Bianchi identity, zero Ricci contraction) as the null space of those
+linear constraints.  It works in orthonormal coordinates of the symmetric
+N x N matrices: x_aa = R_aa and x_ab = sqrt(2) R_ab for a < b, so that the
+Frobenius norm of R is the Euclidean norm of x.  The C(n,4) Bianchi rows and
+the n(n+1)/2 Ricci rows form one small constraint matrix, and a single SVD
+gives its null space.  hessian_matrix represents
 W -> Q(W0, W) on that basis; eigen_report clusters a symmetric spectrum;
 orbit_tangent_dim measures rotation orbits; decomposition_dims reproduces
 every dimension count of the SO(k) x SO(l) and Pin(2)-refined splittings,
@@ -23,10 +27,10 @@ import numpy as np
 from .curvature_core import (
     CurvatureOperator,
     _as_mat,
+    _bianchi_indices,
     _q_mat,
-    bianchi_project,
+    _vertex_embedding,
     ricci,
-    wedge_product,
 )
 from .errors import ArgumentError, UnsupportedDimensionError
 from .lie_basis import (
@@ -82,51 +86,53 @@ class WeylBasis:
         return np.array([v.mat for v in self.vectors])
 
 
-def _weyl_component(mat: np.ndarray, n: int) -> np.ndarray:
-    """Weyl part of a curvature operator, without container overhead."""
-    N = mat.shape[0]
-    scal = 2.0 * np.trace(mat)
-    ric = ricci(mat)
-    ric0 = ric - (scal / n) * np.eye(n)
-    ricci_part = (2.0 / (n - 2)) * wedge_product(ric0, np.eye(n)).mat
-    return mat - (scal / (n * (n - 1))) * np.eye(N) - ricci_part
-
-
 @functools.lru_cache(maxsize=None)
 def weyl_basis(n: int) -> WeylBasis:
-    """Orthonormal Weyl basis via projection of the standard symmetric basis.
+    """Orthonormal Weyl basis: the null space of the Bianchi and Ricci constraints.
 
-    Deterministic: candidates are the E_ab in lexicographic order, projected
-    onto ker(Ricci) within ker(b), then orthonormalized by a rank-revealing
-    SVD whose sign is fixed per vector.
+    In the coordinates x_aa = R_aa, x_ab = sqrt(2) R_ab (a < b) of the
+    symmetric N x N matrices, every quadruple i<j<k<l gives the Bianchi row
+    R_ij,kl - R_ik,jl + R_il,jk and every pair a <= b the Ricci row Ric_ab.
+    The rows of V^T past the rank of this (C(n,4) + n(n+1)/2) x N(N+1)/2
+    matrix are an orthonormal basis of its null space.  Deterministic: each
+    vector's sign makes its largest-magnitude entry positive.
     """
     if not 5 <= n <= 12:
         raise UnsupportedDimensionError(f"weyl_basis supports 5 <= n <= 12, got {n}")
     N = wedge_count(n)
-    rows = []
-    for a in range(N):
-        for b in range(a, N):
-            e = np.zeros((N, N))
-            e[a, b] = e[b, a] = 1.0
-            rows.append(_weyl_component(bianchi_project(e).mat, n).ravel())
-    m = np.array(rows)
-    _, s, vt = np.linalg.svd(m, full_matrices=False)
+    iu, ju = np.triu_indices(N)
+    col = np.zeros((N, N), dtype=np.intp)
+    col[iu, ju] = col[ju, iu] = np.arange(len(iu))
+    # coefficient of x_ab for a linear form sum_AB K_AB R_AB on symmetric R
+    weight = np.where(iu == ju, 0.5, np.sqrt(0.5))
+    ij, kl, ik, jl, il, jk = _bianchi_indices(n)
+    bianchi = np.zeros((len(ij), len(iu)))
+    rows = np.arange(len(ij))
+    # all three entries lie off the diagonal, so the identity reads
+    # (x_ij,kl - x_ik,jl + x_il,jk) / sqrt(2) = 0; the rows omit the factor
+    bianchi[rows, col[ij, kl]] = 1.0
+    bianchi[rows, col[ik, jl]] = -1.0
+    bianchi[rows, col[il, jk]] = 1.0
+    B = _vertex_embedding(n)
+    a, b = np.triu_indices(n)
+    # Ric_ab = sum_AB K_AB R_AB with K = sum_i B[a, i] (x) B[b, i]
+    k = np.einsum("xiA,xiB->xAB", B[a], B[b])
+    ric = (k[:, iu, ju] + k[:, ju, iu]) * weight
+    _, s, vt = np.linalg.svd(np.vstack([bianchi, ric]), full_matrices=True)
     rank = int(np.sum(s > 1e-10 * s[0]))
+    null = vt[rank:]
     expected = weyl_dim(n)
-    if rank != expected:
+    if len(null) != expected:
         raise RuntimeError(
-            f"Weyl rank {rank} does not match the dimension formula {expected} at n={n}"
+            f"Weyl rank {len(null)} does not match the dimension formula {expected} at n={n}"
         )
-    vectors = []
-    for row in vt[:rank]:
-        mat = row.reshape(N, N)
-        mat = 0.5 * (mat + mat.T)
-        flat = mat.ravel()
-        lead = np.argmax(np.abs(flat))
-        if flat[lead] < 0:
-            mat = -mat
-        vectors.append(CurvatureOperator(mat, dim=n))
-    return WeylBasis(dim=n, vectors=tuple(vectors))
+    mats = np.zeros((expected, N, N))
+    mats[:, iu, ju] = mats[:, ju, iu] = null * np.where(iu == ju, 1.0, np.sqrt(0.5))
+    flat = mats.reshape(expected, -1)
+    lead = flat[np.arange(expected), np.argmax(np.abs(flat), axis=1)]
+    mats[lead < 0] *= -1.0
+    vectors = tuple(CurvatureOperator(mat, dim=n) for mat in mats)
+    return WeylBasis(dim=n, vectors=vectors)
 
 
 # Basis operators per batch of Q(W0, b_i) in hessian_matrix; at n = 12 each

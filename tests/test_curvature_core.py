@@ -144,7 +144,32 @@ class TestBianchi:
         assert abs(np.sum((s - p) * p)) < 1e-10
 
 
+def ricci_by_loop(mat, n):
+    """Ric(v, w) = sum_i <R(v ^ e_i), w ^ e_i>, with e_a ^ e_i in wedge coordinates."""
+
+    def wedge(a, i):
+        vec = np.zeros(wedge_count(n))
+        if a != i:
+            vec[wedge_rank(min(a, i), max(a, i), n)] = 1.0 if a < i else -1.0
+        return vec
+
+    ric = np.zeros((n, n))
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            ric[a - 1, b - 1] = sum(wedge(a, i) @ mat @ wedge(b, i) for i in range(1, n + 1))
+    return ric
+
+
 class TestRicciScalar:
+    @pytest.mark.parametrize("bianchi", [False, True])
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_matches_loop(self, rng, n, bianchi):
+        s = rng.standard_normal((wedge_count(n),) * 2)
+        mat = 0.5 * (s + s.T)
+        if bianchi:
+            mat = bianchi_project(mat).mat
+        assert np.max(np.abs(ricci(mat) - ricci_by_loop(mat, n))) <= 1e-12
+
     def test_identity(self):
         for n in (4, 5, 7):
             assert np.allclose(ricci(identity_operator(n)), (n - 1) * np.eye(n))

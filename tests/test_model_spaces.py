@@ -21,7 +21,6 @@ from curvlab.lie_basis import sp1_basis, wedge_count, wedge_pairs
 from curvlab.model_spaces import (
     LAMBDA_CRIT,
     Interval,
-    ModelSpec,
     cpn,
     crit_cp2,
     crit_sym,
@@ -33,6 +32,11 @@ from curvlab.model_spaces import (
     theta_threshold,
     w_cp2,
 )
+
+
+class TestSphere:
+    def test_sphere_is_identity(self):
+        assert np.array_equal(sphere(5).mat, np.eye(10))
 
 
 class TestSphereProduct:
@@ -275,34 +279,3 @@ class TestIntermediateRange:
     def test_rejects_small_dimension(self):
         with pytest.raises(UnsupportedDimensionError):
             intermediate_range(4)
-
-
-class TestModelSpec:
-    def test_build_all_kinds(self):
-        specs = [
-            ModelSpec("Sphere", {"n": 5}),
-            ModelSpec("SphereProduct", {"k": 4, "l": 5}),
-            ModelSpec("CPn", {"n": 3}),
-            ModelSpec("WCP2Embedded", {"n": 7}),
-            ModelSpec("RLambda", {"lambda": 1.2, "n": 9, "phi": 0.1}),
-            ModelSpec("CritSym", {"n": 10}),
-            ModelSpec("CritCP2", {"n": 11}),
-        ]
-        for spec in specs:
-            op = spec.build()
-            assert op.N == op.mat.shape[0]
-            back = ModelSpec.from_json_dict(spec.to_json_dict())
-            assert back == spec
-
-    def test_validation(self):
-        with pytest.raises(ArgumentError):
-            ModelSpec("Paraboloid", {"n": 4})
-        with pytest.raises(ArgumentError):
-            ModelSpec("SphereProduct", {"k": 4, "l": 5, "n": 10})
-        with pytest.raises(ArgumentError):
-            ModelSpec("RLambda", {"lambda": -1.0, "n": 5})
-        with pytest.raises(ArgumentError):
-            ModelSpec.from_json_dict({"n": 4})
-
-    def test_sphere_is_identity(self):
-        assert np.array_equal(sphere(5).mat, np.eye(10))

@@ -3,8 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from curvlab.curvature_core import bianchi_project, decompose, identity_operator, ricci
+from curvlab.curvature_core import (
+    bianchi_project,
+    bianchi_residual,
+    decompose,
+    identity_operator,
+    ricci,
+)
 from curvlab.errors import ArgumentError, UnsupportedDimensionError
+from curvlab.lie_basis import wedge_count
 from curvlab.model_spaces import sphere_product, theta, w_cp2
 from curvlab.spectral_decomp import (
     decomposition_dims,
@@ -22,8 +29,7 @@ LADDER = (1.0, 0.5, 1.0 / 3.0, 0.0, -1.0 / 6.0, -0.5, -1.0)
 
 
 def random_unit_weyl(rng, n):
-    wb = weyl_basis(n)
-    N = wb.stack().shape[1]
+    N = wedge_count(n)
     raw = rng.standard_normal((N, N))
     w = decompose(bianchi_project(0.5 * (raw + raw.T))).weyl.mat
     return w / np.linalg.norm(w)
@@ -34,8 +40,15 @@ def unit_product_weyl(k, l):
     return report.weyl.mat / report.weyl_norm
 
 
+# Every dimension weyl_basis supports.
+BASIS_DIMS = list(range(5, 13))
+
+
 class TestWeylBasis:
-    @pytest.mark.parametrize("n,count", [(5, 35), (6, 84), (7, 168), (8, 300)])
+    @pytest.mark.parametrize(
+        "n,count",
+        [(5, 35), (6, 84), (7, 168), (8, 300), (9, 495), (10, 770), (11, 1144), (12, 1638)],
+    )
     def test_counts(self, n, count):
         wb = weyl_basis(n)
         assert len(wb) == count == weyl_dim(n)
@@ -44,16 +57,30 @@ class TestWeylBasis:
         assert [weyl_dim(n) for n in range(5, 13)] == [35, 84, 168, 300, 495, 770, 1144, 1638]
         assert weyl_dim(3) == 0
 
-    @pytest.mark.parametrize("n", [5, 6, 7])
+    @pytest.mark.parametrize("n", BASIS_DIMS)
     def test_orthonormal(self, n):
         flat = weyl_basis(n).stack().reshape(weyl_dim(n), -1)
         gram = flat @ flat.T
-        assert np.max(np.abs(gram - np.eye(weyl_dim(n)))) < 1e-10
+        assert np.max(np.abs(gram - np.eye(weyl_dim(n)))) <= 1e-12
 
-    @pytest.mark.parametrize("n", [5, 6, 7])
+    @pytest.mark.parametrize("n", BASIS_DIMS)
     def test_ricci_free(self, n):
-        for v in weyl_basis(n).vectors:
-            assert np.max(np.abs(ricci(v.mat))) < 1e-10
+        assert max(np.max(np.abs(ricci(v.mat))) for v in weyl_basis(n).vectors) <= 1e-12
+
+    @pytest.mark.parametrize("n", BASIS_DIMS)
+    def test_bianchi_free(self, n):
+        assert max(bianchi_residual(v.mat) for v in weyl_basis(n).vectors) <= 1e-12
+
+    @pytest.mark.parametrize("n", BASIS_DIMS)
+    def test_projection_matches_decompose(self, rng, n):
+        # decompose subtracts the scalar and Ricci parts by formula, sharing
+        # no code with the constraint matrix the basis is the null space of
+        flat = weyl_basis(n).stack().reshape(weyl_dim(n), -1)
+        for _ in range(3):
+            raw = rng.standard_normal((wedge_count(n),) * 2)
+            r = bianchi_project(0.5 * (raw + raw.T)).mat
+            projected = ((flat @ r.ravel()) @ flat).reshape(r.shape)
+            assert np.max(np.abs(projected - decompose(r).weyl.mat)) <= 1e-12
 
     def test_deterministic(self):
         fresh = weyl_basis.__wrapped__(6)
@@ -68,7 +95,11 @@ class TestWeylBasis:
 class TestHessian:
     @pytest.mark.parametrize(
         "n,mults",
-        [(10, (1, 26, 78, 483, 156, 24, 2)), (11, (1, 30, 105, 768, 210, 28, 2))],
+        [
+            (10, (1, 26, 78, 483, 156, 24, 2)),
+            (11, (1, 30, 105, 768, 210, 28, 2)),
+            (12, (1, 34, 136, 1161, 272, 32, 2)),
+        ],
     )
     def test_cp2_clusters(self, n, mults):
         h = hessian_matrix(w_cp2(n), weyl_basis(n))
