@@ -18,7 +18,7 @@ from .certificate import alpha0_certificate
 from .curvature_core import decompose
 from .errors import ArgumentError
 from .model_spaces import random_weyl, sphere_product, w_cp2
-from .potential_flow import fixed_point_residual, flow_run, flow_state
+from .potential_flow import fixed_point_residual, flow_run, flow_state, trajectory_csv
 from .report import canonical_json, clusters_to_csv, render_report
 from .shi_bounds import format_table, table_rows
 from .spectral_decomp import (
@@ -74,10 +74,6 @@ def main():
     "--tol", "tols", multiple=True, metavar="NAME=VALUE",
     help="Tolerance override; repeatable.",
 )
-@click.option(
-    "--jobs", type=int, envvar="CURVLAB_JOBS", default=1, show_default=True,
-    help="Worker threads (env CURVLAB_JOBS).",
-)
 @click.option("--cluster-tol", default=1e-8, show_default=True, type=float)
 @click.option("--out", type=click.Path(dir_okay=False), help="Write report here.")
 @click.option(
@@ -85,14 +81,13 @@ def main():
     type=click.Choice(["json", "markdown", "csv"]),
 )
 @click.option("--include-runtime", is_flag=True, help="Add runtime to the JSON.")
-def verify(dims, seed, tols, jobs, cluster_tol, out, fmt, include_runtime):
+def verify(dims, seed, tols, cluster_tol, out, fmt, include_runtime):
     """Run the verification suite and emit its report."""
     try:
         report = run_suite(
             dims=dims or range(4, 12),
             seed=seed,
             tolerances=_parse_tolerances(tols),
-            jobs=jobs,
             cluster_tol=cluster_tol,
         )
     except ArgumentError as exc:
@@ -236,11 +231,7 @@ def flow(dim, steps, dt, seed, sample_every, start, out):
         )
     except ArgumentError as exc:
         raise click.UsageError(str(exc))
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["t", "P", "residual"])
-    writer.writerows(state.history)
-    _write_output(buf.getvalue(), out)
+    _write_output(trajectory_csv(state), out)
     click.echo(
         f"final: t={state.t:.4f} P={state.potential:.12f} "
         f"residual={fixed_point_residual(state.w):.3e}",

@@ -230,9 +230,12 @@ def _bianchi_indices(n: int):
 
 
 def _bianchi_pairings(mat: np.ndarray, n: int) -> np.ndarray:
-    """<R, G_q> for every quadruple generator G_q of the image of b."""
+    """<R, G_q> for every quadruple generator G_q of the image of b.
+
+    mat may be one N x N matrix or a (..., N, N) stack of them.
+    """
     ij, kl, ik, jl, il, jk = _bianchi_indices(n)
-    return 2.0 * (mat[ij, kl] - mat[ik, jl] + mat[il, jk])
+    return 2.0 * (mat[..., ij, kl] - mat[..., ik, jl] + mat[..., il, jk])
 
 
 def bianchi_residual(mat) -> float:

@@ -132,9 +132,8 @@ def _bracket_pair(i: int, j: int, p: int, q: int) -> list[tuple[int, int, float]
 class StructureConstants:
     """Structure constants of so(n) in the wedge basis.
 
-    tensor[a, b, g] = <[b_a, b_b], b_g>; entries is the sparse map used for
-    audits, (a, b) -> list of (g, coeff) with coeff in {+1, -1}.  Instances are
-    immutable and shared via the structure_constants cache.
+    tensor[a, b, g] = <[b_a, b_b], b_g>.  Instances are immutable and shared
+    via the structure_constants cache.
     """
 
     def __init__(self, n: int):
@@ -144,20 +143,12 @@ class StructureConstants:
         self.pairs = wedge_pairs(n)
         self.N = len(self.pairs)
         tensor = np.zeros((self.N, self.N, self.N))
-        entries: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for alpha, (i, j) in enumerate(self.pairs):
             for beta, (p, q) in enumerate(self.pairs):
-                terms = _bracket_pair(i, j, p, q)
-                if terms:
-                    lst = []
-                    for a, b, c in terms:
-                        gamma = wedge_rank(a, b, n)
-                        tensor[alpha, beta, gamma] += c
-                        lst.append((gamma, int(c)))
-                    entries[(alpha, beta)] = lst
+                for a, b, c in _bracket_pair(i, j, p, q):
+                    tensor[alpha, beta, wedge_rank(a, b, n)] += c
         tensor.setflags(write=False)
         self.tensor = tensor
-        self.entries = entries
         # ad_stack[a] is the matrix of ad_{b_a}: ad_stack[a, g, b] = tensor[a, b, g]
         ad_stack = np.ascontiguousarray(np.transpose(tensor, (0, 2, 1)))
         ad_stack.setflags(write=False)

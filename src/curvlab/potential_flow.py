@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import math
 from dataclasses import dataclass, field, replace
 
@@ -38,7 +39,7 @@ __all__ = [
     "flow_step",
     "flow_run",
     "fixed_point_residual",
-    "trajectory_to_csv",
+    "trajectory_csv",
     "admissibility_defect",
     "admissible_part",
     "profile_coefficients",
@@ -147,12 +148,13 @@ def flow_run(
     return replace(state, history=tuple(history))
 
 
-def trajectory_to_csv(state: FlowState, path) -> None:
-    """Dump the sampled trajectory as CSV with columns t, P, residual."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "P", "residual"])
-        writer.writerows(state.history)
+def trajectory_csv(state: FlowState) -> str:
+    """The sampled trajectory as CSV text with columns t, P, residual."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["t", "P", "residual"])
+    writer.writerows(state.history)
+    return buf.getvalue()
 
 
 # --- profile toward the distinguished critical point -------------------------

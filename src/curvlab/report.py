@@ -1,4 +1,4 @@
-"""Machine-readable verification reports and their emitters.
+"""Machine-readable verification reports and their renderers.
 
 A report is a flat list of check records, each tagged with the catalogue
 result it reproduces (or "plumbing" for pure software invariants).  The JSON
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import ArgumentError
 
-SCHEMA = "curvlab-report/1"
+SCHEMA = "curvlab-report/2"
 
 _STATUSES = ("pass", "fail", "flag")
 _FORMATS = ("json", "markdown", "csv")
@@ -64,7 +64,6 @@ class SuiteReport:
 
     seed: int
     dims: tuple
-    jobs: int
     records: tuple
     runtime_seconds: float
     schema: str = SCHEMA
@@ -85,7 +84,6 @@ class SuiteReport:
             "schema": self.schema,
             "seed": self.seed,
             "dims": list(self.dims),
-            "jobs": self.jobs,
             "counts": self.counts,
             "checks": [record.to_json_dict() for record in self.records],
         }
@@ -144,13 +142,6 @@ def render_report(
     if fmt == "csv":
         return render_csv(report)
     raise ArgumentError(f"unknown report format {fmt!r}; use one of {_FORMATS}")
-
-
-def emit(report: SuiteReport, fmt: str, path, include_runtime: bool = False) -> None:
-    """Render and write; OSError propagates for the caller's I/O policy."""
-    text = render_report(report, fmt, include_runtime=include_runtime)
-    with open(path, "w") as fh:
-        fh.write(text)
 
 
 def clusters_to_csv(spectral) -> str:

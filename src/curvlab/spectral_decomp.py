@@ -25,9 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature_core import (
-    CurvatureOperator,
+    BIANCHI_TOL,
     _as_mat,
     _bianchi_indices,
+    _bianchi_pairings,
     _q_mat,
     _vertex_embedding,
     ricci,
@@ -73,17 +74,17 @@ def x_dim(k: int) -> int:
 
 @dataclass(frozen=True)
 class WeylBasis:
-    """Orthonormal basis of the Weyl operators in dimension n."""
+    """Orthonormal basis of the Weyl operators in dimension n.
+
+    mats is one read-only (count, N, N) array; mats[i] is the wedge-basis
+    matrix of the i-th basis operator.
+    """
 
     dim: int
-    vectors: tuple[CurvatureOperator, ...]
+    mats: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.vectors)
-
-    def stack(self) -> np.ndarray:
-        """All basis matrices as one (count, N, N) array."""
-        return np.array([v.mat for v in self.vectors])
+        return len(self.mats)
 
 
 @functools.lru_cache(maxsize=None)
@@ -131,8 +132,17 @@ def weyl_basis(n: int) -> WeylBasis:
     flat = mats.reshape(expected, -1)
     lead = flat[np.arange(expected), np.argmax(np.abs(flat), axis=1)]
     mats[lead < 0] *= -1.0
-    vectors = tuple(CurvatureOperator(mat, dim=n) for mat in mats)
-    return WeylBasis(dim=n, vectors=vectors)
+    # the checks CurvatureOperator makes, once over the whole stack
+    if not np.array_equal(mats, mats.transpose(0, 2, 1)):
+        raise RuntimeError(f"Weyl basis matrices are not symmetric at n={n}")
+    residual = np.sqrt(np.sum(_bianchi_pairings(mats, n) ** 2, axis=1) / 6.0)
+    if np.max(residual) >= BIANCHI_TOL:
+        raise RuntimeError(
+            f"Weyl basis violates the first Bianchi identity at n={n} "
+            f"(residual {np.max(residual):.3e})"
+        )
+    mats.setflags(write=False)
+    return WeylBasis(dim=n, mats=mats)
 
 
 # Basis operators per batch of Q(W0, b_i) in hessian_matrix; at n = 12 each
@@ -152,7 +162,7 @@ def hessian_matrix(w0, basis: WeylBasis) -> np.ndarray:
         raise ArgumentError("hessian base point must have unit norm")
     if np.max(np.abs(ricci(mat))) > 1e-8:
         raise ArgumentError("hessian base point must be a Weyl operator")
-    stack = basis.stack()
+    stack = basis.mats
     q = np.empty_like(stack)
     for lo in range(0, len(stack), _HESSIAN_CHUNK):
         q[lo:lo + _HESSIAN_CHUNK] = _q_mat(mat, stack[lo:lo + _HESSIAN_CHUNK], n)

@@ -2,8 +2,8 @@
 
 Every check is a pure function of (dimension, seeded generator, tolerance)
 returning one CheckRecord.  Checks draw randomness only from a generator
-seeded by crc32(check name) xor suite seed, so results are independent of
-execution order and the suite is deterministic under any parallelism.
+seeded by crc32(check name) xor suite seed, so the suite is deterministic
+under any execution order.
 
 Status policy: mismatches against catalogued values whose recomputed chain
 is internally consistent are "flag" (warn, exit 0); violated mathematical
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 
 import numpy as np
@@ -411,13 +410,12 @@ def run_suite(
     dims=(4, 5, 6, 7, 8, 9, 10, 11),
     seed: int = 0,
     tolerances: dict | None = None,
-    jobs: int = 1,
     cluster_tol: float = 1e-8,
 ) -> SuiteReport:
     """Run every applicable check for the requested dimensions.
 
     Deterministic given (dims, seed, tolerances): each check owns a generator
-    seeded from its name, and records are merged in name order.
+    seeded from its name, and records are sorted by name.
     """
     dims = tuple(int(n) for n in dims)
     for n in dims:
@@ -430,30 +428,18 @@ def run_suite(
         if key not in tols:
             raise ArgumentError(f"unknown tolerance name {key!r}")
         tols[key] = float(value)
-    if jobs < 1:
-        raise ArgumentError(f"jobs must be >= 1, got {jobs}")
 
-    tasks = [
-        (family, check, n)
+    start = perf_counter()
+    records = [
+        _record_for(family, check, n, seed, tols[family], cluster_tol)
         for family, check, applies in _REGISTRY
         for n in sorted(dims)
         if applies(n)
     ]
-    start = perf_counter()
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        records = list(
-            pool.map(
-                lambda task: _record_for(
-                    task[0], task[1], task[2], seed, tols[task[0]], cluster_tol
-                ),
-                tasks,
-            )
-        )
     records.sort(key=lambda record: record.name)
     return SuiteReport(
         seed=seed,
         dims=tuple(sorted(dims)),
-        jobs=jobs,
         records=tuple(records),
         runtime_seconds=perf_counter() - start,
     )

@@ -257,7 +257,7 @@ def _program_verdicts(report) -> dict:
 @pytest.fixture(scope="module")
 def suite_report():
     """The dims 4..11 suite report, built once for criteria 7 and 10."""
-    return run_suite(dims=range(4, 12), seed=0, jobs=2)
+    return run_suite(dims=range(4, 12), seed=0)
 
 
 def test_criterion_07_shi_constants(suite_report):

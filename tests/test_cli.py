@@ -20,7 +20,7 @@ class TestVerify:
         result = runner.invoke(main, ["verify", "--dim", "4", "--seed", "7"])
         assert result.exit_code == 0
         payload = json.loads(result.stdout)
-        assert payload["schema"] == "curvlab-report/1"
+        assert payload["schema"] == "curvlab-report/2"
         assert payload["seed"] == 7
         assert payload["counts"]["fail"] == 0
         assert "runtime_seconds" not in payload
@@ -69,12 +69,14 @@ class TestVerify:
         )
         assert result.exit_code == 3
 
-    def test_jobs_env_fallback(self, runner):
-        result = runner.invoke(
-            main, ["verify", "--dim", "4"], env={"CURVLAB_JOBS": "2"}
-        )
-        assert result.exit_code == 0
-        assert json.loads(result.stdout)["jobs"] == 2
+    def test_no_jobs_setting(self, runner):
+        # the suite runs in one thread: --jobs is unknown, CURVLAB_JOBS inert
+        args = ["verify", "--dim", "4"]
+        assert runner.invoke(main, args + ["--jobs", "2"]).exit_code == 2
+        plain = runner.invoke(main, args)
+        with_env = runner.invoke(main, args, env={"CURVLAB_JOBS": "2"})
+        assert plain.exit_code == with_env.exit_code == 0
+        assert with_env.stdout == plain.stdout
 
     def test_markdown_format(self, runner):
         result = runner.invoke(

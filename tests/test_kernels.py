@@ -102,8 +102,8 @@ class TestHessianAssembly:
         basis = weyl_basis(n)
         w0 = w_cp2(n)
         naive = np.array(
-            [[float(np.sum(q_map(w0, bi).mat * bj.mat)) for bj in basis.vectors]
-             for bi in basis.vectors]
+            [[float(np.sum(q_map(w0, bi).mat * bj)) for bj in basis.mats]
+             for bi in basis.mats]
         )
         assert gap(hessian_matrix(w0, basis), naive) < TOL
 
@@ -173,9 +173,10 @@ class TestReadOnlyCaches:
             lambda: _sharp_gather(5),
             lambda: (_excluded_span(6),),
             lambda: (x_space_basis(4),),
+            lambda: (weyl_basis(6).mats,),
         ],
         ids=["bianchi-indices", "bianchi-indices-empty", "sharp-gather",
-             "excluded-span", "x-space-basis"],
+             "excluded-span", "x-space-basis", "weyl-basis"],
     )
     def test_writes_raise(self, arrays):
         for arr in arrays():

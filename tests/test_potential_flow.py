@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 
 import mpmath
@@ -28,7 +29,7 @@ from curvlab.potential_flow import (
     neighborhood_deficit,
     neighborhood_potential_bound,
     profile_coefficients,
-    trajectory_to_csv,
+    trajectory_csv,
 )
 
 SQRT32 = math.sqrt(1.5)
@@ -105,14 +106,13 @@ class TestFlowStep:
         assert fixed_point_residual(state.w) < 1e-2
         assert abs(state.potential - SQRT32) < 2e-4
 
-    def test_history_and_csv(self, tmp_path):
+    def test_history_and_csv(self):
         state = flow_state(random_unit_weyl(np.random.default_rng(1), 5))
         state = flow_run(state, 50, dt=1e-2, sample_every=10)
         assert len(state.history) >= 5
-        path = tmp_path / "trajectory.csv"
-        trajectory_to_csv(state, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+        text = trajectory_csv(state)
+        assert text.startswith("t,P,residual\r\n")
+        rows = list(csv.reader(io.StringIO(text, newline="")))
         assert rows[0] == ["t", "P", "residual"]
         assert len(rows) == len(state.history) + 1
         ts = [float(r[0]) for r in rows[1:]]

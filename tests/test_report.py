@@ -14,7 +14,6 @@ from curvlab.report import (
     SuiteReport,
     canonical_json,
     clusters_to_csv,
-    emit,
     render_csv,
     render_markdown,
     render_report,
@@ -36,7 +35,7 @@ def _record(name="alpha", status="pass", computed=1e-12):
 def _report(records=None):
     records = records if records is not None else (_record(), _record("beta", "flag"))
     return SuiteReport(
-        seed=0, dims=(4, 5), jobs=1, records=tuple(records), runtime_seconds=0.25
+        seed=0, dims=(4, 5), records=tuple(records), runtime_seconds=0.25
     )
 
 
@@ -64,7 +63,7 @@ class TestRecords:
 class TestJson:
     def test_schema_and_shape(self):
         payload = _report().to_json_dict()
-        assert payload["schema"] == SCHEMA == "curvlab-report/1"
+        assert payload["schema"] == SCHEMA == "curvlab-report/2"
         assert payload["dims"] == [4, 5]
         assert len(payload["checks"]) == 2
         assert "runtime_seconds" not in payload
@@ -103,15 +102,6 @@ class TestRenderers:
         assert "alpha" in render_report(rep, "csv")
         with pytest.raises(ArgumentError):
             render_report(rep, "yaml")
-
-    def test_emit_writes_file(self, tmp_path):
-        path = tmp_path / "report.json"
-        emit(_report(), "json", path)
-        assert json.loads(path.read_text())["schema"] == SCHEMA
-
-    def test_emit_bad_path(self, tmp_path):
-        with pytest.raises(OSError):
-            emit(_report(), "json", tmp_path / "no" / "such" / "dir.json")
 
 
 class TestClusterCsv:

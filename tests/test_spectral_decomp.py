@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,23 +60,23 @@ class TestWeylBasis:
 
     @pytest.mark.parametrize("n", BASIS_DIMS)
     def test_orthonormal(self, n):
-        flat = weyl_basis(n).stack().reshape(weyl_dim(n), -1)
+        flat = weyl_basis(n).mats.reshape(weyl_dim(n), -1)
         gram = flat @ flat.T
         assert np.max(np.abs(gram - np.eye(weyl_dim(n)))) <= 1e-12
 
     @pytest.mark.parametrize("n", BASIS_DIMS)
     def test_ricci_free(self, n):
-        assert max(np.max(np.abs(ricci(v.mat))) for v in weyl_basis(n).vectors) <= 1e-12
+        assert max(np.max(np.abs(ricci(m))) for m in weyl_basis(n).mats) <= 1e-12
 
     @pytest.mark.parametrize("n", BASIS_DIMS)
     def test_bianchi_free(self, n):
-        assert max(bianchi_residual(v.mat) for v in weyl_basis(n).vectors) <= 1e-12
+        assert max(bianchi_residual(m) for m in weyl_basis(n).mats) <= 1e-12
 
     @pytest.mark.parametrize("n", BASIS_DIMS)
     def test_projection_matches_decompose(self, rng, n):
         # decompose subtracts the scalar and Ricci parts by formula, sharing
         # no code with the constraint matrix the basis is the null space of
-        flat = weyl_basis(n).stack().reshape(weyl_dim(n), -1)
+        flat = weyl_basis(n).mats.reshape(weyl_dim(n), -1)
         for _ in range(3):
             raw = rng.standard_normal((wedge_count(n),) * 2)
             r = bianchi_project(0.5 * (raw + raw.T)).mat
@@ -84,7 +85,7 @@ class TestWeylBasis:
 
     def test_deterministic(self):
         fresh = weyl_basis.__wrapped__(6)
-        assert np.array_equal(fresh.stack(), weyl_basis(6).stack())
+        assert np.array_equal(fresh.mats, weyl_basis(6).mats)
 
     @pytest.mark.parametrize("n", [4, 13])
     def test_out_of_range(self, n):
@@ -124,7 +125,7 @@ class TestHessian:
         wb = weyl_basis(10)
         w0 = w_cp2(10)
         h = hessian_matrix(w0, wb)
-        c = wb.stack().reshape(len(wb), -1) @ w0.mat.ravel()
+        c = wb.mats.reshape(len(wb), -1) @ w0.mat.ravel()
         assert np.linalg.norm(h @ c - math.sqrt(1.5) * c) < 1e-10
 
     @pytest.mark.parametrize("k,l", [(5, 6), (4, 7), (5, 5)])
@@ -133,8 +134,20 @@ class TestHessian:
         wb = weyl_basis(n)
         w0 = unit_product_weyl(k, l)
         h = hessian_matrix(w0, wb)
-        c = wb.stack().reshape(len(wb), -1) @ w0.ravel()
+        c = wb.mats.reshape(len(wb), -1) @ w0.ravel()
         assert np.linalg.norm(h @ c - theta(k, l) * c) < 1e-10
+
+    def test_reads_basis_without_copy(self):
+        # Q(W0, b_i) for every i, the count x count matrix and its
+        # symmetrization; a copy of the basis would add mats.nbytes more
+        wb, w0 = weyl_basis(10), w_cp2(10)
+        tracemalloc.start()
+        try:
+            hessian_matrix(w0, wb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < wb.mats.nbytes + 3 * len(wb) ** 2 * 8
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_trace_vanishes(self, rng, n):

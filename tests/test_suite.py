@@ -44,14 +44,6 @@ class TestDeterminism:
         b = run_suite(dims=[4], seed=4)
         assert _json_bytes(a) != _json_bytes(b)
 
-    def test_parallelism_does_not_change_results(self):
-        a = run_suite(dims=[4, 5, 6], seed=1, jobs=1)
-        b = run_suite(dims=[4, 5, 6], seed=1, jobs=4)
-        assert [r.name for r in a.records] == [r.name for r in b.records]
-        assert [r.computed for r in a.records] == [r.computed for r in b.records]
-        # jobs is part of the config, so compare records rather than the blob
-        assert a.jobs == 1 and b.jobs == 4
-
 
 class TestConfig:
     def test_rejects_out_of_range_dim(self):
@@ -68,10 +60,6 @@ class TestConfig:
         with pytest.raises(ArgumentError):
             run_suite(dims=[4], tolerances={"no-such-check": 1e-3})
 
-    def test_rejects_bad_jobs(self):
-        with pytest.raises(ArgumentError):
-            run_suite(dims=[4], jobs=0)
-
     def test_tolerance_override_can_force_failure(self):
         report = run_suite(dims=[4], seed=0, tolerances={"bw-identity": 0.0})
         record = next(r for r in report.records if r.name == "bw-identity[n=4]")
@@ -85,7 +73,7 @@ class TestConfig:
 
 class TestHighDims:
     def test_dimension_ten_checks(self):
-        report = run_suite(dims=[10], seed=0, jobs=2)
+        report = run_suite(dims=[10], seed=0)
         by_name = {r.name: r for r in report.records}
         assert by_name["hessian-clusters[n=10]"].status == "pass"
         assert by_name["neighborhood-bound[n=10]"].status == "pass"
@@ -94,7 +82,7 @@ class TestHighDims:
         assert report.exit_code == 0
 
     def test_dimension_eleven_quoted_certificate_flag(self):
-        report = run_suite(dims=[11], seed=0, jobs=2)
+        report = run_suite(dims=[11], seed=0)
         by_name = {r.name: r for r in report.records}
         record = by_name["certificate-quoted[n=11]"]
         assert record.status == "flag"
