@@ -2,9 +2,9 @@
 
 Subpackage tour:
 
-- lie_basis: wedge coordinates on so(n), brackets, structure constants.
+- lie_basis: wedge coordinates on so(n), ad matrices, structure constants.
 - curvature_core: the CurvatureOperator container, Bianchi projection,
-  Ricci/scalar, irreducible decomposition, the sharp product and the
+  Ricci trace, irreducible decomposition, the sharp product and the
   quadratic map Q.
 - model_spaces: curvature operators of spheres, sphere products, complex
   projective spaces, and the one-parameter families built from them.

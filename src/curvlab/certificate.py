@@ -10,7 +10,8 @@ gap on the right-hand side (rhs).  Every quantity is assembled from scratch:
     G       = derivative-mass lower bound at (lambda0, pi/4, phi0),
     C       = third-derivative ceiling (2 kappa0 - lambda0)^(5/2) C3(n),
     r       = 2G/C  (the radius where the integrand factor vanishes),
-    lhs     = prefactor (G^2/13 - G C r/14 + C^2 r^2/60) r^2,
+    lhs     = prefactor (G^2/13 - G C r/14 + C^2 r^2/60) r^2
+            = 4 prefactor G^4 / (1365 C^2)  (the bracket is G^2/1365 at r),
     rhs(e)  = 8 sqrt(2(n-1)/n) (cot(beta_n) - cot(beta_n + e)),
 
 with prefactor = 4 vol(S^(n-2)) Sn(n-2, pi/4) / vol(B_1^n).  The rewritten
@@ -111,10 +112,14 @@ def rhs_bound(n: int, eps: float, prefactor: float = 8.0) -> float:
         return float(prefactor * scale * (mpmath.cot(beta) - mpmath.cot(beta + eps)))
 
 
-def lhs_bound(n: int, G: float, C: float, r: float) -> float:
-    """prefactor (G^2/13 - G C r/14 + C^2 r^2/60) r^2 (ball average at radius r)."""
-    bracket = G**2 / 13.0 - G * C * r / 14.0 + C**2 * r**2 / 60.0
-    return certificate_prefactor(n) * bracket * r**2
+def lhs_bound(n: int, G: float, C: float) -> float:
+    """Ball average prefactor (G^2/13 - G C r/14 + C^2 r^2/60) r^2 at r = 2G/C.
+
+    There the bracket is G^2 (1/13 - 1/7 + 1/15) = G^2/1365, so the average
+    is 4 prefactor G^4 / (1365 C^2).  The closed form avoids the float sum,
+    which cancels 99.5% of its terms.
+    """
+    return 4.0 * certificate_prefactor(n) * G**4 / (1365.0 * C**2)
 
 
 def alpha0_margin(n: int, lhs: float, prefactor: float = 8.0) -> float:
@@ -218,7 +223,7 @@ def alpha0_certificate(n: int, mode: str = "recomputed") -> Certificate:
     C = c_quo if use_quoted else c_rec
     r = 2.0 * G / C
     pref = certificate_prefactor(n)
-    lhs = lhs_bound(n, G, C, r)
+    lhs = lhs_bound(n, G, C)
     rhs = rhs_bound(n, CERT_EPSILON)
     rhs_bare = rhs_bound(n, CERT_EPSILON, prefactor=1.0)
     margin = alpha0_margin(n, lhs)

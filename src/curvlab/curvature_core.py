@@ -2,11 +2,11 @@
 
 A curvature operator is a symmetric N x N matrix (N = n(n-1)/2) in the wedge
 basis that satisfies the first Bianchi identity.  This module provides the
-validated containers, the Bianchi projection onto that subspace, Ricci and
-scalar traces, the O(n)-irreducible decomposition, the wedge product of
-symmetric matrices, the sharp product (GEMM route, bracket route, and the
-fast diagonal path), the quadratic map Q with its potential and trilinear
-form, angles to the identity, and the rotation action.
+validated containers (in memory only: no file serialization), the Bianchi
+projection onto that subspace, the Ricci trace, the O(n)-irreducible
+decomposition, the wedge product of symmetric matrices, the sharp product
+(GEMM route, bracket route, and the fast diagonal path), the quadratic map Q
+with its potential and trilinear form, and the angle to the identity.
 
 The GEMM route expands R and S to 4-tensors and forms, with one n^2 x n^2
 matrix product,
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +38,6 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .lie_basis import (
-    adjoint_rotation,
     dim_from_wedge_count,
     structure_constants,
     wedge_count,
@@ -52,13 +50,10 @@ __all__ = [
     "BIANCHI_TOL",
     "SymmetricOperator",
     "CurvatureOperator",
-    "AlternativeOperator",
     "DecompositionReport",
-    "identity_operator",
     "bianchi_residual",
     "bianchi_project",
     "ricci",
-    "scalar",
     "decompose",
     "wedge_product",
     "sharp",
@@ -70,8 +65,6 @@ __all__ = [
     "potential_normalized",
     "tri",
     "angle_to_identity",
-    "rotate",
-    "tensor_norm",
 ]
 
 SYMMETRY_TOL = 1e-12
@@ -111,34 +104,6 @@ class SymmetricOperator:
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dim}, N={self.N})"
 
-    # --- serialization: CSV is the bare matrix, JSON carries dim and basis ---
-
-    def to_csv(self, path) -> None:
-        np.savetxt(path, self._mat, delimiter=",")
-
-    @classmethod
-    def from_csv(cls, path):
-        mat = np.loadtxt(path, delimiter=",", ndmin=2)
-        return cls(mat)
-
-    def to_json_dict(self) -> dict:
-        return {"dim": self.dim, "basis": "lex-wedge", "mat": self._mat.tolist()}
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh)
-
-    @classmethod
-    def from_json_dict(cls, payload: dict):
-        if payload.get("basis", "lex-wedge") != "lex-wedge":
-            raise ArgumentError(f"unknown basis {payload.get('basis')!r}")
-        return cls(np.asarray(payload["mat"], dtype=float), dim=payload.get("dim"))
-
-    @classmethod
-    def from_json(cls, path):
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
-
 
 class CurvatureOperator(SymmetricOperator):
     """Symmetric operator satisfying the first Bianchi identity."""
@@ -150,33 +115,6 @@ class CurvatureOperator(SymmetricOperator):
             raise ArgumentError(
                 f"matrix violates the first Bianchi identity (residual {res:.3e})"
             )
-
-
-class AlternativeOperator:
-    """Symmetric n x n matrix with zero diagonal: entry (i,j) is R(e_i^e_j, e_i^e_j)."""
-
-    def __init__(self, tilde: np.ndarray, dim: int | None = None):
-        tilde = np.array(tilde, dtype=float)
-        n = tilde.shape[0]
-        if tilde.shape != (n, n):
-            raise ArgumentError("alternative operator must be a square matrix")
-        if dim is not None and dim != n:
-            raise ArgumentError("matrix size does not match dimension")
-        if np.max(np.abs(tilde - tilde.T), initial=0.0) >= SYMMETRY_TOL:
-            raise ArgumentError("alternative operator must be symmetric")
-        if np.max(np.abs(np.diag(tilde)), initial=0.0) >= SYMMETRY_TOL:
-            raise ArgumentError("alternative operator must have zero diagonal")
-        tilde.setflags(write=False)
-        self.tilde = tilde
-        self.dim = n
-
-    def column_sums(self) -> np.ndarray:
-        """Column sums of the symbol matrix; for a pure operator these are the
-        diagonal Ricci entries, so they vanish exactly for Weyl operators."""
-        return self.tilde.sum(axis=0)
-
-    def __repr__(self) -> str:
-        return f"AlternativeOperator(dim={self.dim})"
 
 
 @dataclass(frozen=True)
@@ -192,12 +130,6 @@ class DecompositionReport:
     scalar_part_norm: float
     ricci_part_norm: float
     weyl_norm: float
-    angle: float
-
-
-def identity_operator(n: int) -> CurvatureOperator:
-    """The curvature operator of the unit sphere: the identity on the wedge space."""
-    return CurvatureOperator(np.eye(wedge_count(n)), dim=n)
 
 
 def _as_mat(x, name: str = "operator") -> tuple[np.ndarray, int]:
@@ -290,12 +222,6 @@ def ricci(r) -> np.ndarray:
     return (B.reshape(n * n, N) @ mat).reshape(n, n * N) @ B.reshape(n, n * N).T
 
 
-def scalar(r) -> float:
-    """Scalar curvature, the trace of the Ricci matrix (= 2 tr R)."""
-    mat, _ = _as_mat(r)
-    return 2.0 * float(np.trace(mat))
-
-
 def wedge_product(a: np.ndarray, b: np.ndarray) -> SymmetricOperator:
     """Operator A ^ B on the wedge space: (A^B)(v^w) = 1/2 (Av^Bw + Bv^Aw)."""
     a = np.asarray(a, dtype=float)
@@ -333,11 +259,6 @@ def decompose(r) -> DecompositionReport:
     scalar_part = (scal / (n * (n - 1))) * np.eye(N)
     ricci_part = (2.0 / (n - 2)) * wedge_product(ric0, np.eye(n)).mat
     weyl_mat = mat - scalar_part - ricci_part
-    norm = np.linalg.norm(mat)
-    if norm > 1e-14:
-        angle = float(np.arccos(np.clip(np.trace(mat) / (norm * np.sqrt(N)), -1, 1)))
-    else:
-        angle = float("nan")
     return DecompositionReport(
         dim=n,
         scal=scal,
@@ -348,7 +269,6 @@ def decompose(r) -> DecompositionReport:
         scalar_part_norm=float(np.linalg.norm(scalar_part)),
         ricci_part_norm=float(np.linalg.norm(ricci_part)),
         weyl_norm=float(np.linalg.norm(weyl_mat)),
-        angle=angle,
     )
 
 
@@ -437,13 +357,15 @@ def sharp_via_brackets(r, s=None) -> SymmetricOperator:
     return SymmetricOperator(0.5 * (M + M.T), dim=n)
 
 
-def alternative(r) -> AlternativeOperator:
-    """Alternative operator: symbol matrix of sectional-type diagonal entries."""
+def alternative(r) -> np.ndarray:
+    """Alternative operator: the read-only symmetric n x n symbol matrix with
+    zero diagonal, whose entry (i, j) is R(e_i^e_j, e_i^e_j)."""
     mat, n = _as_mat(r)
     tilde = np.zeros((n, n))
     for rank, (i, j) in enumerate(wedge_pairs(n)):
         tilde[i - 1, j - 1] = tilde[j - 1, i - 1] = mat[rank, rank]
-    return AlternativeOperator(tilde, dim=n)
+    tilde.setflags(write=False)
+    return tilde
 
 
 def sharp_pure(r) -> CurvatureOperator:
@@ -456,7 +378,7 @@ def sharp_pure(r) -> CurvatureOperator:
     off = mat - np.diag(np.diag(mat))
     if np.max(np.abs(off), initial=0.0) >= 1e-12:
         raise PreconditionError("sharp_pure needs a diagonal operator matrix")
-    tilde = alternative(mat).tilde
+    tilde = alternative(mat)
     sq = tilde @ tilde
     diag = np.zeros(mat.shape[0])
     for rank, (i, j) in enumerate(wedge_pairs(n)):
@@ -502,7 +424,7 @@ def tri(r, s, t) -> float:
     return float(np.sum(q_map(r, s).mat * tm))
 
 
-# --- angle, rotation, tensor norm -------------------------------------------
+# --- angle to the identity --------------------------------------------------
 
 def angle_to_identity(r) -> float:
     """Angle between R and the identity operator, in [0, pi]."""
@@ -512,19 +434,3 @@ def angle_to_identity(r) -> float:
         raise DegenerateInputError("angle_to_identity needs a nonzero operator")
     cos = np.trace(mat) / (norm * np.sqrt(mat.shape[0]))
     return float(np.arccos(np.clip(cos, -1.0, 1.0)))
-
-
-def rotate(g: np.ndarray, r) -> CurvatureOperator:
-    """Rotation action (g.R)(v ^ w, x ^ y) = R(gv ^ gw, gx ^ gy)."""
-    mat, n = _as_mat(r)
-    ad = adjoint_rotation(g)
-    if ad.shape[0] != mat.shape[0]:
-        raise ArgumentError("rotation size does not match the operator")
-    out = ad.T @ mat @ ad
-    return CurvatureOperator(0.5 * (out + out.T), dim=n)
-
-
-def tensor_norm(r) -> float:
-    """Norm of R as a (0,4)-tensor: twice the Frobenius norm of the matrix."""
-    mat, _ = _as_mat(r)
-    return 2.0 * float(np.linalg.norm(mat))

@@ -29,7 +29,6 @@ __all__ = [
     "so_coords",
     "StructureConstants",
     "structure_constants",
-    "bracket",
     "ad_matrix",
     "sp1_basis",
     "adjoint_rotation",
@@ -132,8 +131,9 @@ def _bracket_pair(i: int, j: int, p: int, q: int) -> list[tuple[int, int, float]
 class StructureConstants:
     """Structure constants of so(n) in the wedge basis.
 
-    tensor[a, b, g] = <[b_a, b_b], b_g>.  Instances are immutable and shared
-    via the structure_constants cache.
+    tensor[a, b, g] = <[b_a, b_b], b_g>, so tensor[a].T is the matrix of
+    ad_{b_a}.  Instances are immutable and shared via the structure_constants
+    cache.
     """
 
     def __init__(self, n: int):
@@ -149,33 +149,23 @@ class StructureConstants:
                     tensor[alpha, beta, wedge_rank(a, b, n)] += c
         tensor.setflags(write=False)
         self.tensor = tensor
-        # ad_stack[a] is the matrix of ad_{b_a}: ad_stack[a, g, b] = tensor[a, b, g]
-        ad_stack = np.ascontiguousarray(np.transpose(tensor, (0, 2, 1)))
-        ad_stack.setflags(write=False)
-        self.ad_stack = ad_stack
 
     def ad(self, v: np.ndarray) -> np.ndarray:
         """Matrix of ad_v = [v, .] in the wedge basis (antisymmetric, N x N)."""
         v = np.asarray(v, dtype=float)
         if v.shape != (self.N,):
             raise ArgumentError("bivector length does not match dimension")
-        return np.einsum("a,agb->gb", v, self.ad_stack)
+        # row b of the product is [v, b_b]; the transpose is copied to C order
+        # because callers feed ad matrices to GEMMs, whose rounding depends on
+        # the operand layout
+        brackets = (v @ self.tensor.reshape(self.N, -1)).reshape(self.N, self.N)
+        return np.ascontiguousarray(brackets.T)
 
 
 @functools.lru_cache(maxsize=None)
 def structure_constants(n: int) -> StructureConstants:
     """Cached structure constants for so(n)."""
     return StructureConstants(n)
-
-
-def bracket(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Lie bracket of two bivectors, in wedge coordinates."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise ArgumentError("bracket arguments live in different dimensions")
-    sc = structure_constants(dim_from_wedge_count(u.shape[0]))
-    return sc.ad(u) @ v
 
 
 def ad_matrix(v: np.ndarray, n: int | None = None) -> np.ndarray:

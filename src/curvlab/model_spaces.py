@@ -2,10 +2,11 @@
 
 Round spheres, products of round spheres, complex projective spaces, the unit
 Weyl operator of CP^2 embedded in higher dimensions, the Einstein family
-lambda/(n-1) Id + cos(phi) W + sin(phi) W', and the two critical operators
-obtained by normalizing these families.  Everything returns a validated
-CurvatureOperator in the lexicographic wedge basis, except the seeded random
-draws random_curvature and random_weyl, which return raw matrices.
+lambda/(n-1) Id + cos(phi) W + sin(phi) W', and the critical operator of the
+balanced sphere product, normalized to a unit Weyl part.  Everything returns
+a validated CurvatureOperator in the lexicographic wedge basis, except the
+seeded random draws random_curvature and random_weyl, which return raw
+matrices.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "cpn",
     "w_cp2",
     "r_lambda",
-    "crit_cp2",
     "crit_sym",
     "theta",
     "theta_threshold",
@@ -150,11 +150,6 @@ def r_lambda(
             raise ArgumentError("w_extra must be a Weyl operator")
         mat = mat + math.sin(phi) * extra
     return CurvatureOperator(mat, dim=n)
-
-
-def crit_cp2(n: int) -> CurvatureOperator:
-    """The critical member of the CP^2 family: sqrt(3/2)/(n-1) Id + W_CP2."""
-    return r_lambda(LAMBDA_CRIT, n, 0.0)
 
 
 def crit_sym(n: int) -> CurvatureOperator:

@@ -163,7 +163,7 @@ def trajectory_csv(state: FlowState) -> str:
 def _excluded_span(n: int) -> np.ndarray:
     """Orthonormal rows spanning R W0 + orbit tangent at W0."""
     w0 = w_cp2(n).mat
-    ad = structure_constants(n).ad_stack
+    ad = structure_constants(n).tensor.transpose(0, 2, 1)
     comms = ad @ w0 - w0 @ ad
     rows = np.vstack([w0.ravel()[None, :], comms.reshape(comms.shape[0], -1)])
     _, s, vt = np.linalg.svd(rows, full_matrices=False)

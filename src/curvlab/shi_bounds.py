@@ -31,7 +31,6 @@ __all__ = [
     "ShiConstants",
     "alpha_coeff",
     "beta_coeff",
-    "gamma_coeff",
     "shi_constants",
     "statement_vs_proof",
     "derivative_bound",
@@ -59,11 +58,6 @@ def alpha_coeff(n: int) -> float:
 def beta_coeff(n: int) -> float:
     """Second auxiliary coefficient 35 + 4 sqrt(n)."""
     return 35.0 + 4.0 * math.sqrt(n)
-
-
-def gamma_coeff(n: int) -> float:
-    """Third auxiliary coefficient 47.5 + 4 sqrt(n)."""
-    return 47.5 + 4.0 * math.sqrt(n)
 
 
 def _a1_squared(n: int) -> float:

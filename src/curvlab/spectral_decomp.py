@@ -189,14 +189,6 @@ class SpectralReport:
                 return mult
         return 0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "clusters": [[val, mult] for val, mult in self.clusters],
-            "residual": self.residual,
-            "cluster_tol": self.cluster_tol,
-            "size": self.size,
-        }
-
 
 def eigen_report(mat: np.ndarray, cluster_tol: float = 1e-8) -> SpectralReport:
     """Eigenvalues of a symmetric matrix, grouped into clusters.
@@ -237,7 +229,8 @@ def eigen_report(mat: np.ndarray, cluster_tol: float = 1e-8) -> SpectralReport:
 def orbit_tangent_dim(w) -> int:
     """Dimension of the rotation orbit through W: rank of {[ad_v, W]}."""
     mat, n = _as_mat(w)
-    ad = structure_constants(n).ad_stack
+    # ad[a] is the matrix of ad_{b_a}: ad[a, g, b] = tensor[a, b, g]
+    ad = structure_constants(n).tensor.transpose(0, 2, 1)
     comms = ad @ mat - mat @ ad
     s = np.linalg.svd(comms.reshape(comms.shape[0], -1), compute_uv=False)
     if s.size == 0 or s[0] <= 0:
@@ -332,12 +325,6 @@ class DimensionTable:
     weyl_total: int
     blocks: dict
     pin_blocks: dict | None
-
-    def block_sum(self) -> int:
-        return sum(self.blocks.values())
-
-    def pin_sum(self) -> int:
-        return sum(self.pin_blocks.values()) if self.pin_blocks else 0
 
 
 def decomposition_dims(n: int, k: int) -> DimensionTable:

@@ -16,6 +16,7 @@ import math
 import zlib
 from time import perf_counter
 
+import mpmath
 import numpy as np
 
 from .certificate import QUOTED_CONSTANTS, alpha0_certificate, certificate_prefactor
@@ -25,7 +26,6 @@ from .curvature_core import (
     decompose,
     potential_normalized,
     q_map,
-    rotate,
     sharp,
     sharp_pure,
     tri,
@@ -307,10 +307,13 @@ def _check_neighborhood_bound(name, n, rng, tol):
 def _check_certificate_identity(name, n, rng, tol):
     c = alpha0_certificate(n, "recomputed")
     G, C = c.G_recomputed, c.C_recomputed
-    closed = certificate_prefactor(n) * G**4 / C**2 * 4.0 * (
-        1.0 / 13.0 - 1.0 / 7.0 + 1.0 / 15.0
-    )
-    rel = abs(c.lhs_bound - closed) / abs(closed)
+    # the closed-form lhs against the uncollapsed bracket at r = 2G/C, in 50 digits
+    with mpmath.workdps(50):
+        g, cc = mpmath.mpf(G), mpmath.mpf(C)
+        r = 2 * g / cc
+        bracket = g**2 / 13 - g * cc * r / 14 + cc**2 * r**2 / 60
+        direct = certificate_prefactor(n, lib=mpmath) * bracket * r**2
+        rel = float(abs(c.lhs_bound - direct) / direct)
     rel = max(rel, abs(c.r - 2.0 * G / C) / (2.0 * G / C))
     return _residual_record(
         name, "certificate-chain", tol, rel, detail=f"verdict {c.verdict}"

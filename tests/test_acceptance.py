@@ -342,10 +342,12 @@ def test_criterion_09_certificate():
     recomputed = alpha0_certificate(11, "recomputed")
     g, c = recomputed.G_recomputed, recomputed.C_recomputed
     r_rel = abs(recomputed.r - 2.0 * g / c) / (2.0 * g / c)
-    closed = certificate_prefactor(11) * g**4 / c**2 * 4.0 * (
-        1.0 / 13.0 - 1.0 / 7.0 + 1.0 / 15.0
-    )
-    lhs_rel = abs(recomputed.lhs_bound - closed) / closed
+    with mpmath.workdps(50):
+        gm, cm = mpmath.mpf(g), mpmath.mpf(c)
+        r = 2 * gm / cm
+        bracket = gm**2 / 13 - gm * cm * r / 14 + cm**2 * r**2 / 60
+        direct = certificate_prefactor(11, lib=mpmath) * bracket * r**2
+        lhs_rel = float(abs(recomputed.lhs_bound - direct) / direct)
     flagged = any("quoted G" in f for f in recomputed.flags) and any(
         "quoted lhs" in f for f in quoted.flags
     )

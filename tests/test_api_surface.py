@@ -1,0 +1,194 @@
+"""Every public name is reached by the program, or is kept on purpose.
+
+Each name in a submodule's __all__ must be referenced from src/, demos/ or
+benchmarks/: imported by name and then used, read as `module.name`, loaded
+inside its own module outside its own definition, or named as a
+`spans.Layer(module, name)` of the benchmark.  The only exceptions are the
+names in KEPT, each with the reason it stays; drop a name from KEPT once a
+verify record uses it.  A second check finds imports that a module of the
+package never uses.  Only the standard-library ast module is used, so
+nothing is imported or run.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "curvlab"
+CALLER_DIRS = (ROOT / "src", ROOT / "demos", ROOT / "benchmarks")
+
+ORACLE = "oracle"
+AWAITS = "awaits verify record"
+
+#: code that only tests exercise, and why each piece stays
+KEPT = {
+    # independent second routes that the tests check the kernels against
+    "sharp_via_brackets": ORACLE,
+    "so_matrix": ORACLE,
+    "so_coords": ORACLE,
+    "wedge_vectors": ORACLE,
+    "wedge_index": ORACLE,
+    # statements of the paper that wait for a verify record
+    "angle_to_identity": AWAITS,
+    "crit_sym": AWAITS,
+    "_excluded_span": AWAITS,
+    "admissibility_defect": AWAITS,
+    "admissible_part": AWAITS,
+    "ProfileCoefficients": AWAITS,
+    "profile_coefficients": AWAITS,
+    "f_profile": AWAITS,
+    "gamma_bound": AWAITS,
+    "neighborhood_deficit": AWAITS,
+    "d2_mixed": AWAITS,
+    "g_sign_change_phi": AWAITS,
+}
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _modules():
+    """(module name, tree) for every package submodule; __init__ only re-exports."""
+    return [
+        (path.stem, _parse(path))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "__init__"
+    ]
+
+
+def _exported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def _source_module(node, path):
+    """The package submodule a from-import reads from, or None."""
+    if node.level == 0:
+        parts = (node.module or "").split(".")
+    elif node.level == 1 and path.parent == PACKAGE:
+        parts = ["curvlab"] + (node.module or "").split(".")
+    else:
+        return None
+    if parts[0] != "curvlab":
+        return None
+    return ".".join(parts[1:]) or None
+
+
+def _loaded_names(tree):
+    return {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _references(path, tree):
+    """(module, name) pairs that one caller file references."""
+    loads = _loaded_names(tree)
+    module_alias = {}  # local name -> package submodule
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = _source_module(node, path)
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if source is None and (
+                    (node.level == 0 and node.module == "curvlab")
+                    or (node.level == 1 and path.parent == PACKAGE and not node.module)
+                ):
+                    module_alias[local] = alias.name
+                elif source is not None and local in loads:
+                    refs.add((source, alias.name))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "curvlab" and len(parts) == 2 and alias.asname:
+                    module_alias[alias.asname] = parts[1]
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "attr", None) or getattr(func, "id", "")
+            args = node.args[:2]
+            if name == "Layer" and len(args) == 2 and all(
+                isinstance(a, ast.Constant) and isinstance(a.value, str) for a in args
+            ):
+                refs.add((args[0].value, args[1].value))
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        base = node.value
+        if isinstance(base, ast.Name) and base.id in module_alias:
+            refs.add((module_alias[base.id], node.attr))
+        elif (
+            isinstance(base, ast.Attribute)
+            and isinstance(base.value, ast.Name)
+            and base.value.id == "curvlab"
+        ):
+            refs.add((base.attr, node.attr))
+    return refs
+
+
+def _own_module_loads(tree):
+    """Names loaded in a module outside the top-level definition that binds them."""
+    loads = set()
+    for stmt in tree.body:
+        own = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                if node.id != own:
+                    loads.add(node.id)
+    return loads
+
+
+def _unreached():
+    refs = set()
+    for folder in CALLER_DIRS:
+        for path in sorted(folder.rglob("*.py")):
+            refs |= _references(path, _parse(path))
+    out = {}
+    for module, tree in _modules():
+        own = _own_module_loads(tree)
+        for name in _exported(tree):
+            if (module, name) not in refs and name not in own:
+                out[name] = module
+    return out
+
+
+def test_public_names_are_reached_or_kept():
+    unreached = _unreached()
+    missing = sorted(f"{m}.{name}" for name, m in unreached.items() if name not in KEPT)
+    assert not missing, f"public names only tests reach: {missing}"
+    defined = {
+        getattr(stmt, "name", None) for _, tree in _modules() for stmt in tree.body
+    }
+    gone = sorted(set(KEPT) - defined)
+    assert not gone, f"KEPT names that no module defines: {gone}"
+    assert set(KEPT.values()) <= {ORACLE, AWAITS}
+
+
+def _unused_imports(tree):
+    exported = set(_exported(tree))
+    loads = _loaded_names(tree)
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                local = alias.asname or alias.name.split(".")[0]
+                if local not in loads and local not in exported:
+                    unused.append(local)
+    return unused
+
+
+def test_package_modules_use_what_they_import():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        unused = _unused_imports(_parse(path))
+        if unused:
+            found[path.name] = unused
+    assert not found, f"imported but never used: {found}"

@@ -101,21 +101,23 @@ class TestRhsBound:
 
 
 class TestLhsBound:
-    def test_vanishing_radius(self):
-        assert lhs_bound(11, 0.3, 1e6, 0.0) == 0.0
-
     def test_bracket_identity_at_matched_radius(self):
-        # at r = 2G/C the bracket collapses to G^2 (1/13 - 1/7 + 1/15)
-        G, C = 0.3, 1.0e6
-        r = 2.0 * G / C
-        want = certificate_prefactor(11) * G**2 * (1.0 / 13 - 1.0 / 7 + 1.0 / 15) * r**2
-        assert lhs_bound(11, G, C, r) == pytest.approx(want, rel=1e-12)
+        # the closed form against the uncollapsed bracket at r = 2G/C, in 50 digits
+        for n in (10, 11):
+            c = alpha0_certificate(n)
+            for G, C in ((0.3, 1.0e6), (c.G_recomputed, c.C_recomputed)):
+                with mpmath.workdps(50):
+                    g, cc = mpmath.mpf(G), mpmath.mpf(C)
+                    r = 2 * g / cc
+                    bracket = g**2 / 13 - g * cc * r / 14 + cc**2 * r**2 / 60
+                    want = certificate_prefactor(n, lib=mpmath) * bracket * r**2
+                    assert abs(lhs_bound(n, G, C) - want) / want < 1e-14
 
     def test_scales_with_g_fourth_power(self):
         # with r = 2G/C fixed by the chain, lhs ~ G^4 / C^2
         C = 1.0e6
-        a = lhs_bound(11, 0.2, C, 0.4 / C)
-        b = lhs_bound(11, 0.4, C, 0.8 / C)
+        a = lhs_bound(11, 0.2, C)
+        b = lhs_bound(11, 0.4, C)
         assert b / a == pytest.approx(16.0, rel=1e-12)
 
 

@@ -7,7 +7,6 @@ from curvlab.errors import ArgumentError
 from curvlab.lie_basis import (
     ad_matrix,
     adjoint_rotation,
-    bracket,
     dim_from_wedge_count,
     so_coords,
     so_matrix,
@@ -20,6 +19,10 @@ from curvlab.lie_basis import (
 )
 
 from conftest import random_orthogonal
+
+
+def commutator(u, v):
+    return ad_matrix(u) @ v
 
 
 def wedge(n, *terms):
@@ -78,9 +81,9 @@ class TestBracket:
     def test_three_dim_table(self):
         n = 3
         e12, e13, e23 = np.eye(3)
-        assert np.allclose(bracket(e12, e13), -e23)
-        assert np.allclose(bracket(e12, e23), e13)
-        assert np.allclose(bracket(e13, e23), -e12)
+        assert np.allclose(commutator(e12, e13), -e23)
+        assert np.allclose(commutator(e12, e23), e13)
+        assert np.allclose(commutator(e13, e23), -e12)
 
     def test_matches_matrix_commutator(self, rng):
         for n in (4, 5, 7):
@@ -89,7 +92,7 @@ class TestBracket:
             via_matrices = so_coords(
                 so_matrix(u, n) @ so_matrix(v, n) - so_matrix(v, n) @ so_matrix(u, n)
             )
-            assert np.max(np.abs(bracket(u, v) - via_matrices)) < 1e-12
+            assert np.max(np.abs(commutator(u, v) - via_matrices)) < 1e-12
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(3, 7), st.integers(0, 2**32 - 1))
@@ -97,9 +100,9 @@ class TestBracket:
         rng = np.random.default_rng(seed)
         x, y, z = rng.standard_normal((3, wedge_count(n)))
         j = (
-            bracket(x, bracket(y, z))
-            + bracket(y, bracket(z, x))
-            + bracket(z, bracket(x, y))
+            commutator(x, commutator(y, z))
+            + commutator(y, commutator(z, x))
+            + commutator(z, commutator(x, y))
         )
         scale = max(1.0, np.linalg.norm(x) * np.linalg.norm(y) * np.linalg.norm(z))
         assert np.max(np.abs(j)) / scale < 1e-12
@@ -109,6 +112,8 @@ class TestBracket:
             v = rng.standard_normal(wedge_count(n))
             a = ad_matrix(v, n)
             assert np.max(np.abs(a + a.T)) < 1e-12
+            # callers feed ad matrices to GEMMs; C order keeps their BLAS path
+            assert a.flags.c_contiguous
 
     def test_killing_form(self, rng):
         # tr(ad_x ad_y) = -2(n-2) <x, y> on so(n)
@@ -119,7 +124,7 @@ class TestBracket:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ArgumentError):
-            bracket(np.zeros(3), np.zeros(6))
+            ad_matrix(np.zeros(3), 4)
 
 
 class TestStructureConstants:
@@ -141,6 +146,13 @@ class TestStructureConstants:
     def test_cached(self):
         assert structure_constants(6) is structure_constants(6)
 
+    def test_holds_one_array(self):
+        # ad matrices are read off tensor, not from a second N^3 copy
+        sc = structure_constants(6)
+        arrays = [k for k, v in vars(sc).items() if isinstance(v, np.ndarray)]
+        assert arrays == ["tensor"]
+        assert not sc.tensor.flags.writeable
+
     def test_rejects_tiny_dimension(self):
         with pytest.raises(ArgumentError):
             structure_constants(2)
@@ -152,15 +164,15 @@ class TestSp1Bases:
             sp = sp1_basis(n)
             for s in ("+", "-"):
                 i, j, k = sp["i" + s], sp["j" + s], sp["k" + s]
-                assert np.allclose(bracket(i, j), 2 * k)
-                assert np.allclose(bracket(j, k), 2 * i)
-                assert np.allclose(bracket(k, i), 2 * j)
+                assert np.allclose(commutator(i, j), 2 * k)
+                assert np.allclose(commutator(j, k), 2 * i)
+                assert np.allclose(commutator(k, i), 2 * j)
 
     def test_factors_commute(self):
         sp = sp1_basis(6)
         for a in "ijk":
             for b in "ijk":
-                assert np.max(np.abs(bracket(sp[a + "+"], sp[b + "-"]))) == 0
+                assert np.max(np.abs(commutator(sp[a + "+"], sp[b + "-"]))) == 0
 
     def test_orthonormal_after_sqrt2(self):
         sp = sp1_basis(7)

@@ -12,8 +12,6 @@ from curvlab.curvature_core import (
     potential_normalized,
     q_map,
     ricci,
-    rotate,
-    scalar,
     sharp,
 )
 from curvlab.errors import ArgumentError, UnsupportedDimensionError
@@ -22,7 +20,6 @@ from curvlab.model_spaces import (
     LAMBDA_CRIT,
     Interval,
     cpn,
-    crit_cp2,
     crit_sym,
     intermediate_range,
     r_lambda,
@@ -32,6 +29,8 @@ from curvlab.model_spaces import (
     theta_threshold,
     w_cp2,
 )
+
+from conftest import rotate_operator
 
 
 class TestSphere:
@@ -44,7 +43,7 @@ class TestSphereProduct:
         for k, l in ((2, 2), (3, 5), (5, 6)):
             r = sphere_product(k, l)
             assert np.max(np.abs(ricci(r) - (k - 1) * np.eye(k + l))) < 1e-12
-            assert abs(scalar(r) - (k + l) * (k - 1)) < 1e-12
+            assert abs(decompose(r).scal - (k + l) * (k - 1)) < 1e-12
 
     def test_norm_squared(self):
         k, l = 5, 6
@@ -191,7 +190,7 @@ class TestWCP2:
             + 1.0 * np.outer(sp["j-"], sp["j-"])
             - 0.5 * np.outer(sp["k-"], sp["k-"])
         )
-        assert np.max(np.abs(rotate(g, src).mat - w_cp2(4).mat)) < 1e-12
+        assert np.max(np.abs(rotate_operator(g, src) - w_cp2(4).mat)) < 1e-12
 
     def test_rejects_small_dimension(self):
         with pytest.raises(ArgumentError):
@@ -213,12 +212,12 @@ class TestRLambda:
 
     def test_crit_cp2_is_q_eigenvector(self):
         for n in (5, 11):
-            r = crit_cp2(n)
+            r = r_lambda(LAMBDA_CRIT, n)
             assert np.max(np.abs(q_map(r.mat).mat - LAMBDA_CRIT * r.mat)) < 1e-10
 
     def test_crit_cp2_angle(self):
         for n in (5, 8, 11):
-            cos2 = math.cos(angle_to_identity(crit_cp2(n))) ** 2
+            cos2 = math.cos(angle_to_identity(r_lambda(LAMBDA_CRIT, n))) ** 2
             assert abs(cos2 - 3 * n / (7 * n - 4)) < 1e-12
 
     def test_crit_sym_angle(self):
@@ -228,10 +227,14 @@ class TestRLambda:
         assert abs(cos2 - 11 * 8 / (2 * (121 - 22 - 1))) < 1e-12
 
     def test_angle_ordering_flips_at_twelve(self):
+        def gap(n):
+            cp2 = angle_to_identity(r_lambda(LAMBDA_CRIT, n))
+            return cp2 - angle_to_identity(crit_sym(n))
+
         for n in range(5, 12):
-            assert angle_to_identity(crit_cp2(n)) < angle_to_identity(crit_sym(n))
+            assert gap(n) < 0
         for n in (12, 13):
-            assert angle_to_identity(crit_cp2(n)) > angle_to_identity(crit_sym(n))
+            assert gap(n) > 0
 
     def test_phi_tilts_at_constant_angle(self, rng):
         # phi = pi/2 with any admissible extra Weyl direction keeps the angle

@@ -9,13 +9,12 @@ import pytest
 from curvlab.curvature_core import (
     bianchi_project,
     decompose,
-    identity_operator,
     potential,
     ricci,
 )
 from curvlab.errors import ArgumentError, DomainError, UnsupportedDimensionError
 from curvlab.lie_basis import wedge_count
-from curvlab.model_spaces import sphere_product, theta, w_cp2
+from curvlab.model_spaces import sphere, sphere_product, theta, w_cp2
 from curvlab.potential_flow import (
     FlowState,
     admissibility_defect,
@@ -57,7 +56,7 @@ class TestFlowState:
             flow_state(2.0 * w_cp2(5).mat)
 
     def test_rejects_non_weyl(self):
-        ident = identity_operator(5)
+        ident = sphere(5)
         with pytest.raises(ArgumentError):
             flow_state(ident.mat / ident.norm())
 
@@ -181,7 +180,7 @@ class TestProfile:
         w = random_admissible(rng, 10)
         with pytest.raises(ArgumentError):
             f_profile(2.0 * w, 0.1)
-        ident = identity_operator(10)
+        ident = sphere(10)
         with pytest.raises(ArgumentError):
             f_profile(ident.mat / ident.norm(), 0.1)
 

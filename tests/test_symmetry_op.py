@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from curvlab.curvature_core import bianchi_project, identity_operator, rotate
+from curvlab.curvature_core import bianchi_project
 from curvlab.errors import ArgumentError
 from curvlab.lie_basis import (
     ad_matrix,
@@ -15,7 +15,13 @@ from curvlab.lie_basis import (
     wedge_rank,
     wedge_vectors,
 )
-from curvlab.model_spaces import crit_cp2, r_lambda, sphere_product, w_cp2
+from curvlab.model_spaces import (
+    LAMBDA_CRIT,
+    r_lambda,
+    sphere,
+    sphere_product,
+    w_cp2,
+)
 from curvlab.symmetry_op import (
     d2,
     d2_family_norm,
@@ -26,7 +32,7 @@ from curvlab.symmetry_op import (
     sphere_volume,
 )
 
-from conftest import random_orthogonal
+from conftest import random_orthogonal, rotate_operator
 
 
 def basis_vec(i, j, n):
@@ -49,7 +55,7 @@ def random_simple_unit_bivector(rng, n):
 class TestD2:
     def test_identity_operator_is_symmetric_everywhere(self):
         n = 6
-        ident = identity_operator(n)
+        ident = sphere(n)
         for r in range(wedge_count(n)):
             v = np.zeros(wedge_count(n))
             v[r] = 1.0
@@ -77,7 +83,7 @@ class TestD2:
                 v = rng.standard_normal(wedge_count(n))
                 g = random_orthogonal(rng, n)
                 o = adjoint_rotation(g)
-                lhs = d2(rotate(g, r).mat, v).operator
+                lhs = d2(rotate_operator(g, r), v).operator
                 rhs = o.T @ d2(r, o @ v).operator @ o
                 assert np.max(np.abs(lhs - rhs)) < 1e-9
 
@@ -90,7 +96,7 @@ class TestD2:
 
     def test_crit_cp2_mixed_so4_value(self):
         # the value quoted for n = 11: sqrt(2) |1/2 - 3 lam_bar/sqrt(6)| = 0.35 sqrt(2)
-        got = d2(crit_cp2(11), basis_vec(1, 3, 11)).norm
+        got = d2(r_lambda(LAMBDA_CRIT, 11), basis_vec(1, 3, 11)).norm
         assert abs(got - math.sqrt(2) * 0.35) < 1e-12
         assert abs(got - 0.4950) < 1e-4
 
