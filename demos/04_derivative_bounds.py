@@ -6,16 +6,21 @@ Recompute the dimension-dependent constants behind the first three local
 derivative estimates and compare them against their catalogued round-ups.
 """
 
+from curvlab.report import render_table
 from curvlab.shi_bounds import (
     derivative_bound,
-    format_table,
     shi_constants,
     statement_vs_proof,
     table_rows,
 )
 
-# recomputed constants next to the catalogued integers, dims 11 down to 8
-print(format_table(table_rows(), fmt="markdown"))
+# recomputed constants (to 3 decimals) next to the catalogued integers,
+# dims 11 down to 8
+rows = table_rows()
+cells = [
+    [f"{v:.3f}" if isinstance(v, float) else v for v in row.values()] for row in rows
+]
+print(render_table(list(rows[0]), cells, "markdown"))
 
 # a catalogued cell should round its formula up, but not by more than 3%;
 # three of the twelve cells break that window

@@ -24,7 +24,7 @@ those gaps as flags plus an honest margin, never to hide them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import mpmath
 
@@ -167,27 +167,7 @@ class Certificate:
                 raise ArgumentError(f"certificate field {name} must be finite")
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "mode": self.mode,
-            "lambda0": self.lambda0,
-            "kappa0": self.kappa0,
-            "phi0": self.phi0,
-            "alpha0": self.alpha0,
-            "beta": self.beta,
-            "G_recomputed": self.G_recomputed,
-            "G_quoted": self.G_quoted,
-            "C_recomputed": self.C_recomputed,
-            "C_quoted": self.C_quoted,
-            "r": self.r,
-            "prefactor": self.prefactor,
-            "lhs_bound": self.lhs_bound,
-            "rhs_bound": self.rhs_bound,
-            "rhs_bound_no_prefactor": self.rhs_bound_no_prefactor,
-            "alpha0_margin": self.alpha0_margin,
-            "verdict": self.verdict,
-            "flags": list(self.flags),
-        }
+        return asdict(self)
 
 
 def alpha0_certificate(n: int, mode: str = "recomputed") -> Certificate:

@@ -6,8 +6,6 @@ Exit codes: 0 success (flags allowed), 1 check failures, 2 usage errors,
 
 from __future__ import annotations
 
-import csv
-import io
 import sys
 
 import click
@@ -18,9 +16,9 @@ from .certificate import alpha0_certificate
 from .curvature_core import decompose
 from .errors import ArgumentError
 from .model_spaces import random_weyl, sphere_product, w_cp2
-from .potential_flow import fixed_point_residual, flow_run, flow_state, trajectory_csv
-from .report import canonical_json, clusters_to_csv, render_report
-from .shi_bounds import format_table, table_rows
+from .potential_flow import fixed_point_residual, flow_run, flow_state
+from .report import canonical_json, render_report, render_table
+from .shi_bounds import table_rows
 from .spectral_decomp import (
     decomposition_dims,
     eigen_report,
@@ -74,21 +72,19 @@ def main():
     "--tol", "tols", multiple=True, metavar="NAME=VALUE",
     help="Tolerance override; repeatable.",
 )
-@click.option("--cluster-tol", default=1e-8, show_default=True, type=float)
 @click.option("--out", type=click.Path(dir_okay=False), help="Write report here.")
 @click.option(
     "--format", "fmt", default="json", show_default=True,
     type=click.Choice(["json", "markdown", "csv"]),
 )
 @click.option("--include-runtime", is_flag=True, help="Add runtime to the JSON.")
-def verify(dims, seed, tols, cluster_tol, out, fmt, include_runtime):
+def verify(dims, seed, tols, out, fmt, include_runtime):
     """Run the verification suite and emit its report."""
     try:
         report = run_suite(
             dims=dims or range(4, 12),
             seed=seed,
             tolerances=_parse_tolerances(tols),
-            cluster_tol=cluster_tol,
         )
     except ArgumentError as exc:
         raise click.UsageError(str(exc))
@@ -103,20 +99,13 @@ def verify(dims, seed, tols, cluster_tol, out, fmt, include_runtime):
 
 
 def _certificate_markdown(cert) -> str:
-    lines = [f"# angle-margin certificate (n={cert.n}, mode {cert.mode})", ""]
-    lines.append("| field | value |")
-    lines.append("| --- | --- |")
     payload = cert.to_json_dict()
-    for key in sorted(payload):
-        if key == "flags":
-            continue
-        lines.append(f"| {key} | {payload[key]} |")
+    rows = [(key, payload[key]) for key in sorted(payload) if key != "flags"]
+    text = f"# angle-margin certificate (n={cert.n}, mode {cert.mode})\n\n"
+    text += render_table(("field", "value"), rows, "markdown")
     if cert.flags:
-        lines.append("")
-        lines.append("Flags:")
-        for flag in cert.flags:
-            lines.append(f"- {flag}")
-    return "\n".join(lines) + "\n"
+        text += "\nFlags:\n" + "".join(f"- {flag}\n" for flag in cert.flags)
+    return text
 
 
 @main.command()
@@ -144,22 +133,18 @@ def certify(dim, mode, out, fmt):
     click.echo(f"verdict: {cert.verdict} ({len(cert.flags)} flags)", err=True)
 
 
-def _blocks_table(n: int, split: int, fmt: str) -> str:
-    table = decomposition_dims(n, split)
-    rows = list(table.blocks.items())
-    if fmt == "markdown":
-        lines = [
-            f"| block | dimension | (n={n}, split {table.k}+{table.l}, "
-            f"total {table.weyl_total}) |",
-            "| --- | --- | --- |",
-        ]
-        lines += [f"| {label} | {dim} | |" for label, dim in rows]
-        return "\n".join(lines) + "\n"
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["block", "dimension"])
-    writer.writerows(rows)
-    return buf.getvalue()
+_SHI_COLUMNS = ("n", "C1", "C2", "C3", "C1_table", "C2_table", "C3_table")
+
+
+def _shi_table(dims) -> tuple:
+    """Columns and cells of the derivative-bound table, formulas to 3 decimals;
+    rows outside the catalogue leave its columns empty."""
+    def cell(value):
+        return f"{value:.3f}" if isinstance(value, float) else value
+
+    rows = table_rows(dims)
+    columns = [key for key in _SHI_COLUMNS if any(key in row for row in rows)]
+    return columns, [[cell(row.get(key, "")) for key in columns] for row in rows]
 
 
 @main.command()
@@ -181,29 +166,31 @@ def _blocks_table(n: int, split: int, fmt: str) -> str:
 def tables(which, dims, split, cluster_tol, fmt, out):
     """Reproduce a catalogued table: derivative bounds, Hessian clusters,
     or decomposition dimensions."""
+    title = ""
     try:
         if which == "shi":
-            text = format_table(table_rows(tuple(dims) or (11, 10, 9, 8)), fmt)
+            columns, rows = _shi_table(tuple(dims) or (11, 10, 9, 8))
         elif which == "hessian":
             if len(dims) != 1:
                 raise click.UsageError("hessian table needs exactly one --dim")
             n = dims[0]
             basis = weyl_basis(n)
             rep = eigen_report(hessian_matrix(w_cp2(n), basis), cluster_tol)
-            if fmt == "csv":
-                text = clusters_to_csv(rep)
-            else:
-                lines = ["| mean | multiplicity |", "| --- | --- |"]
-                lines += [f"| {mean!r} | {mult} |" for mean, mult in rep.clusters]
-                text = "\n".join(lines) + "\n"
+            columns, rows = ("mean", "multiplicity"), rep.clusters
         else:
             if len(dims) != 1:
                 raise click.UsageError("blocks table needs exactly one --dim")
             n = dims[0]
-            text = _blocks_table(n, split if split is not None else n // 2, fmt)
+            table = decomposition_dims(n, split if split is not None else n // 2)
+            columns, rows = ("block", "dimension"), table.blocks.items()
+            if fmt == "markdown":
+                title = (
+                    f"# Weyl blocks (n={n}, split {table.k}+{table.l}, "
+                    f"total {table.weyl_total})\n\n"
+                )
     except ArgumentError as exc:
         raise click.UsageError(str(exc))
-    _write_output(text, out)
+    _write_output(title + render_table(columns, rows, fmt), out)
 
 
 @main.command()
@@ -231,7 +218,7 @@ def flow(dim, steps, dt, seed, sample_every, start, out):
         )
     except ArgumentError as exc:
         raise click.UsageError(str(exc))
-    _write_output(trajectory_csv(state), out)
+    _write_output(render_table(("t", "P", "residual"), state.history, "csv"), out)
     click.echo(
         f"final: t={state.t:.4f} P={state.potential:.12f} "
         f"residual={fixed_point_residual(state.w):.3e}",

@@ -4,7 +4,8 @@ and the closed-form neighborhood bounds used to separate critical values.
 
 The flow integrates W' = Q(W) - <Q(W), W> W with RK4 and renormalizes after
 every step, so trajectories stay on the unit sphere and the potential is
-non-decreasing for step sizes below the stability bound.  The profile
+non-decreasing for step sizes below the stability bound.  flow_run keeps
+sampled (t, P, residual) rows as numbers in the state history.  The profile
 f(phi) = cos^3(phi) + 3 cos(phi) sin^2(phi) alpha + sin^3(phi) gamma
 describes the potential along great circles from the distinguished point
 toward an admissible direction W (orthogonal to the point and its rotation
@@ -13,9 +14,7 @@ orbit), with alpha = sqrt(2/3) <Q(W), W0> and gamma = sqrt(2/3) P(W).
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import math
 from dataclasses import dataclass, field, replace
 
@@ -29,8 +28,8 @@ from .curvature_core import (
     ricci,
 )
 from .errors import ArgumentError, DomainError, UnsupportedDimensionError
-from .lie_basis import structure_constants
 from .model_spaces import w_cp2
+from .spectral_decomp import _orbit_commutators
 
 __all__ = [
     "FlowState",
@@ -39,7 +38,6 @@ __all__ = [
     "flow_step",
     "flow_run",
     "fixed_point_residual",
-    "trajectory_csv",
     "admissibility_defect",
     "admissible_part",
     "profile_coefficients",
@@ -148,23 +146,13 @@ def flow_run(
     return replace(state, history=tuple(history))
 
 
-def trajectory_csv(state: FlowState) -> str:
-    """The sampled trajectory as CSV text with columns t, P, residual."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["t", "P", "residual"])
-    writer.writerows(state.history)
-    return buf.getvalue()
-
-
 # --- profile toward the distinguished critical point -------------------------
 
 @functools.lru_cache(maxsize=None)
 def _excluded_span(n: int) -> np.ndarray:
     """Orthonormal rows spanning R W0 + orbit tangent at W0."""
     w0 = w_cp2(n).mat
-    ad = structure_constants(n).tensor.transpose(0, 2, 1)
-    comms = ad @ w0 - w0 @ ad
+    comms = _orbit_commutators(w0, n)
     rows = np.vstack([w0.ravel()[None, :], comms.reshape(comms.shape[0], -1)])
     _, s, vt = np.linalg.svd(rows, full_matrices=False)
     rank = int(np.sum(s > 1e-8 * s[0]))

@@ -1,9 +1,13 @@
-"""Machine-readable verification reports and their renderers.
+"""Machine-readable verification reports, and render_table, the one writer
+of every Markdown and CSV table the commands print.
 
 A report is a flat list of check records, each tagged with the catalogue
 result it reproduces (or "plumbing" for pure software invariants).  The JSON
 rendering is canonical: keys sorted, two-space indent, no timestamps unless
 asked for, so identical seed and configuration produce byte-identical files.
+
+A table is Markdown (header, `| --- |` rule, one line per row) or RFC 4180
+CSV with CRLF line ends; floats are written with repr, so they read back.
 """
 
 from __future__ import annotations
@@ -11,14 +15,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import ArgumentError
 
 SCHEMA = "curvlab-report/2"
 
 _STATUSES = ("pass", "fail", "flag")
-_FORMATS = ("json", "markdown", "csv")
 
 
 @dataclass(frozen=True)
@@ -45,17 +48,6 @@ class CheckRecord:
             raise ArgumentError(
                 "every check carries a result anchor or the 'plumbing' tag"
             )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "tag": self.tag,
-            "expected": self.expected,
-            "computed": self.computed,
-            "tolerance": self.tolerance,
-            "status": self.status,
-            "detail": self.detail,
-        }
 
 
 @dataclass(frozen=True)
@@ -85,7 +77,7 @@ class SuiteReport:
             "seed": self.seed,
             "dims": list(self.dims),
             "counts": self.counts,
-            "checks": [record.to_json_dict() for record in self.records],
+            "checks": [asdict(record) for record in self.records],
         }
         if include_runtime:
             payload["runtime_seconds"] = self.runtime_seconds
@@ -98,57 +90,47 @@ def canonical_json(payload: dict) -> str:
 
 
 def _cell(value) -> str:
+    # float() first: a numpy float64 repr reads "np.float64(...)" under numpy 2
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
+
+
+def render_table(columns, rows, fmt: str) -> str:
+    """A header row and one line per row, as Markdown or RFC 4180 CSV."""
+    if fmt == "markdown":
+        lines = [
+            "| " + " | ".join(columns) + " |",
+            "| " + " | ".join("---" for _ in columns) + " |",
+        ]
+        lines += ["| " + " | ".join(_cell(v) for v in row) + " |" for row in rows]
+        return "\n".join(lines) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(columns)
+        writer.writerows([_cell(v) for v in row] for row in rows)
+        return buf.getvalue()
+    raise ArgumentError(f"unknown table format {fmt!r}; use markdown or csv")
 
 
 _COLUMNS = ("name", "tag", "expected", "computed", "tolerance", "status", "detail")
 
 
-def render_markdown(report: SuiteReport) -> str:
-    counts = report.counts
-    lines = [
-        f"# curvlab verification report (seed {report.seed}, "
-        f"dims {list(report.dims)})",
-        "",
-        f"pass {counts['pass']}, fail {counts['fail']}, flag {counts['flag']}",
-        "",
-        "| " + " | ".join(_COLUMNS) + " |",
-        "| " + " | ".join("---" for _ in _COLUMNS) + " |",
-    ]
-    for record in report.records:
-        row = [_cell(getattr(record, col)) for col in _COLUMNS]
-        lines.append("| " + " | ".join(row) + " |")
-    return "\n".join(lines) + "\n"
-
-
-def render_csv(report: SuiteReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(_COLUMNS)
-    for record in report.records:
-        writer.writerow([_cell(getattr(record, col)) for col in _COLUMNS])
-    return buf.getvalue()
-
-
 def render_report(
     report: SuiteReport, fmt: str, include_runtime: bool = False
 ) -> str:
+    """The report as canonical JSON, a titled Markdown table, or CSV."""
     if fmt == "json":
         return canonical_json(report.to_json_dict(include_runtime=include_runtime))
-    if fmt == "markdown":
-        return render_markdown(report)
-    if fmt == "csv":
-        return render_csv(report)
-    raise ArgumentError(f"unknown report format {fmt!r}; use one of {_FORMATS}")
-
-
-def clusters_to_csv(spectral) -> str:
-    """CSV of an eigenvalue clustering: one row per cluster, descending."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["mean", "multiplicity"])
-    for mean, mult in spectral.clusters:
-        writer.writerow([repr(float(mean)), int(mult)])
-    return buf.getvalue()
+    rows = [[getattr(record, col) for col in _COLUMNS] for record in report.records]
+    table = render_table(_COLUMNS, rows, fmt)
+    if fmt != "markdown":
+        return table
+    counts = report.counts
+    return (
+        f"# curvlab verification report (seed {report.seed}, "
+        f"dims {list(report.dims)})\n\n"
+        f"pass {counts['pass']}, fail {counts['fail']}, flag {counts['flag']}\n\n"
+        + table
+    )

@@ -1,5 +1,6 @@
 """Closed-form derivative-estimate constants for Einstein manifolds with
-bounded curvature operator, and the catalogued table printed next to them.
+bounded curvature operator, and the catalogued table next to them as plain
+numbers (table_rows; the `tables` command rounds and renders it).
 
 CATALOGUED_TABLE holds the printed values as they stand, and they follow no
 single rounding rule.  C1 is the integer ceiling in every row.  C2 is
@@ -21,7 +22,6 @@ reported instead of silently resolved.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -36,7 +36,6 @@ __all__ = [
     "derivative_bound",
     "CATALOGUED_TABLE",
     "table_rows",
-    "format_table",
 ]
 
 # printed values of (C1, C2, C3) by dimension, kept as catalogued; mostly
@@ -180,29 +179,3 @@ def table_rows(dims=(11, 10, 9, 8)) -> list:
             row["C1_table"], row["C2_table"], row["C3_table"] = CATALOGUED_TABLE[n]
         rows.append(row)
     return rows
-
-
-def format_table(rows, fmt: str = "markdown") -> str:
-    """Render table_rows output as Markdown or CSV."""
-    keys = ["n", "C1", "C2", "C3", "C1_table", "C2_table", "C3_table"]
-    present = [k for k in keys if any(k in r for r in rows)]
-
-    def cell(row, key):
-        val = row.get(key, "")
-        if isinstance(val, float):
-            return f"{val:.3f}"
-        return str(val)
-
-    if fmt == "markdown":
-        lines = ["| " + " | ".join(present) + " |"]
-        lines.append("|" + "|".join(" --- " for _ in present) + "|")
-        for row in rows:
-            lines.append("| " + " | ".join(cell(row, k) for k in present) + " |")
-        return "\n".join(lines) + "\n"
-    if fmt == "csv":
-        buf = io.StringIO()
-        buf.write(",".join(present) + "\n")
-        for row in rows:
-            buf.write(",".join(cell(row, k) for k in present) + "\n")
-        return buf.getvalue()
-    raise ArgumentError(f"unknown table format {fmt!r}")

@@ -226,12 +226,17 @@ def eigen_report(mat: np.ndarray, cluster_tol: float = 1e-8) -> SpectralReport:
     )
 
 
+def _orbit_commutators(mat: np.ndarray, n: int) -> np.ndarray:
+    """The stack [ad_a, W] over every basis bivector b_a, shape (N, N, N)."""
+    # ad[a] is the matrix of ad_{b_a}: ad[a, g, b] = tensor[a, b, g]
+    ad = structure_constants(n).tensor.transpose(0, 2, 1)
+    return ad @ mat - mat @ ad
+
+
 def orbit_tangent_dim(w) -> int:
     """Dimension of the rotation orbit through W: rank of {[ad_v, W]}."""
     mat, n = _as_mat(w)
-    # ad[a] is the matrix of ad_{b_a}: ad[a, g, b] = tensor[a, b, g]
-    ad = structure_constants(n).tensor.transpose(0, 2, 1)
-    comms = ad @ mat - mat @ ad
+    comms = _orbit_commutators(mat, n)
     s = np.linalg.svd(comms.reshape(comms.shape[0], -1), compute_uv=False)
     if s.size == 0 or s[0] <= 0:
         return 0

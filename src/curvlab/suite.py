@@ -238,10 +238,10 @@ def _check_weyl_dimension(name, n, rng, tol):
     )
 
 
-def _check_hessian_clusters(name, n, rng, tol, cluster_tol=1e-8):
+def _check_hessian_clusters(name, n, rng, tol):
     basis = weyl_basis(n)
     h = hessian_matrix(w_cp2(n), basis)
-    rep = eigen_report(h, cluster_tol=cluster_tol)
+    rep = eigen_report(h)
     scale = math.sqrt(1.5)
     want = [scale * v for v in _LADDER]
     if len(rep.clusters) != len(want):
@@ -394,12 +394,10 @@ _TOL_BY_FAMILY = dict(DEFAULT_TOLERANCES)
 _TOL_BY_FAMILY["certificate-quoted"] = 0.0
 
 
-def _record_for(family, check, n, seed, tol, cluster_tol):
+def _record_for(family, check, n, seed, tol):
     name = f"{family}[n={n}]"
     rng = np.random.default_rng(zlib.crc32(name.encode()) ^ (seed & 0xFFFFFFFF))
     try:
-        if family == "hessian-clusters":
-            return check(name, n, rng, tol, cluster_tol=cluster_tol)
         return check(name, n, rng, tol)
     except Exception as exc:  # surface broken checks as failures, not crashes
         return CheckRecord(
@@ -413,7 +411,6 @@ def run_suite(
     dims=(4, 5, 6, 7, 8, 9, 10, 11),
     seed: int = 0,
     tolerances: dict | None = None,
-    cluster_tol: float = 1e-8,
 ) -> SuiteReport:
     """Run every applicable check for the requested dimensions.
 
@@ -434,7 +431,7 @@ def run_suite(
 
     start = perf_counter()
     records = [
-        _record_for(family, check, n, seed, tols[family], cluster_tol)
+        _record_for(family, check, n, seed, tols[family])
         for family, check, applies in _REGISTRY
         for n in sorted(dims)
         if applies(n)

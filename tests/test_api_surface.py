@@ -185,6 +185,22 @@ def _unused_imports(tree):
     return unused
 
 
+def test_only_report_renders_text():
+    # every Markdown and CSV table goes through report.render_table
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if {"csv", "io"} & set(names):
+                found.add(path.name)
+    assert found == {"report.py"}
+
+
 def test_package_modules_use_what_they_import():
     found = {}
     for path in sorted(PACKAGE.glob("*.py")):

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
@@ -78,6 +79,11 @@ class TestVerify:
         assert plain.exit_code == with_env.exit_code == 0
         assert with_env.stdout == plain.stdout
 
+    def test_no_cluster_tol_setting(self, runner):
+        # the report records every suite input; the cluster tolerance is fixed
+        args = ["verify", "--dim", "4", "--cluster-tol", "1e-3"]
+        assert runner.invoke(main, args).exit_code == 2
+
     def test_markdown_format(self, runner):
         result = runner.invoke(
             main, ["verify", "--dim", "4", "--format", "markdown"]
@@ -127,6 +133,20 @@ class TestTables:
         assert len(rows) == 8
         assert [int(r[1]) for r in rows[1:]] == [1, 26, 78, 483, 156, 24, 2]
 
+    def test_hessian_markdown_rows_parse(self, runner):
+        # the layout the benchmark's hessian gate reads back
+        result = runner.invoke(main, ["tables", "--table", "hessian", "--dim", "10"])
+        assert result.exit_code == 0
+        lines = result.stdout.splitlines()
+        assert lines[:2] == ["| mean | multiplicity |", "| --- | --- |"]
+        rows = [line.strip("|").split("|") for line in lines[2:]]
+        means = [float(mean) for mean, _ in rows]
+        mults = [int(mult) for _, mult in rows]
+        assert mults == [1, 26, 78, 483, 156, 24, 2]
+        ladder = (1.0, 0.5, 1.0 / 3.0, 0.0, -1.0 / 6.0, -0.5, -1.0)
+        for mean, step in zip(means, ladder):
+            assert abs(mean - math.sqrt(1.5) * step) < 1e-8
+
     def test_hessian_requires_single_dim(self, runner):
         assert runner.invoke(main, ["tables", "--table", "hessian"]).exit_code == 2
 
@@ -139,6 +159,19 @@ class TestTables:
         rows = list(csv.reader(io.StringIO(result.stdout)))
         assert rows[0] == ["block", "dimension"]
         assert sum(int(r[1]) for r in rows[1:]) == 770
+
+    def test_blocks_markdown_title(self, runner):
+        result = runner.invoke(
+            main, ["tables", "--table", "blocks", "--dim", "10", "--split", "4"]
+        )
+        lines = result.stdout.splitlines()
+        assert lines[:4] == [
+            "# Weyl blocks (n=10, split 4+6, total 770)",
+            "",
+            "| block | dimension |",
+            "| --- | --- |",
+        ]
+        assert lines[4] == "| product_weyl_span | 1 |"
 
     def test_blocks_bad_split(self, runner):
         result = runner.invoke(

@@ -28,8 +28,8 @@ from curvlab.potential_flow import (
     neighborhood_deficit,
     neighborhood_potential_bound,
     profile_coefficients,
-    trajectory_csv,
 )
+from curvlab.report import render_table
 
 SQRT32 = math.sqrt(1.5)
 
@@ -109,7 +109,7 @@ class TestFlowStep:
         state = flow_state(random_unit_weyl(np.random.default_rng(1), 5))
         state = flow_run(state, 50, dt=1e-2, sample_every=10)
         assert len(state.history) >= 5
-        text = trajectory_csv(state)
+        text = render_table(("t", "P", "residual"), state.history, "csv")
         assert text.startswith("t,P,residual\r\n")
         rows = list(csv.reader(io.StringIO(text, newline="")))
         assert rows[0] == ["t", "P", "residual"]

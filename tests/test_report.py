@@ -13,10 +13,8 @@ from curvlab.report import (
     CheckRecord,
     SuiteReport,
     canonical_json,
-    clusters_to_csv,
-    render_csv,
-    render_markdown,
     render_report,
+    render_table,
 )
 from curvlab.spectral_decomp import eigen_report
 
@@ -82,7 +80,7 @@ class TestJson:
 
 class TestRenderers:
     def test_markdown(self):
-        text = render_markdown(_report())
+        text = render_report(_report(), "markdown")
         lines = text.splitlines()
         assert lines[0].startswith("# curvlab verification report")
         assert "pass 1, fail 0, flag 1" in text
@@ -90,7 +88,7 @@ class TestRenderers:
         assert len(lines) == 6 + 2
 
     def test_csv_parses_back(self):
-        rows = list(csv.reader(io.StringIO(render_csv(_report()))))
+        rows = list(csv.reader(io.StringIO(render_report(_report(), "csv"))))
         assert rows[0][:3] == ["name", "tag", "expected"]
         assert len(rows) == 3
         assert rows[1][0] == "alpha"
@@ -103,11 +101,42 @@ class TestRenderers:
         with pytest.raises(ArgumentError):
             render_report(rep, "yaml")
 
+    def test_numpy_float_cells_are_plain_numbers(self):
+        rep = _report((_record(computed=np.float64(0.5)),))
+        for fmt in ("markdown", "csv"):
+            text = render_report(rep, fmt)
+            assert "0.5" in text
+            assert "np.float64" not in text
+        assert json.loads(render_report(rep, "json"))["checks"][0]["computed"] == 0.5
+
+
+class TestRenderTable:
+    def test_markdown_layout(self):
+        text = render_table(("a", "b"), [(1, "x"), (2.5, "")], "markdown")
+        assert text == "| a | b |\n| --- | --- |\n| 1 | x |\n| 2.5 |  |\n"
+
+    def test_csv_quotes_commas(self):
+        text = render_table(("a", "b"), [("1,2", 'say "hi"')], "csv")
+        assert text == 'a,b\r\n"1,2","say ""hi"""\r\n'
+        assert list(csv.reader(io.StringIO(text))) == [["a", "b"], ["1,2", 'say "hi"']]
+
+    def test_numpy_float_is_plain_number(self):
+        value = np.float64(0.1) + np.float64(0.2)
+        for fmt in ("markdown", "csv"):
+            text = render_table(("t",), [(value,)], fmt)
+            assert repr(0.1 + 0.2) in text
+            assert "np.float64" not in text
+
+    def test_unknown_format(self):
+        with pytest.raises(ArgumentError):
+            render_table(("a",), [(1,)], "latex")
+
 
 class TestClusterCsv:
     def test_rows_per_cluster(self):
         rep = eigen_report(np.diag([2.0, 1.0, 1.0]))
-        rows = clusters_to_csv(rep).strip().splitlines()
+        text = render_table(("mean", "multiplicity"), rep.clusters, "csv")
+        rows = text.strip().splitlines()
         assert rows[0] == "mean,multiplicity"
         assert len(rows) == 3
         assert rows[1].endswith(",1") and rows[2].endswith(",2")

@@ -3,12 +3,13 @@
 import math
 
 import pytest
+from click.testing import CliRunner
 
+from curvlab.cli import main
 from curvlab.errors import ArgumentError
 from curvlab.shi_bounds import (
     CATALOGUED_TABLE,
     derivative_bound,
-    format_table,
     shi_constants,
     statement_vs_proof,
     table_rows,
@@ -153,17 +154,26 @@ class TestTableRendering:
             assert row["C3"] == pytest.approx(shi_constants(row["n"]).C3)
 
     def test_markdown_layout(self):
-        text = format_table(table_rows(), "markdown")
+        text = CliRunner().invoke(main, ["tables", "--table", "shi"]).stdout
         lines = text.strip().splitlines()
         assert lines[0].startswith("| n | C1 | C2 | C3 |")
         assert set(lines[1].replace("|", "").split()) == {"---"}
         assert len(lines) == 2 + 4
 
     def test_csv_layout(self):
-        text = format_table(table_rows(), "csv")
+        args = ["tables", "--table", "shi", "--format", "csv"]
+        text = CliRunner().invoke(main, args).stdout_bytes.decode()
         lines = text.strip().splitlines()
         assert lines[0] == "n,C1,C2,C3,C1_table,C2_table,C3_table"
         assert len(lines) == 5
+        assert text.startswith(lines[0] + "\r\n")
+        assert lines[1] == "11,17.768,2048.054,385660.829,18,2050,385661"
+
+    def test_rows_outside_catalogue_leave_cells_empty(self):
+        args = ["tables", "--table", "shi", "--dim", "12", "--dim", "8"]
+        lines = CliRunner().invoke(main, args).stdout.splitlines()
+        assert lines[2] == "| 12 | 17.904 | 2110.953 | 403873.758 |  |  |  |"
+        assert lines[3] == "| 8 | 17.309 | 1844.930 | 328958.129 | 18 | 1850 | 328939 |"
 
     def test_custom_dims_without_table(self):
         rows = table_rows(dims=(6,))
@@ -171,5 +181,5 @@ class TestTableRendering:
         assert rows[0]["C1"] == pytest.approx(shi_constants(6).C1)
 
     def test_unknown_format(self):
-        with pytest.raises(ArgumentError):
-            format_table(table_rows(), "latex")
+        args = ["tables", "--table", "shi", "--format", "latex"]
+        assert CliRunner().invoke(main, args).exit_code == 2
