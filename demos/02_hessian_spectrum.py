@@ -17,7 +17,6 @@ from curvlab.spectral_decomp import (
     eigen_report,
     hessian_matrix,
     orbit_tangent_dim,
-    weyl_basis,
     weyl_dim,
 )
 
@@ -28,7 +27,7 @@ for n in range(5, 13):
 # assemble the Hessian at W_CP2 for n = 10 and cluster its spectrum;
 # every eigenvalue is sqrt(3/2) times a rational from a fixed ladder
 n = 10
-rep = eigen_report(hessian_matrix(w_cp2(n), weyl_basis(n)))
+rep = eigen_report(hessian_matrix(w_cp2(n)))
 scale = math.sqrt(1.5)
 print(f"\nHessian clusters at W_CP2, n={n}:")
 for mean, mult in rep.clusters:

@@ -351,7 +351,7 @@ def sharp_via_brackets(r, s=None) -> SymmetricOperator:
     sm = rm if s is None else _as_mat(s)[0]
     if sm.shape != rm.shape:
         raise ArgumentError("sharp factors live in different dimensions")
-    C = structure_constants(n).tensor
+    C = structure_constants(n)
     B1 = np.einsum("abc,ad,be->dec", C, rm, sm, optimize=True)
     M = 0.5 * np.einsum("abg,abd->gd", B1, C, optimize=True)
     return SymmetricOperator(0.5 * (M + M.T), dim=n)

@@ -27,7 +27,6 @@ __all__ = [
     "wedge_vectors",
     "so_matrix",
     "so_coords",
-    "StructureConstants",
     "structure_constants",
     "ad_matrix",
     "sp1_basis",
@@ -128,51 +127,38 @@ def _bracket_pair(i: int, j: int, p: int, q: int) -> list[tuple[int, int, float]
     return terms
 
 
-class StructureConstants:
-    """Structure constants of so(n) in the wedge basis.
-
-    tensor[a, b, g] = <[b_a, b_b], b_g>, so tensor[a].T is the matrix of
-    ad_{b_a}.  Instances are immutable and shared via the structure_constants
-    cache.
-    """
-
-    def __init__(self, n: int):
-        if n < 3:
-            raise ArgumentError(f"need n >= 3, got {n}")
-        self.dim = n
-        self.pairs = wedge_pairs(n)
-        self.N = len(self.pairs)
-        tensor = np.zeros((self.N, self.N, self.N))
-        for alpha, (i, j) in enumerate(self.pairs):
-            for beta, (p, q) in enumerate(self.pairs):
-                for a, b, c in _bracket_pair(i, j, p, q):
-                    tensor[alpha, beta, wedge_rank(a, b, n)] += c
-        tensor.setflags(write=False)
-        self.tensor = tensor
-
-    def ad(self, v: np.ndarray) -> np.ndarray:
-        """Matrix of ad_v = [v, .] in the wedge basis (antisymmetric, N x N)."""
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.N,):
-            raise ArgumentError("bivector length does not match dimension")
-        # row b of the product is [v, b_b]; the transpose is copied to C order
-        # because callers feed ad matrices to GEMMs, whose rounding depends on
-        # the operand layout
-        brackets = (v @ self.tensor.reshape(self.N, -1)).reshape(self.N, self.N)
-        return np.ascontiguousarray(brackets.T)
-
-
 @functools.lru_cache(maxsize=None)
-def structure_constants(n: int) -> StructureConstants:
-    """Cached structure constants for so(n)."""
-    return StructureConstants(n)
+def structure_constants(n: int) -> np.ndarray:
+    """Structure constants of so(n) in the wedge basis, cached and read-only.
+
+    tensor[a, b, g] = <[b_a, b_b], b_g>, an (N, N, N) array, so tensor[a].T
+    is the matrix of ad_{b_a}.
+    """
+    if n < 3:
+        raise ArgumentError(f"need n >= 3, got {n}")
+    pairs = wedge_pairs(n)
+    N = len(pairs)
+    tensor = np.zeros((N, N, N))
+    for alpha, (i, j) in enumerate(pairs):
+        for beta, (p, q) in enumerate(pairs):
+            for a, b, c in _bracket_pair(i, j, p, q):
+                tensor[alpha, beta, wedge_rank(a, b, n)] += c
+    tensor.setflags(write=False)
+    return tensor
 
 
 def ad_matrix(v: np.ndarray, n: int | None = None) -> np.ndarray:
-    """Matrix of ad_v in the wedge basis."""
+    """Matrix of ad_v = [v, .] in the wedge basis (antisymmetric, N x N)."""
     v = np.asarray(v, dtype=float)
-    sc = structure_constants(n if n is not None else dim_from_wedge_count(v.shape[0]))
-    return sc.ad(v)
+    tensor = structure_constants(dim_from_wedge_count(v.shape[0]) if n is None else n)
+    N = tensor.shape[0]
+    if v.shape != (N,):
+        raise ArgumentError("bivector length does not match dimension")
+    # row b of the product is [v, b_b]; the transpose is copied to C order
+    # because callers feed ad matrices to GEMMs, whose rounding depends on
+    # the operand layout
+    brackets = (v @ tensor.reshape(N, -1)).reshape(N, N)
+    return np.ascontiguousarray(brackets.T)
 
 
 def _wedge_vector(n: int, terms: list[tuple[int, int, float]]) -> np.ndarray:

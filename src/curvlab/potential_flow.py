@@ -55,16 +55,16 @@ _RICCI_TOL = 1e-9
 class FlowState:
     """A point on the unit sphere of Weyl operators, with flow time and value.
 
-    q is Q(W) as a read-only matrix when known, so that the flow evaluates it
-    once per state; None makes flow_step and flow_run compute it.  A state
-    that replaces w must replace q too.
+    q is Q(W) as a read-only matrix, so that the flow evaluates it once per
+    state; flow_state and flow_step set it.  A state that replaces w must
+    replace q too.
     """
 
     w: CurvatureOperator
     t: float
     potential: float
+    q: np.ndarray = field(compare=False, repr=False)
     history: tuple = ()
-    q: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if abs(self.w.norm() - 1.0) > _UNIT_TOL:
@@ -84,10 +84,6 @@ def flow_state(w, t: float = 0.0, history: tuple = ()) -> FlowState:
     mat, n = _as_mat(w)
     op = w if isinstance(w, CurvatureOperator) else CurvatureOperator(mat, dim=n)
     return FlowState(**_evaluated(op, t=t, history=history))
-
-
-def _with_q(state: FlowState) -> FlowState:
-    return state if state.q is not None else replace(state, q=q_map(state.w).mat)
 
 
 def _tangent(q: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -110,7 +106,7 @@ def flow_step(state: FlowState, dt: float) -> FlowState:
     if dt <= 0:
         raise ArgumentError(f"step size must be positive, got {dt}")
     mat = state.w.mat
-    k1 = _tangent(_with_q(state).q, mat)
+    k1 = _tangent(state.q, mat)
     k2 = _field(mat + 0.5 * dt * k1)
     k3 = _field(mat + 0.5 * dt * k2)
     k4 = _field(mat + dt * k3)
@@ -134,7 +130,6 @@ def flow_run(
     if steps < 0:
         raise ArgumentError("steps must be non-negative")
     history = list(state.history)
-    state = _with_q(state)
     for i in range(steps):
         step = dt
         if step is None:

@@ -43,7 +43,6 @@ from .lie_basis import (
 )
 
 __all__ = [
-    "WeylBasis",
     "SpectralReport",
     "weyl_dim",
     "x_dim",
@@ -72,24 +71,12 @@ def x_dim(k: int) -> int:
     return k * (k - 2) * (k + 2) // 3
 
 
-@dataclass(frozen=True)
-class WeylBasis:
-    """Orthonormal basis of the Weyl operators in dimension n.
-
-    mats is one read-only (count, N, N) array; mats[i] is the wedge-basis
-    matrix of the i-th basis operator.
-    """
-
-    dim: int
-    mats: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.mats)
-
-
 @functools.lru_cache(maxsize=None)
-def weyl_basis(n: int) -> WeylBasis:
+def weyl_basis(n: int) -> np.ndarray:
     """Orthonormal Weyl basis: the null space of the Bianchi and Ricci constraints.
+
+    Returns one read-only (count, N, N) array; entry i is the wedge-basis
+    matrix of the i-th basis operator.
 
     In the coordinates x_aa = R_aa, x_ab = sqrt(2) R_ab (a < b) of the
     symmetric N x N matrices, every quadruple i<j<k<l gives the Bianchi row
@@ -142,7 +129,7 @@ def weyl_basis(n: int) -> WeylBasis:
             f"(residual {np.max(residual):.3e})"
         )
     mats.setflags(write=False)
-    return WeylBasis(dim=n, mats=mats)
+    return mats
 
 
 # Basis operators per batch of Q(W0, b_i) in hessian_matrix; at n = 12 each
@@ -150,19 +137,17 @@ def weyl_basis(n: int) -> WeylBasis:
 _HESSIAN_CHUNK = 16
 
 
-def hessian_matrix(w0, basis: WeylBasis) -> np.ndarray:
-    """Matrix of W -> Q(W0, W) on a Weyl basis: entries <Q(W0, b_i), b_j>.
+def hessian_matrix(w0) -> np.ndarray:
+    """Matrix of W -> Q(W0, W) on weyl_basis(n): entries <Q(W0, b_i), b_j>.
 
-    W0 must be a unit Weyl operator of the basis dimension.
+    W0 must be a unit Weyl operator; n is its dimension.
     """
     mat, n = _as_mat(w0)
-    if n != basis.dim:
-        raise ArgumentError("operator and basis live in different dimensions")
     if abs(np.linalg.norm(mat) - 1.0) > 1e-8:
         raise ArgumentError("hessian base point must have unit norm")
     if np.max(np.abs(ricci(mat))) > 1e-8:
         raise ArgumentError("hessian base point must be a Weyl operator")
-    stack = basis.mats
+    stack = weyl_basis(n)
     q = np.empty_like(stack)
     for lo in range(0, len(stack), _HESSIAN_CHUNK):
         q[lo:lo + _HESSIAN_CHUNK] = _q_mat(mat, stack[lo:lo + _HESSIAN_CHUNK], n)
@@ -229,7 +214,7 @@ def eigen_report(mat: np.ndarray, cluster_tol: float = 1e-8) -> SpectralReport:
 def _orbit_commutators(mat: np.ndarray, n: int) -> np.ndarray:
     """The stack [ad_a, W] over every basis bivector b_a, shape (N, N, N)."""
     # ad[a] is the matrix of ad_{b_a}: ad[a, g, b] = tensor[a, b, g]
-    ad = structure_constants(n).tensor.transpose(0, 2, 1)
+    ad = structure_constants(n).transpose(0, 2, 1)
     return ad @ mat - mat @ ad
 
 

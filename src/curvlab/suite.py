@@ -1,9 +1,12 @@
 """The verification suite: invariant checks and table reproductions.
 
-Every check is a pure function of (dimension, seeded generator, tolerance)
-returning one CheckRecord.  Checks draw randomness only from a generator
-seeded by crc32(check name) xor suite seed, so the suite is deterministic
-under any execution order.
+_REGISTRY is the one table of the suite: each row names a family, its result
+tag, its default tolerance, the dimensions it applies to, and its check.  A
+check is a pure function of (dimension, seeded generator, tolerance) that
+returns only the fields that vary between records (expected, computed,
+status, detail); _record_for adds the name, the tag and the tolerance.
+Checks draw randomness only from a generator seeded by crc32(check name) xor
+suite seed, so the suite is deterministic under any execution order.
 
 Status policy: mismatches against catalogued values whose recomputed chain
 is internally consistent are "flag" (warn, exit 0); violated mathematical
@@ -12,6 +15,8 @@ invariants are "fail" (exit 1).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import zlib
 from time import perf_counter
@@ -51,27 +56,6 @@ __all__ = ["DEFAULT_TOLERANCES", "SUPPORTED_DIMS", "run_suite"]
 
 SUPPORTED_DIMS = tuple(range(4, 13))
 
-DEFAULT_TOLERANCES = {
-    "bianchi-idempotence": 1e-12,
-    "decomposition-orthogonality": 1e-9,
-    "bw-identity": 1e-9,
-    "sharp-routes": 1e-10,
-    "q-equivariance": 1e-9,
-    "sharp-equivariance": 1e-9,
-    "d2-equivariance": 1e-9,
-    "tri-symmetry": 1e-9,
-    "product-potential": 1e-10,
-    "d2-closed-form": 1e-10,
-    "symmetric-space-flatness": 1e-10,
-    "cpn-spectrum": 1e-10,
-    "weyl-dimension": 0.5,
-    "hessian-clusters": 1e-8,
-    "shi-table": 0.0,
-    "neighborhood-bound": 5e-4,
-    "certificate-identity": 1e-12,
-    "flow-monotonicity": 1e-12,
-}
-
 _SAMPLES = 8
 _LADDER = (1.0, 0.5, 1.0 / 3.0, 0.0, -1.0 / 6.0, -0.5, -1.0)
 _NEIGHBORHOOD_QUOTES = {11: (0.13, 0.9934), 10: (0.26, 0.9796)}
@@ -82,31 +66,24 @@ def _random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def _residual_record(name, tag, tol, worst, detail="") -> CheckRecord:
+def _residual(tol, worst, detail="") -> dict:
+    """Fields of a record whose computed value is a residual expected to be 0."""
     status = "pass" if worst <= tol else "fail"
-    return CheckRecord(
-        name=name,
-        tag=tag,
-        expected=0.0,
-        computed=float(worst),
-        tolerance=tol,
-        status=status,
-        detail=detail,
-    )
+    return dict(expected=0.0, computed=float(worst), status=status, detail=detail)
 
 
 # --- checks, one function per family ----------------------------------------
 
-def _check_bianchi_idempotence(name, n, rng, tol):
+def _check_bianchi_idempotence(n, rng, tol):
     worst = 0.0
     for _ in range(_SAMPLES):
         once = random_curvature(rng, n)
         twice = bianchi_project(once).mat
         worst = max(worst, float(np.max(np.abs(twice - once))), bianchi_residual(once))
-    return _residual_record(name, "bianchi-idempotence", tol, worst)
+    return _residual(tol, worst)
 
 
-def _check_decomposition_orthogonality(name, n, rng, tol):
+def _check_decomposition_orthogonality(n, rng, tol):
     worst = 0.0
     for _ in range(_SAMPLES):
         r = random_curvature(rng, n)
@@ -119,10 +96,10 @@ def _check_decomposition_orthogonality(name, n, rng, tol):
                 if na > 1e-12 and nb > 1e-12:
                     inner = abs(float(np.sum(parts[i] * parts[j]))) / (na * nb)
                     worst = max(worst, inner)
-    return _residual_record(name, "decomposition-orthogonality", tol, worst)
+    return _residual(tol, worst)
 
 
-def _check_bw_identity(name, n, rng, tol):
+def _check_bw_identity(n, rng, tol):
     worst = 0.0
     eye = np.eye(wedge_count(n))
     for _ in range(_SAMPLES):
@@ -133,40 +110,31 @@ def _check_bw_identity(name, n, rng, tol):
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
         w = d.weyl.mat
         worst = max(worst, float(np.max(np.abs(w + sharp(w, eye).mat))))
-    return _residual_record(name, "bw-identity", tol, worst)
+    return _residual(tol, worst)
 
 
-def _check_sharp_routes(name, n, rng, tol):
+def _check_sharp_routes(n, rng, tol):
     worst = 0.0
     for _ in range(_SAMPLES):
         mat = np.diag(rng.standard_normal(wedge_count(n)))
         worst = max(
             worst, float(np.max(np.abs(sharp_pure(mat).mat - sharp(mat).mat)))
         )
-    return _residual_record(name, "sharp-routes", tol, worst)
+    return _residual(tol, worst)
 
 
-def _check_q_equivariance(name, n, rng, tol):
+def _check_equivariance(kernel, n, rng, tol):
+    """kernel(R) commutes with conjugation by the adjoint action of O(n)."""
     worst = 0.0
     for _ in range(_SAMPLES // 2):
         r = random_curvature(rng, n)
         ad = adjoint_rotation(_random_orthogonal(rng, n))
-        lhs = q_map(ad.T @ r @ ad).mat
-        worst = max(worst, float(np.max(np.abs(lhs - ad.T @ q_map(r).mat @ ad))))
-    return _residual_record(name, "q-equivariance", tol, worst)
+        lhs = kernel(ad.T @ r @ ad).mat
+        worst = max(worst, float(np.max(np.abs(lhs - ad.T @ kernel(r).mat @ ad))))
+    return _residual(tol, worst)
 
 
-def _check_sharp_equivariance(name, n, rng, tol):
-    worst = 0.0
-    for _ in range(_SAMPLES // 2):
-        r = random_curvature(rng, n)
-        ad = adjoint_rotation(_random_orthogonal(rng, n))
-        lhs = sharp(ad.T @ r @ ad).mat
-        worst = max(worst, float(np.max(np.abs(lhs - ad.T @ sharp(r).mat @ ad))))
-    return _residual_record(name, "sharp-equivariance", tol, worst)
-
-
-def _check_d2_equivariance(name, n, rng, tol):
+def _check_d2_equivariance(n, rng, tol):
     worst = 0.0
     for _ in range(_SAMPLES // 2):
         r = random_curvature(rng, n)
@@ -176,33 +144,28 @@ def _check_d2_equivariance(name, n, rng, tol):
         lhs = d2(ad.T @ r @ ad, v).operator
         rhs = ad.T @ d2(r, ad @ v).operator @ ad
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return _residual_record(name, "d2-equivariance", tol, worst)
+    return _residual(tol, worst)
 
 
-def _check_tri_symmetry(name, n, rng, tol):
+def _check_tri_symmetry(n, rng, tol):
     worst = 0.0
     for _ in range(_SAMPLES // 2):
         ops = [random_curvature(rng, n) for _ in range(3)]
-        vals = [
-            tri(ops[i], ops[j], ops[k])
-            for i, j, k in (
-                (0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0),
-            )
-        ]
+        vals = [tri(*order) for order in itertools.permutations(ops)]
         worst = max(worst, max(vals) - min(vals))
-    return _residual_record(name, "tri-symmetry", tol, worst)
+    return _residual(tol, worst)
 
 
-def _check_product_potential(name, n, rng, tol):
+def _check_product_potential(n, rng, tol):
     worst = 0.0
     for k in range(2, n // 2 + 1):
         l = n - k
         weyl = decompose(sphere_product(k, l)).weyl.mat
         worst = max(worst, abs(potential_normalized(weyl) - theta(k, l)))
-    return _residual_record(name, "product-potential", tol, worst)
+    return _residual(tol, worst)
 
 
-def _check_cpn_spectrum(name, n, rng, tol):
+def _check_cpn_spectrum(n, rng, tol):
     m = n // 2
     rep = eigen_report(np.asarray(cpn(m).mat))
     want = [
@@ -211,43 +174,37 @@ def _check_cpn_spectrum(name, n, rng, tol):
         (0.0, m * (m - 1)),
     ]
     if [mult for _, mult in rep.clusters] != [mult for _, mult in want]:
-        return CheckRecord(
-            name=name, tag="cpn-spectrum", expected=str(want),
-            computed=str(rep.clusters), tolerance=tol, status="fail",
+        return dict(
+            expected=str(want), computed=str(rep.clusters), status="fail",
             detail="multiplicity pattern mismatch",
         )
     worst = max(abs(got[0] - exp[0]) for got, exp in zip(rep.clusters, want))
-    return _residual_record(name, "cpn-spectrum", tol, worst)
+    return _residual(tol, worst)
 
 
-def _check_weyl_dimension(name, n, rng, tol):
+def _check_weyl_dimension(n, rng, tol):
     got = len(weyl_basis(n))
     want = weyl_dim(n)
-    detail = f"rank {got}"
     for k in range(3, n - 2):
         total = sum(decomposition_dims(n, k).blocks.values())
         if total != want:
-            return CheckRecord(
-                name=name, tag="weyl-dimension", expected=want, computed=total,
-                tolerance=tol, status="fail",
+            return dict(
+                expected=want, computed=total, status="fail",
                 detail=f"block sum mismatch at split k={k}",
             )
-    return CheckRecord(
-        name=name, tag="weyl-dimension", expected=want, computed=got,
-        tolerance=tol, status="pass" if got == want else "fail", detail=detail,
+    return dict(
+        expected=want, computed=got, status="pass" if got == want else "fail",
+        detail=f"rank {got}",
     )
 
 
-def _check_hessian_clusters(name, n, rng, tol):
-    basis = weyl_basis(n)
-    h = hessian_matrix(w_cp2(n), basis)
-    rep = eigen_report(h)
+def _check_hessian_clusters(n, rng, tol):
+    rep = eigen_report(hessian_matrix(w_cp2(n)))
     scale = math.sqrt(1.5)
     want = [scale * v for v in _LADDER]
     if len(rep.clusters) != len(want):
-        return CheckRecord(
-            name=name, tag="hessian-table", expected=str(want),
-            computed=str([c[0] for c in rep.clusters]), tolerance=tol,
+        return dict(
+            expected=str(want), computed=str([c[0] for c in rep.clusters]),
             status="fail", detail=f"expected 7 clusters, got {len(rep.clusters)}",
         )
     worst = max(abs(c[0] - w) for c, w in zip(rep.clusters, want))
@@ -259,15 +216,12 @@ def _check_hessian_clusters(name, n, rng, tol):
     orbit = orbit_tangent_dim(w_cp2(n))
     if half != orbit:
         problems.append(f"1/2-eigenspace {half} != orbit dimension {orbit}")
+    detail = "; ".join(problems) or f"multiplicities {mults}"
     status = "pass" if worst <= tol and not problems else "fail"
-    return CheckRecord(
-        name=name, tag="hessian-table", expected=0.0, computed=float(worst),
-        tolerance=tol, status=status,
-        detail="; ".join(problems) or f"multiplicities {mults}",
-    )
+    return dict(expected=0.0, computed=float(worst), status=status, detail=detail)
 
 
-def _check_shi_table(name, n, rng, tol):
+def _check_shi_table(n, rng, tol):
     c = shi_constants(n)
     table = CATALOGUED_TABLE[n]
     violations = []
@@ -276,35 +230,31 @@ def _check_shi_table(name, n, rng, tol):
     ):
         if not 0.97 * entry <= value <= entry:
             violations.append(f"{label}={value:.4f} vs table {entry}")
-    status = "pass" if not violations else "flag"
-    return CheckRecord(
-        name=name, tag="shi-table", expected="0.97*table <= formula <= table",
-        computed="ok" if not violations else "; ".join(violations),
-        tolerance=tol, status=status,
-        detail="" if not violations else "table entry inconsistent with formula",
+    return dict(
+        expected="0.97*table <= formula <= table",
+        computed="; ".join(violations) or "ok",
+        status="flag" if violations else "pass",
+        detail="table entry inconsistent with formula" if violations else "",
     )
 
 
-def _check_neighborhood_bound(name, n, rng, tol):
+def _check_neighborhood_bound(n, rng, tol):
     gamma, quoted = _NEIGHBORHOOD_QUOTES[n]
     bound = neighborhood_potential_bound(n, gamma)
     ceiling = math.sqrt(2.0 / 3.0) * theta_threshold(n)
     if bound >= ceiling:
-        return CheckRecord(
-            name=name, tag="neighborhood-bound", expected=f"< {ceiling}",
-            computed=bound, tolerance=tol, status="fail",
+        return dict(
+            expected=f"< {ceiling}", computed=bound, status="fail",
             detail="strict separation from the product threshold lost",
         )
-    diff = abs(bound - quoted)
-    status = "pass" if diff <= tol else "flag"
-    return CheckRecord(
-        name=name, tag="neighborhood-bound", expected=quoted, computed=bound,
-        tolerance=tol, status=status,
+    return dict(
+        expected=quoted, computed=bound,
+        status="pass" if abs(bound - quoted) <= tol else "flag",
         detail=f"strictly below sqrt(2/3) theta_{n} = {ceiling:.6f}",
     )
 
 
-def _check_certificate_identity(name, n, rng, tol):
+def _check_certificate_identity(n, rng, tol):
     c = alpha0_certificate(n, "recomputed")
     G, C = c.G_recomputed, c.C_recomputed
     # the closed-form lhs against the uncollapsed bracket at r = 2G/C, in 50 digits
@@ -315,31 +265,28 @@ def _check_certificate_identity(name, n, rng, tol):
         direct = certificate_prefactor(n, lib=mpmath) * bracket * r**2
         rel = float(abs(c.lhs_bound - direct) / direct)
     rel = max(rel, abs(c.r - 2.0 * G / C) / (2.0 * G / C))
-    return _residual_record(
-        name, "certificate-chain", tol, rel, detail=f"verdict {c.verdict}"
-    )
+    return _residual(tol, rel, detail=f"verdict {c.verdict}")
 
 
-def _check_certificate_quoted(name, n, rng, tol):
+def _check_certificate_quoted(n, rng, tol):
     c = alpha0_certificate(n, "quoted")
-    return CheckRecord(
-        name=name, tag="certificate-chain", expected="catalogued constants",
-        computed=c.verdict, tolerance=tol, status="flag",
+    return dict(
+        expected="catalogued constants", computed=c.verdict, status="flag",
         detail=" | ".join(c.flags),
     )
 
 
-def _check_flow_monotonicity(name, n, rng, tol):
+def _check_flow_monotonicity(n, rng, tol):
     state = flow_state(random_weyl(rng, n))
     state = flow_run(state, steps=60, sample_every=1)
     values = [row[1] for row in state.history]
     worst = max(
         (prev - curr for prev, curr in zip(values, values[1:])), default=0.0
     )
-    return _residual_record(name, "flow-monotonicity", tol, max(worst, 0.0))
+    return _residual(tol, max(worst, 0.0))
 
 
-def _check_d2_closed_form(name, n, rng, tol):
+def _check_d2_closed_form(n, rng, tol):
     worst = 0.0
     pairs = [(1, 2), (1, 3), (3, 4), (2, min(5, n)), (5, n) if n > 5 else (1, 4)]
     for _ in range(6):
@@ -352,10 +299,10 @@ def _check_d2_closed_form(name, n, rng, tol):
             direct = d2(mat, v).norm
             closed = d2_family_norm(lam, n, phi, (i, j))
             worst = max(worst, abs(direct - closed))
-    return _residual_record(name, "d2-closed-form", tol, worst)
+    return _residual(tol, worst)
 
 
-def _check_symmetric_space(name, n, rng, tol):
+def _check_symmetric_space(n, rng, tol):
     k = n // 2
     mat = sphere_product(k, n - k).mat
     worst = 0.0
@@ -363,48 +310,69 @@ def _check_symmetric_space(name, n, rng, tol):
         v = np.zeros(wedge_count(n))
         v[idx] = 1.0
         worst = max(worst, d2(mat, v).norm)
-    return _residual_record(name, "symmetric-space-flatness", tol, worst)
+    return _residual(tol, worst)
+
+
+def _every(n):
+    return True
 
 
 _REGISTRY = (
-    # family name, check, applicability predicate over n
-    ("bianchi-idempotence", _check_bianchi_idempotence, lambda n: True),
-    ("decomposition-orthogonality", _check_decomposition_orthogonality, lambda n: True),
-    ("bw-identity", _check_bw_identity, lambda n: True),
-    ("sharp-routes", _check_sharp_routes, lambda n: True),
-    ("q-equivariance", _check_q_equivariance, lambda n: True),
-    ("sharp-equivariance", _check_sharp_equivariance, lambda n: True),
-    ("d2-equivariance", _check_d2_equivariance, lambda n: True),
-    ("tri-symmetry", _check_tri_symmetry, lambda n: True),
-    ("product-potential", _check_product_potential, lambda n: True),
-    ("d2-closed-form", _check_d2_closed_form, lambda n: n >= 5),
-    ("symmetric-space-flatness", _check_symmetric_space, lambda n: True),
-    ("cpn-spectrum", _check_cpn_spectrum, lambda n: n in (4, 6, 8)),
-    ("weyl-dimension", _check_weyl_dimension, lambda n: n >= 5),
-    ("hessian-clusters", _check_hessian_clusters, lambda n: n in (10, 11)),
-    ("shi-table", _check_shi_table, lambda n: n in CATALOGUED_TABLE),
-    ("neighborhood-bound", _check_neighborhood_bound, lambda n: n in (10, 11)),
-    ("certificate-identity", _check_certificate_identity, lambda n: n in (10, 11)),
-    ("certificate-quoted", _check_certificate_quoted,
-     lambda n: n in QUOTED_CONSTANTS),
-    ("flow-monotonicity", _check_flow_monotonicity, lambda n: True),
+    # family, tag, default tolerance, applies(n), check(n, rng, tol)
+    ("bianchi-idempotence", "bianchi-idempotence", 1e-12, _every,
+     _check_bianchi_idempotence),
+    ("decomposition-orthogonality", "decomposition-orthogonality", 1e-9, _every,
+     _check_decomposition_orthogonality),
+    ("bw-identity", "bw-identity", 1e-9, _every, _check_bw_identity),
+    ("sharp-routes", "sharp-routes", 1e-10, _every, _check_sharp_routes),
+    ("q-equivariance", "q-equivariance", 1e-9, _every,
+     functools.partial(_check_equivariance, q_map)),
+    ("sharp-equivariance", "sharp-equivariance", 1e-9, _every,
+     functools.partial(_check_equivariance, sharp)),
+    ("d2-equivariance", "d2-equivariance", 1e-9, _every, _check_d2_equivariance),
+    ("tri-symmetry", "tri-symmetry", 1e-9, _every, _check_tri_symmetry),
+    ("product-potential", "product-potential", 1e-10, _every,
+     _check_product_potential),
+    ("d2-closed-form", "d2-closed-form", 1e-10, lambda n: n >= 5,
+     _check_d2_closed_form),
+    ("symmetric-space-flatness", "symmetric-space-flatness", 1e-10, _every,
+     _check_symmetric_space),
+    ("cpn-spectrum", "cpn-spectrum", 1e-10, lambda n: n in (4, 6, 8),
+     _check_cpn_spectrum),
+    ("weyl-dimension", "weyl-dimension", 0.5, lambda n: n >= 5,
+     _check_weyl_dimension),
+    ("hessian-clusters", "hessian-table", 1e-8, lambda n: n in (10, 11),
+     _check_hessian_clusters),
+    ("shi-table", "shi-table", 0.0, lambda n: n in CATALOGUED_TABLE,
+     _check_shi_table),
+    ("neighborhood-bound", "neighborhood-bound", 5e-4, lambda n: n in (10, 11),
+     _check_neighborhood_bound),
+    ("certificate-identity", "certificate-chain", 1e-12, lambda n: n in (10, 11),
+     _check_certificate_identity),
+    ("certificate-quoted", "certificate-chain", 0.0,
+     lambda n: n in QUOTED_CONSTANTS, _check_certificate_quoted),
+    ("flow-monotonicity", "flow-monotonicity", 1e-12, _every,
+     _check_flow_monotonicity),
 )
 
-_TOL_BY_FAMILY = dict(DEFAULT_TOLERANCES)
-_TOL_BY_FAMILY["certificate-quoted"] = 0.0
+# certificate-quoted flags whatever its tolerance, so no override names it
+DEFAULT_TOLERANCES = {
+    family: tol for family, _, tol, _, _ in _REGISTRY
+    if family != "certificate-quoted"
+}
 
 
-def _record_for(family, check, n, seed, tol):
+def _record_for(family, tag, check, n, seed, tol) -> CheckRecord:
     name = f"{family}[n={n}]"
     rng = np.random.default_rng(zlib.crc32(name.encode()) ^ (seed & 0xFFFFFFFF))
     try:
-        return check(name, n, rng, tol)
+        fields = check(n, rng, tol)
     except Exception as exc:  # surface broken checks as failures, not crashes
-        return CheckRecord(
-            name=name, tag="plumbing", expected="no exception",
-            computed=type(exc).__name__, tolerance=tol, status="fail",
-            detail=str(exc),
+        tag, fields = "plumbing", dict(
+            expected="no exception", computed=type(exc).__name__,
+            status="fail", detail=str(exc),
         )
+    return CheckRecord(name=name, tag=tag, tolerance=tol, **fields)
 
 
 def run_suite(
@@ -415,7 +383,8 @@ def run_suite(
     """Run every applicable check for the requested dimensions.
 
     Deterministic given (dims, seed, tolerances): each check owns a generator
-    seeded from its name, and records are sorted by name.
+    seeded from its name, and records are sorted by name.  tolerances
+    overrides entries of DEFAULT_TOLERANCES by family name.
     """
     dims = tuple(int(n) for n in dims)
     for n in dims:
@@ -423,16 +392,16 @@ def run_suite(
             raise ArgumentError(f"dimension {n} outside supported range 4..12")
     if len(set(dims)) != len(dims):
         raise ArgumentError("duplicate dimensions in the request")
-    tols = dict(_TOL_BY_FAMILY)
-    for key, value in (tolerances or {}).items():
-        if key not in tols:
-            raise ArgumentError(f"unknown tolerance name {key!r}")
-        tols[key] = float(value)
+    tolerances = tolerances or {}
+    for key in tolerances:
+        if key not in DEFAULT_TOLERANCES:
+            known = ", ".join(sorted(DEFAULT_TOLERANCES))
+            raise ArgumentError(f"unknown tolerance {key!r}; known: {known}")
 
     start = perf_counter()
     records = [
-        _record_for(family, check, n, seed, tols[family])
-        for family, check, applies in _REGISTRY
+        _record_for(family, tag, check, n, seed, float(tolerances.get(family, tol)))
+        for family, tag, tol, applies, check in _REGISTRY
         for n in sorted(dims)
         if applies(n)
     ]

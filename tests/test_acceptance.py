@@ -32,7 +32,6 @@ from curvlab.spectral_decomp import (
     eigen_report,
     hessian_matrix,
     orbit_tangent_dim,
-    weyl_basis,
     weyl_dim,
 )
 from curvlab.suite import run_suite
@@ -153,7 +152,7 @@ def test_criterion_05_hessian_table():
     ok = True
     for n in (10, 11):
         start = perf_counter()
-        rep = eigen_report(hessian_matrix(w_cp2(n), weyl_basis(n)))
+        rep = eigen_report(hessian_matrix(w_cp2(n)))
         elapsed = perf_counter() - start
         want = [SQRT32 * v for v in LADDER]
         cluster_err = (

@@ -84,6 +84,13 @@ class TestVerify:
         args = ["verify", "--dim", "4", "--cluster-tol", "1e-3"]
         assert runner.invoke(main, args).exit_code == 2
 
+    def test_runtime_only_in_json(self, runner):
+        for fmt in ("markdown", "csv"):
+            args = ["verify", "--dim", "4", "--format", fmt, "--include-runtime"]
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2
+            assert "--include-runtime applies only to --format json" in result.output
+
     def test_markdown_format(self, runner):
         result = runner.invoke(
             main, ["verify", "--dim", "4", "--format", "markdown"]
@@ -172,6 +179,29 @@ class TestTables:
             "| --- | --- |",
         ]
         assert lines[4] == "| product_weyl_span | 1 |"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--table", "shi", "--split", "3"],
+            ["--table", "hessian", "--dim", "8", "--split", "3"],
+            ["--table", "shi", "--cluster-tol", "5"],
+            ["--table", "blocks", "--dim", "8", "--cluster-tol", "1e-8"],
+        ],
+        ids=["shi-split", "hessian-split", "shi-cluster-tol", "blocks-cluster-tol"],
+    )
+    def test_option_the_table_ignores(self, runner, args):
+        # an explicit --cluster-tol is refused even at its default value
+        result = runner.invoke(main, ["tables", *args])
+        assert result.exit_code == 2
+        assert "applies only to --table" in result.output
+
+    def test_hessian_cluster_tol(self, runner):
+        args = ["tables", "--table", "hessian", "--dim", "6", "--format", "csv"]
+        merged = runner.invoke(main, args + ["--cluster-tol", "10"])
+        assert merged.exit_code == 0
+        rows = list(csv.reader(io.StringIO(merged.stdout)))
+        assert [int(r[1]) for r in rows[1:]] == [84]
 
     def test_blocks_bad_split(self, runner):
         result = runner.invoke(

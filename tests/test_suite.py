@@ -1,7 +1,12 @@
 """Tests for the verification suite runner."""
 
-import pytest
+import json
 
+import pytest
+from click.testing import CliRunner
+
+from curvlab import suite
+from curvlab.cli import main
 from curvlab.errors import ArgumentError
 from curvlab.report import canonical_json
 from curvlab.suite import DEFAULT_TOLERANCES, SUPPORTED_DIMS, run_suite
@@ -89,3 +94,69 @@ class TestHighDims:
         assert "not reproduced" in record.detail
         assert by_name["hessian-clusters[n=11]"].status == "pass"
         assert report.exit_code == 0
+
+
+class TestCheckTable:
+    def test_default_tolerances(self):
+        # the names --tol accepts; certificate-quoted flags whatever its
+        # tolerance, so it has none to override
+        assert DEFAULT_TOLERANCES == {
+            "bianchi-idempotence": 1e-12,
+            "decomposition-orthogonality": 1e-9,
+            "bw-identity": 1e-9,
+            "sharp-routes": 1e-10,
+            "q-equivariance": 1e-9,
+            "sharp-equivariance": 1e-9,
+            "d2-equivariance": 1e-9,
+            "tri-symmetry": 1e-9,
+            "product-potential": 1e-10,
+            "d2-closed-form": 1e-10,
+            "symmetric-space-flatness": 1e-10,
+            "cpn-spectrum": 1e-10,
+            "weyl-dimension": 0.5,
+            "hessian-clusters": 1e-8,
+            "shi-table": 0.0,
+            "neighborhood-bound": 5e-4,
+            "certificate-identity": 1e-12,
+            "flow-monotonicity": 1e-12,
+        }
+        with pytest.raises(ArgumentError, match="known: bianchi-idempotence"):
+            run_suite(dims=[4], tolerances={"certificate-quoted": 1.0})
+
+    def test_one_row_per_family(self):
+        families = [row[0] for row in suite._REGISTRY]
+        reported = {r.name.split("[")[0] for r in run_suite(dims=range(4, 12)).records}
+        assert sorted(reported) == sorted(families)
+        assert len(set(families)) == len(families)
+
+    def test_tags_that_differ_from_the_family(self):
+        tags = {family: tag for family, tag, *_ in suite._REGISTRY if tag != family}
+        assert tags == {
+            "hessian-clusters": "hessian-table",
+            "certificate-identity": "certificate-chain",
+            "certificate-quoted": "certificate-chain",
+        }
+        by_name = {r.name: r for r in run_suite(dims=[11]).records}
+        assert by_name["hessian-clusters[n=11]"].tag == "hessian-table"
+        assert by_name["certificate-quoted[n=11]"].tag == "certificate-chain"
+
+    def test_raising_check_is_a_plumbing_failure(self, monkeypatch):
+        def broken(n, rng, tol):
+            raise ValueError(f"broken at n={n}")
+
+        rows = tuple(
+            row[:4] + (broken,) if row[0] == "tri-symmetry" else row
+            for row in suite._REGISTRY
+        )
+        monkeypatch.setattr(suite, "_REGISTRY", rows)
+        report = run_suite(dims=[4], tolerances={"tri-symmetry": 1e-5})
+        record = next(r for r in report.records if r.name == "tri-symmetry[n=4]")
+        assert (record.tag, record.status) == ("plumbing", "fail")
+        assert (record.computed, record.detail) == ("ValueError", "broken at n=4")
+        assert record.tolerance == 1e-5
+        assert report.exit_code == 1
+        result = CliRunner().invoke(main, ["verify", "--dim", "5"])
+        assert result.exit_code == 1
+        checks = {c["name"]: c for c in json.loads(result.stdout)["checks"]}
+        assert checks["tri-symmetry[n=5]"]["tag"] == "plumbing"
+        assert checks["tri-symmetry[n=5]"]["tolerance"] == 1e-9
