@@ -74,19 +74,15 @@ BIANCHI_TOL = 1e-10
 class SymmetricOperator:
     """Symmetric operator on the wedge space, without the Bianchi constraint."""
 
-    def __init__(self, mat: np.ndarray, dim: int | None = None):
+    def __init__(self, mat: np.ndarray):
         mat = np.array(mat, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ArgumentError("operator matrix must be square")
-        if dim is None:
-            dim = dim_from_wedge_count(mat.shape[0])
-        elif mat.shape[0] != wedge_count(dim):
-            raise ArgumentError("matrix size does not match dimension")
+        self.dim = dim_from_wedge_count(mat.shape[0])
         if np.max(np.abs(mat - mat.T), initial=0.0) >= SYMMETRY_TOL:
             raise ArgumentError("operator matrix is not symmetric")
         mat.setflags(write=False)
         self._mat = mat
-        self.dim = int(dim)
         self.N = mat.shape[0]
 
     @property
@@ -108,8 +104,8 @@ class SymmetricOperator:
 class CurvatureOperator(SymmetricOperator):
     """Symmetric operator satisfying the first Bianchi identity."""
 
-    def __init__(self, mat: np.ndarray, dim: int | None = None):
-        super().__init__(mat, dim)
+    def __init__(self, mat: np.ndarray):
+        super().__init__(mat)
         res = bianchi_residual(self._mat)
         if res >= BIANCHI_TOL:
             raise ArgumentError(
@@ -194,7 +190,7 @@ def bianchi_project(s) -> CurvatureOperator:
     np.add.at(out, (jl, ik), coeff)
     np.subtract.at(out, (il, jk), coeff)
     np.subtract.at(out, (jk, il), coeff)
-    return CurvatureOperator(out, dim=n)
+    return CurvatureOperator(out)
 
 
 # --- traces and decomposition ----------------------------------------------
@@ -239,7 +235,7 @@ def wedge_product(a: np.ndarray, b: np.ndarray) -> SymmetricOperator:
     iq = np.ix_(i, j)
     jp = np.ix_(j, i)
     out = 0.5 * (a[ix] * b[jx] + b[ix] * a[jx] - a[iq] * b[jp] - b[iq] * a[jp])
-    return SymmetricOperator(0.5 * (out + out.T), dim=n)
+    return SymmetricOperator(0.5 * (out + out.T))
 
 
 def decompose(r) -> DecompositionReport:
@@ -265,7 +261,7 @@ def decompose(r) -> DecompositionReport:
         ricci0=ric0,
         scalar_part=scalar_part,
         ricci_part=ricci_part,
-        weyl=CurvatureOperator(weyl_mat, dim=n),
+        weyl=CurvatureOperator(weyl_mat),
         scalar_part_norm=float(np.linalg.norm(scalar_part)),
         ricci_part_norm=float(np.linalg.norm(ricci_part)),
         weyl_norm=float(np.linalg.norm(weyl_mat)),
@@ -338,7 +334,7 @@ def sharp(r, s=None) -> SymmetricOperator:
         sm, m = _as_mat(s)
     if m != n:
         raise ArgumentError("sharp factors live in different dimensions")
-    return SymmetricOperator(_sharp_mat(rm, sm, n), dim=n)
+    return SymmetricOperator(_sharp_mat(rm, sm, n))
 
 
 def sharp_via_brackets(r, s=None) -> SymmetricOperator:
@@ -354,7 +350,7 @@ def sharp_via_brackets(r, s=None) -> SymmetricOperator:
     C = structure_constants(n)
     B1 = np.einsum("abc,ad,be->dec", C, rm, sm, optimize=True)
     M = 0.5 * np.einsum("abg,abd->gd", B1, C, optimize=True)
-    return SymmetricOperator(0.5 * (M + M.T), dim=n)
+    return SymmetricOperator(0.5 * (M + M.T))
 
 
 def alternative(r) -> np.ndarray:
@@ -383,7 +379,7 @@ def sharp_pure(r) -> CurvatureOperator:
     diag = np.zeros(mat.shape[0])
     for rank, (i, j) in enumerate(wedge_pairs(n)):
         diag[rank] = sq[i - 1, j - 1]
-    return CurvatureOperator(np.diag(diag), dim=n)
+    return CurvatureOperator(np.diag(diag))
 
 
 # --- Q, potential, trilinear form -------------------------------------------
@@ -400,7 +396,7 @@ def q_map(r, s=None) -> CurvatureOperator:
         sm, m = _as_mat(s)
         if m != n:
             raise ArgumentError("q_map arguments live in different dimensions")
-    return CurvatureOperator(_q_mat(rm, sm, n), dim=n)
+    return CurvatureOperator(_q_mat(rm, sm, n))
 
 
 def potential(r) -> float:

@@ -147,13 +147,13 @@ def structure_constants(n: int) -> np.ndarray:
     return tensor
 
 
-def ad_matrix(v: np.ndarray, n: int | None = None) -> np.ndarray:
+def ad_matrix(v: np.ndarray) -> np.ndarray:
     """Matrix of ad_v = [v, .] in the wedge basis (antisymmetric, N x N)."""
     v = np.asarray(v, dtype=float)
-    tensor = structure_constants(dim_from_wedge_count(v.shape[0]) if n is None else n)
-    N = tensor.shape[0]
-    if v.shape != (N,):
-        raise ArgumentError("bivector length does not match dimension")
+    if v.ndim != 1:
+        raise ArgumentError("ad_matrix expects one bivector")
+    N = v.shape[0]
+    tensor = structure_constants(dim_from_wedge_count(N))
     # row b of the product is [v, b_b]; the transpose is copied to C order
     # because callers feed ad matrices to GEMMs, whose rounding depends on
     # the operand layout

@@ -21,10 +21,11 @@ from .curvature_core import (
     bianchi_project,
     decompose,
     ricci,
+    wedge_product,
     _as_mat,
 )
 from .errors import ArgumentError, UnsupportedDimensionError
-from .lie_basis import sp1_basis, wedge_count, wedge_pairs, wedge_rank
+from .lie_basis import adjoint_rotation, sp1_basis, wedge_count
 
 __all__ = [
     "LAMBDA_CRIT",
@@ -51,62 +52,40 @@ def sphere(n: int) -> CurvatureOperator:
     """Curvature operator of the round unit sphere: the identity."""
     if n < 3:
         raise UnsupportedDimensionError(f"need n >= 3, got {n}")
-    return CurvatureOperator(np.eye(wedge_count(n)), dim=n)
+    return CurvatureOperator(np.eye(wedge_count(n)))
 
 
 def sphere_product(k: int, l: int) -> CurvatureOperator:
     """Curvature operator of S^k x S^l with both factors round and Einstein.
 
-    In the wedge basis the operator is diagonal: 1 on so(k), (k-1)/(l-1) on
-    so(l), 0 on the mixed block.  Einstein with constant k-1.
+    P ^ P + (k-1)/(l-1) P' ^ P', where P projects onto R^k and P' onto R^l:
+    1 on so(k), (k-1)/(l-1) on so(l), 0 on the mixed block.  Einstein with
+    constant k-1.
     """
     if k < 2 or l < 2:
         raise ArgumentError(f"both factors need dimension >= 2, got ({k}, {l})")
-    n = k + l
-    diag = np.zeros(wedge_count(n))
-    ratio = (k - 1) / (l - 1)
-    for rank, (i, j) in enumerate(wedge_pairs(n)):
-        if j <= k:
-            diag[rank] = 1.0
-        elif i > k:
-            diag[rank] = ratio
-    return CurvatureOperator(np.diag(diag), dim=n)
+    p = np.diag(np.repeat([1.0, 0.0], [k, l]))
+    q = np.eye(k + l) - p
+    mat = wedge_product(p, p).mat + (k - 1) / (l - 1) * wedge_product(q, q).mat
+    return CurvatureOperator(mat)
 
 
 def cpn(n_half: int) -> CurvatureOperator:
     """Curvature operator of CP^{n_half} (real dimension 2 n_half), Fubini-Study.
 
-    Coordinates: e_k is the k-th complex direction and e_{n_half+k} its image
-    under the complex structure.  The operator is assembled from its action on
-    the four kinds of basis bivectors (two real directions, real/imaginary of
-    different lines, two imaginary directions, and the Kaehler 2-planes).
+    Coordinates: e_k is the k-th complex direction and J e_k = e_{n_half+k}
+    its image under the complex structure J.  The operator is
+    Id + Lambda^2 J + 2 omega omega^T, with omega = sum_k e_k ^ J e_k the
+    Kaehler form.
     """
     if n_half < 1:
         raise ArgumentError(f"complex dimension must be >= 1, got {n_half}")
-    m = n_half
-    n = 2 * m
-    N = wedge_count(n)
-    mat = np.zeros((N, N))
-    for k in range(1, m + 1):
-        for l in range(k + 1, m + 1):
-            both_real = wedge_rank(k, l, n)
-            both_imag = wedge_rank(m + k, m + l, n)
-            mat[both_real, both_real] += 1.0
-            mat[both_imag, both_real] += 1.0
-            mat[both_imag, both_imag] += 1.0
-            mat[both_real, both_imag] += 1.0
-        for l in range(1, m + 1):
-            if l == k:
-                continue
-            col = wedge_rank(k, m + l, n)
-            mat[col, col] += 1.0
-            mat[wedge_rank(l, m + k, n), col] += 1.0
-        kaehler = wedge_rank(k, m + k, n)
-        mat[kaehler, kaehler] += 4.0
-        for l in range(1, m + 1):
-            if l != k:
-                mat[wedge_rank(l, m + l, n), kaehler] += 2.0
-    return CurvatureOperator(mat, dim=n)
+    n = 2 * n_half
+    j = np.kron([[0.0, -1.0], [1.0, 0.0]], np.eye(n_half))
+    iu, ju = np.triu_indices(n, 1)
+    omega = j[ju, iu]  # coordinate (a, b) of omega is <J e_a, e_b>
+    mat = np.eye(wedge_count(n)) + adjoint_rotation(j) + 2.0 * np.outer(omega, omega)
+    return CurvatureOperator(mat)
 
 
 def w_cp2(n: int) -> CurvatureOperator:
@@ -120,7 +99,7 @@ def w_cp2(n: int) -> CurvatureOperator:
     sp = sp1_basis(n)
     proj = {x: 0.5 * np.outer(sp[x + "-"], sp[x + "-"]) for x in "ijk"}
     mat = (2.0 * proj["i"] - proj["j"] - proj["k"]) / math.sqrt(6.0)
-    return CurvatureOperator(mat, dim=n)
+    return CurvatureOperator(mat)
 
 
 def r_lambda(
@@ -149,7 +128,7 @@ def r_lambda(
         if np.max(np.abs(ricci(extra))) > 1e-10:
             raise ArgumentError("w_extra must be a Weyl operator")
         mat = mat + math.sin(phi) * extra
-    return CurvatureOperator(mat, dim=n)
+    return CurvatureOperator(mat)
 
 
 def crit_sym(n: int) -> CurvatureOperator:
@@ -163,7 +142,7 @@ def crit_sym(n: int) -> CurvatureOperator:
     k = (n + 1) // 2
     base = sphere_product(k, n - k)
     weyl_norm = decompose(base).weyl_norm
-    return CurvatureOperator(base.mat / weyl_norm, dim=n)
+    return CurvatureOperator(base.mat / weyl_norm)
 
 
 def theta(k: int, l: int) -> float:

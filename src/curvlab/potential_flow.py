@@ -79,11 +79,10 @@ def _evaluated(op: CurvatureOperator, **changes) -> dict:
     return dict(changes, w=op, q=q, potential=float(np.sum(q * op.mat)))
 
 
-def flow_state(w, t: float = 0.0, history: tuple = ()) -> FlowState:
-    """Wrap a unit Weyl operator as an initial flow state."""
-    mat, n = _as_mat(w)
-    op = w if isinstance(w, CurvatureOperator) else CurvatureOperator(mat, dim=n)
-    return FlowState(**_evaluated(op, t=t, history=history))
+def flow_state(w) -> FlowState:
+    """Wrap a unit Weyl operator as an initial flow state at t = 0."""
+    op = w if isinstance(w, CurvatureOperator) else CurvatureOperator(w)
+    return FlowState(**_evaluated(op, t=0.0))
 
 
 def _tangent(q: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -112,7 +111,7 @@ def flow_step(state: FlowState, dt: float) -> FlowState:
     k4 = _field(mat + dt * k3)
     new = mat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     new /= np.linalg.norm(new)
-    op = CurvatureOperator(new, dim=state.w.dim)
+    op = CurvatureOperator(new)
     return replace(state, **_evaluated(op, t=state.t + dt))
 
 

@@ -1,18 +1,17 @@
 """Weyl-space bases, the Hessian-type operator at a critical point, and the
 dimension bookkeeping of the invariant decompositions.
 
-weyl_basis(n) produces an orthonormal basis of the space of Weyl operators
-(first Bianchi identity, zero Ricci contraction) as the null space of those
-linear constraints.  It works in orthonormal coordinates of the symmetric
-N x N matrices: x_aa = R_aa and x_ab = sqrt(2) R_ab for a < b, so that the
-Frobenius norm of R is the Euclidean norm of x.  The C(n,4) Bianchi rows and
-the n(n+1)/2 Ricci rows form one small constraint matrix, and a single SVD
-gives its null space.  hessian_matrix represents
+Every subspace and rank here comes from two private helpers: _null_space
+(one full SVD, checked against the expected dimension) and _rank (singular
+values only).  weyl_basis(n) is the null space of the first Bianchi and zero
+Ricci constraints, in orthonormal coordinates of the symmetric N x N
+matrices: x_aa = R_aa and x_ab = sqrt(2) R_ab for a < b, so that the
+Frobenius norm of R is the Euclidean norm of x.  hessian_matrix represents
 W -> Q(W0, W) on that basis; eigen_report clusters a symmetric spectrum;
 orbit_tangent_dim measures rotation orbits; decomposition_dims reproduces
 every dimension count of the SO(k) x SO(l) and Pin(2)-refined splittings,
-including the X_k spaces cut out of Lambda^2(R^k) (x) R^k by the triple
-wedge map.
+including the X_k spaces: the kernel of the triple wedge map on
+Lambda^2(R^k) (x) R^k, less the embedded copy of R^k.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from .lie_basis import (
     structure_constants,
     wedge_count,
     wedge_pairs,
-    wedge_rank,
 )
 
 __all__ = [
@@ -71,6 +69,27 @@ def x_dim(k: int) -> int:
     return k * (k - 2) * (k + 2) // 3
 
 
+def _null_space(rows: np.ndarray, expected: int, what: str) -> np.ndarray:
+    """Orthonormal basis, as rows, of the null space of rows.
+
+    The rank counts singular values above 1e-10 times the largest; raises
+    RuntimeError unless the null space has dimension expected.
+    """
+    _, s, vt = np.linalg.svd(rows, full_matrices=True)
+    null = vt[int(np.sum(s > 1e-10 * s[0])):]
+    if len(null) != expected:
+        raise RuntimeError(f"{what} has dimension {len(null)}, not {expected}")
+    return null
+
+
+def _rank(mat: np.ndarray, rtol: float) -> int:
+    """Number of singular values above rtol times the largest; 0 for a zero matrix."""
+    s = np.linalg.svd(mat, compute_uv=False)
+    if s.size == 0 or s[0] <= 0:
+        return 0
+    return int(np.sum(s > rtol * s[0]))
+
+
 @functools.lru_cache(maxsize=None)
 def weyl_basis(n: int) -> np.ndarray:
     """Orthonormal Weyl basis: the null space of the Bianchi and Ricci constraints.
@@ -81,9 +100,9 @@ def weyl_basis(n: int) -> np.ndarray:
     In the coordinates x_aa = R_aa, x_ab = sqrt(2) R_ab (a < b) of the
     symmetric N x N matrices, every quadruple i<j<k<l gives the Bianchi row
     R_ij,kl - R_ik,jl + R_il,jk and every pair a <= b the Ricci row Ric_ab.
-    The rows of V^T past the rank of this (C(n,4) + n(n+1)/2) x N(N+1)/2
-    matrix are an orthonormal basis of its null space.  Deterministic: each
-    vector's sign makes its largest-magnitude entry positive.
+    The null space of this (C(n,4) + n(n+1)/2) x N(N+1)/2 matrix is the
+    Weyl space.  Deterministic: each vector's sign makes its
+    largest-magnitude entry positive.
     """
     if not 5 <= n <= 12:
         raise UnsupportedDimensionError(f"weyl_basis supports 5 <= n <= 12, got {n}")
@@ -106,14 +125,8 @@ def weyl_basis(n: int) -> np.ndarray:
     # Ric_ab = sum_AB K_AB R_AB with K = sum_i B[a, i] (x) B[b, i]
     k = np.einsum("xiA,xiB->xAB", B[a], B[b])
     ric = (k[:, iu, ju] + k[:, ju, iu]) * weight
-    _, s, vt = np.linalg.svd(np.vstack([bianchi, ric]), full_matrices=True)
-    rank = int(np.sum(s > 1e-10 * s[0]))
-    null = vt[rank:]
     expected = weyl_dim(n)
-    if len(null) != expected:
-        raise RuntimeError(
-            f"Weyl rank {len(null)} does not match the dimension formula {expected} at n={n}"
-        )
+    null = _null_space(np.vstack([bianchi, ric]), expected, f"Weyl space at n={n}")
     mats = np.zeros((expected, N, N))
     mats[:, iu, ju] = mats[:, ju, iu] = null * np.where(iu == ju, 1.0, np.sqrt(0.5))
     flat = mats.reshape(expected, -1)
@@ -222,10 +235,7 @@ def orbit_tangent_dim(w) -> int:
     """Dimension of the rotation orbit through W: rank of {[ad_v, W]}."""
     mat, n = _as_mat(w)
     comms = _orbit_commutators(mat, n)
-    s = np.linalg.svd(comms.reshape(comms.shape[0], -1), compute_uv=False)
-    if s.size == 0 or s[0] <= 0:
-        return 0
-    return int(np.sum(s > 1e-8 * s[0]))
+    return _rank(comms.reshape(comms.shape[0], -1), 1e-8)
 
 
 # --- dimension tables --------------------------------------------------------
@@ -254,33 +264,15 @@ def triple_wedge_matrix(k: int) -> np.ndarray:
     return phi
 
 
-def _kernel_basis(mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    _, s, vt = np.linalg.svd(mat, full_matrices=True)
-    rank = int(np.sum(s > tol * s[0])) if s.size else 0
-    return vt[rank:]
-
-
 @functools.lru_cache(maxsize=None)
 def x_space_basis(k: int) -> np.ndarray:
-    """Orthonormal basis of X_k = ker(Phi) minus the embedded copy of R^k."""
-    phi = triple_wedge_matrix(k)
-    kernel = _kernel_basis(phi)
-    # the copy of R^k inside the kernel: x -> sum_i (x ^ e_i) (x) e_i
-    embed = np.zeros((k, phi.shape[1]))
-    for m in range(1, k + 1):
-        for i in range(1, k + 1):
-            if i == m:
-                continue
-            rank = wedge_rank(min(m, i), max(m, i), k)
-            embed[m - 1, rank * k + (i - 1)] = 1.0 if m < i else -1.0
-    embed /= np.linalg.norm(embed, axis=1, keepdims=True)
-    # project the kernel onto the complement of the embedding and re-extract
-    proj = kernel - (kernel @ embed.T) @ embed
-    _, s, vt = np.linalg.svd(proj, full_matrices=False)
-    rank = int(np.sum(s > 1e-10 * s[0]))
-    if rank != x_dim(k):
-        raise RuntimeError(f"X_{k} rank {rank} does not match formula {x_dim(k)}")
-    basis = vt[:rank]
+    """Orthonormal basis of X_k = ker(Phi) minus the embedded copy of R^k.
+
+    The copy x -> sum_i (x ^ e_i) (x) e_i already lies in ker(Phi), so X_k is
+    the null space of Phi stacked on that embedding.
+    """
+    embed = _vertex_embedding(k).transpose(0, 2, 1).reshape(k, -1)
+    basis = _null_space(np.vstack([triple_wedge_matrix(k), embed]), x_dim(k), f"X_{k}")
     basis.setflags(write=False)
     return basis
 
@@ -290,18 +282,9 @@ def _x4_split_dims() -> tuple[int, int]:
     x4 = x_space_basis(4)
     sp = sp1_basis(4)
     out = []
-    for sign in ("+", "-"):
-        sub = np.zeros((12, x4.shape[1]))
-        row = 0
-        for name in ("i", "j", "k"):
-            vec = sp[name + sign] / np.sqrt(2)
-            for m in range(4):
-                sub[row, :] = np.kron(vec, np.eye(4)[m])
-                row += 1
-        stackmat = np.vstack([x4, sub])
-        s = np.linalg.svd(stackmat, compute_uv=False)
-        joined = int(np.sum(s > 1e-10 * s[0]))
-        out.append(x4.shape[0] + 12 - joined)
+    for sign in "+-":
+        sub = np.kron(np.stack([sp[x + sign] for x in "ijk"]) / np.sqrt(2), np.eye(4))
+        out.append(len(x4) + len(sub) - _rank(np.vstack([x4, sub]), 1e-10))
     return tuple(out)
 
 
@@ -328,11 +311,8 @@ def decomposition_dims(n: int, k: int) -> DimensionTable:
     l = n - k
     if not (3 <= k <= n - 3):
         raise ArgumentError(f"need 3 <= k <= n-3, got k={k}, n={n}")
-    xk, xl = x_dim(k), x_dim(l)
-    # closed form checked against the numeric kernel ranks
-    for dim_val, kk in ((xk, k), (xl, l)):
-        if x_space_basis(kk).shape[0] != dim_val:
-            raise RuntimeError(f"X_{kk} dimension mismatch")
+    # x_space_basis raises unless the kernel dimension matches x_dim
+    xk, xl = len(x_space_basis(k)), len(x_space_basis(l))
     sym0 = lambda m: m * (m + 1) // 2 - 1
     blocks = {
         "product_weyl_span": 1,

@@ -355,10 +355,11 @@ _REGISTRY = (
      _check_flow_monotonicity),
 )
 
-# certificate-quoted flags whatever its tolerance, so no override names it
+# these checks never read their tolerance (certificate-quoted flags whatever
+# it is), so no override names them; their records keep the default
 DEFAULT_TOLERANCES = {
     family: tol for family, _, tol, _, _ in _REGISTRY
-    if family != "certificate-quoted"
+    if family not in ("certificate-quoted", "shi-table", "weyl-dimension")
 }
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .curvature_core import _as_mat, bianchi_residual
 from .errors import ArgumentError
-from .lie_basis import ad_matrix, wedge_count, wedge_index
+from .lie_basis import ad_matrix, wedge_count
 
 __all__ = [
     "SymmetryEvaluation",
@@ -58,7 +58,7 @@ def d2(r, v) -> SymmetryEvaluation:
     """D^2_v R = [R, ad_{Rv}], the second symmetry derivative of R at v."""
     mat, n = _as_mat(r)
     v = _direction(v, n)
-    ad = ad_matrix(mat @ v, n)
+    ad = ad_matrix(mat @ v)
     op = mat @ ad - ad @ mat
     return SymmetryEvaluation(v, op, float(np.linalg.norm(op)))
 
@@ -70,20 +70,19 @@ def d2_mixed(r, s, v) -> SymmetryEvaluation:
     if m != n:
         raise ArgumentError("operators live in different dimensions")
     v = _direction(v, n)
-    ad_s = ad_matrix(sm @ v, n)
-    ad_r = ad_matrix(rm @ v, n)
+    ad_s = ad_matrix(sm @ v)
+    ad_r = ad_matrix(rm @ v)
     op = 0.5 * ((rm @ ad_s - ad_s @ rm) + (sm @ ad_r - ad_r @ sm))
     return SymmetryEvaluation(v, op, float(np.linalg.norm(op)))
 
 
-def d2_family_norm(lam: float, n: int, phi: float, v) -> float:
+def d2_family_norm(lam: float, n: int, phi: float, pair) -> float:
     """Closed form for || D^2_v (lambda/(n-1) Id + cos(phi) W_CP2) ||.
 
-    v names a basis bivector, either as an index pair (i, j) or as a
-    coordinate vector with a single +-1 entry.  The result is zero on e1^e2,
-    e3^e4 and on all pairs outside the first four coordinates,
-    sqrt(2) cos(phi) |cos(phi)/2 - 3 lam_bar/sqrt(6)| on the remaining so(4)
-    pairs, and cos(phi) lam_bar on the mixed pairs.
+    v = e_i ^ e_j is the basis bivector of the index pair (i, j).  The
+    result is zero on e1^e2, e3^e4 and on all pairs outside the first four
+    coordinates, sqrt(2) cos(phi) |cos(phi)/2 - 3 lam_bar/sqrt(6)| on the
+    remaining so(4) pairs, and cos(phi) lam_bar on the mixed pairs.
     """
     if not lam > 0:
         raise ArgumentError(f"lambda must be positive, got {lam}")
@@ -91,16 +90,9 @@ def d2_family_norm(lam: float, n: int, phi: float, v) -> float:
         raise ArgumentError(f"phi must lie in [0, pi/2), got {phi}")
     if n < 5:
         raise ArgumentError(f"the family needs n >= 5, got {n}")
-    if isinstance(v, (tuple, list)) and len(v) == 2:
-        i, j = int(v[0]), int(v[1])
-        if not 1 <= i < j <= n:
-            raise ArgumentError(f"invalid index pair ({i}, {j})")
-    else:
-        coords = np.asarray(v, dtype=float)
-        hot = np.flatnonzero(np.abs(coords) > 1e-12)
-        if hot.size != 1 or abs(abs(coords[hot[0]]) - 1.0) > 1e-12:
-            raise ArgumentError("the closed form covers only basis directions")
-        i, j = wedge_index(int(hot[0]), n)
+    i, j = map(int, pair)
+    if not 1 <= i < j <= n:
+        raise ArgumentError(f"invalid index pair ({i}, {j})")
     lam_bar = lam / (n - 1)
     if j <= 4:
         if (i, j) in ((1, 2), (3, 4)):

@@ -201,6 +201,20 @@ def test_only_report_renders_text():
     assert found == {"report.py"}
 
 
+def test_spectral_decomp_svd_only_in_its_two_helpers():
+    # every null space and rank of spectral_decomp goes through _null_space
+    # or _rank, so a change of method changes one place
+    found = set()
+    for stmt in _parse(PACKAGE / "spectral_decomp.py").body:
+        for node in ast.walk(stmt):
+            name = getattr(node, "attr", None) or getattr(node, "id", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name in ("svd", "matrix_rank", "null_space"):
+                found.add(getattr(stmt, "name", type(stmt).__name__))
+    assert found == {"_null_space", "_rank"}
+
+
 def test_package_modules_use_what_they_import():
     found = {}
     for path in sorted(PACKAGE.glob("*.py")):

@@ -48,6 +48,10 @@ class TestVerify:
         assert (
             runner.invoke(main, ["verify", "--tol", "bw-identity=abc"]).exit_code == 2
         )
+        # checks that never read their tolerance accept no override
+        for family in ("certificate-quoted", "shi-table", "weyl-dimension"):
+            result = runner.invoke(main, ["verify", "--tol", f"{family}=1"])
+            assert result.exit_code == 2
 
     def test_failure_exit_code(self, runner):
         result = runner.invoke(

@@ -110,7 +110,7 @@ class TestBracket:
     def test_ad_is_antisymmetric(self, rng):
         for n in (4, 6):
             v = rng.standard_normal(wedge_count(n))
-            a = ad_matrix(v, n)
+            a = ad_matrix(v)
             assert np.max(np.abs(a + a.T)) < 1e-12
             # callers feed ad matrices to GEMMs; C order keeps their BLAS path
             assert a.flags.c_contiguous
@@ -119,12 +119,15 @@ class TestBracket:
         # tr(ad_x ad_y) = -2(n-2) <x, y> on so(n)
         for n in (4, 6, 9):
             x, y = rng.standard_normal((2, wedge_count(n)))
-            k = np.trace(ad_matrix(x, n) @ ad_matrix(y, n))
+            k = np.trace(ad_matrix(x) @ ad_matrix(y))
             assert abs(k + 2 * (n - 2) * np.dot(x, y)) < 1e-10
 
     def test_dimension_mismatch(self):
+        # the length must be n(n-1)/2 for some n, and v one bivector
         with pytest.raises(ArgumentError):
-            ad_matrix(np.zeros(3), 4)
+            ad_matrix(np.zeros(4))
+        with pytest.raises(ArgumentError):
+            ad_matrix(np.zeros((3, 3)))
 
 
 class TestStructureConstants:

@@ -15,7 +15,7 @@ from curvlab.curvature_core import (
     sharp,
 )
 from curvlab.errors import ArgumentError, UnsupportedDimensionError
-from curvlab.lie_basis import sp1_basis, wedge_count, wedge_pairs
+from curvlab.lie_basis import sp1_basis, wedge_count, wedge_pairs, wedge_vectors
 from curvlab.model_spaces import (
     LAMBDA_CRIT,
     Interval,
@@ -65,6 +65,16 @@ class TestSphereProduct:
         k, l = 4, 5
         r = sphere_product(k, l).mat
         assert np.max(np.abs(r @ r + sharp(r).mat - (k - 1) * r)) < 1e-12
+
+    def test_diagonal_in_the_wedge_basis(self):
+        # 1 on so(k), (k-1)/(l-1) on so(l), 0 on the mixed pairs
+        for k, l in ((2, 2), (3, 5), (6, 4)):
+            ratio = (k - 1) / (l - 1)
+            want = [
+                1.0 if j <= k else ratio if i > k else 0.0
+                for i, j in wedge_pairs(k + l)
+            ]
+            assert np.array_equal(sphere_product(k, l).mat, np.diag(want))
 
     def test_rejects_thin_factors(self):
         with pytest.raises(ArgumentError):
@@ -139,6 +149,32 @@ class TestCPn:
     def test_rejects_zero(self):
         with pytest.raises(ArgumentError):
             cpn(0)
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_unitary_invariance(self, rng, m):
+        # U(m) acts on R^2m = C^m, e_{m+k} = i e_k, by the real matrices
+        # [[A, -B], [B, A]] of U = A + iB; Fubini-Study is invariant
+        z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        u, _ = np.linalg.qr(z)
+        g = np.block([[u.real, -u.imag], [u.imag, u.real]])
+        c = cpn(m).mat
+        assert np.max(np.abs(rotate_operator(g, c) - c)) < 1e-12
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_sectional_curvatures(self, rng, m):
+        # K(x, y) = 1 + 3 <Jx, y>^2 on orthonormal x, y: 4 on complex lines
+        c = cpn(m).mat
+        e = np.eye(2 * m)
+        for k in range(m):
+            v = wedge_vectors(e[k], e[m + k])
+            assert v @ c @ v == 4.0
+        v = wedge_vectors(e[0], e[1])
+        assert v @ c @ v == 1.0
+        j = np.kron([[0.0, -1.0], [1.0, 0.0]], np.eye(m))
+        for _ in range(5):
+            x, y = np.linalg.qr(rng.standard_normal((2 * m, 2)))[0].T
+            v = wedge_vectors(x, y)
+            assert abs(v @ c @ v - (1.0 + 3.0 * (j @ x @ y) ** 2)) < 1e-12
 
 
 class TestWCP2:

@@ -11,9 +11,10 @@ from curvlab.curvature_core import (
     ricci,
 )
 from curvlab.errors import ArgumentError, UnsupportedDimensionError
-from curvlab.lie_basis import wedge_count
+from curvlab.lie_basis import wedge_count, wedge_vectors
 from curvlab.model_spaces import sphere, sphere_product, theta, w_cp2
 from curvlab.spectral_decomp import (
+    _null_space,
     decomposition_dims,
     eigen_report,
     hessian_matrix,
@@ -221,13 +222,29 @@ class TestOrbitTangent:
 
 
 class TestDimensionTables:
-    @pytest.mark.parametrize("k", [3, 4, 5])
+    @pytest.mark.parametrize("k", range(3, 10))
     def test_x_space(self, k):
         phi = triple_wedge_matrix(k)
         assert np.linalg.matrix_rank(phi) == math.comb(k, 3)
         basis = x_space_basis(k)
         assert basis.shape[0] == x_dim(k) == k * math.comb(k, 2) - math.comb(k, 3) - k
-        assert np.max(np.abs(phi @ basis.T)) < 1e-10
+        assert np.max(np.abs(basis @ basis.T - np.eye(x_dim(k)))) < 1e-12
+        assert np.max(np.abs(phi @ basis.T)) < 1e-12
+        # orthogonal to the copy of R^k: row m is sum_i (e_m ^ e_i) (x) e_i,
+        # with columns (pair rank, i)
+        e = np.eye(k)
+        embed = np.array([
+            np.stack([wedge_vectors(e[m], e[i]) for i in range(k)], axis=1).ravel()
+            for m in range(k)
+        ])
+        assert np.max(np.abs(embed @ basis.T)) < 1e-12
+
+    def test_null_space_checks_its_dimension(self):
+        # ker Phi on Lambda^2(R^4) (x) R^4 has dimension 24 - 4 = 20
+        phi = triple_wedge_matrix(4)
+        assert len(_null_space(phi, 20, "ker Phi")) == 20
+        with pytest.raises(RuntimeError, match="ker Phi has dimension 20, not 21"):
+            _null_space(phi, 21, "ker Phi")
 
     def test_x_dim_values(self):
         assert [x_dim(k) for k in (3, 4, 5, 6, 7)] == [5, 16, 35, 64, 105]

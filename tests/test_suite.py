@@ -72,8 +72,12 @@ class TestConfig:
         assert report.exit_code == 1
 
     def test_default_tolerances_cover_families(self):
-        prefixes = {r.name.split("[")[0] for r in run_suite(dims=[4, 5]).records}
-        assert prefixes <= set(DEFAULT_TOLERANCES) | {"certificate-quoted"}
+        records = {r.name: r for r in run_suite(dims=[4, 5]).records}
+        prefixes = {name.split("[")[0] for name in records}
+        fixed = {"certificate-quoted", "shi-table", "weyl-dimension"}
+        assert prefixes <= set(DEFAULT_TOLERANCES) | fixed
+        # a check without an override still records its table tolerance
+        assert records["weyl-dimension[n=5]"].tolerance == 0.5
 
 
 class TestHighDims:
@@ -98,8 +102,9 @@ class TestHighDims:
 
 class TestCheckTable:
     def test_default_tolerances(self):
-        # the names --tol accepts; certificate-quoted flags whatever its
-        # tolerance, so it has none to override
+        # the names --tol accepts; certificate-quoted, shi-table and
+        # weyl-dimension never read their tolerance, so they have none to
+        # override
         assert DEFAULT_TOLERANCES == {
             "bianchi-idempotence": 1e-12,
             "decomposition-orthogonality": 1e-9,
@@ -113,15 +118,14 @@ class TestCheckTable:
             "d2-closed-form": 1e-10,
             "symmetric-space-flatness": 1e-10,
             "cpn-spectrum": 1e-10,
-            "weyl-dimension": 0.5,
             "hessian-clusters": 1e-8,
-            "shi-table": 0.0,
             "neighborhood-bound": 5e-4,
             "certificate-identity": 1e-12,
             "flow-monotonicity": 1e-12,
         }
-        with pytest.raises(ArgumentError, match="known: bianchi-idempotence"):
-            run_suite(dims=[4], tolerances={"certificate-quoted": 1.0})
+        for family in ("certificate-quoted", "shi-table", "weyl-dimension"):
+            with pytest.raises(ArgumentError, match="known: bianchi-idempotence"):
+                run_suite(dims=[4], tolerances={family: 1.0})
 
     def test_one_row_per_family(self):
         families = [row[0] for row in suite._REGISTRY]
