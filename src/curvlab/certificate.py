@@ -24,7 +24,7 @@ those gaps as flags plus an honest margin, never to hide them.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import mpmath
 
@@ -122,13 +122,13 @@ def lhs_bound(n: int, G: float, C: float) -> float:
     return 4.0 * certificate_prefactor(n) * G**4 / (1365.0 * C**2)
 
 
-def alpha0_margin(n: int, lhs: float, prefactor: float = 8.0) -> float:
-    """Largest eps with rhs_bound(n, eps) <= lhs, by exact inversion of cot."""
+def alpha0_margin(n: int, lhs: float) -> float:
+    """Largest eps with rhs_bound(n, eps) <= lhs (prefactor 8), by exact inversion of cot."""
     if lhs <= 0:
         return 0.0
     with mpmath.workdps(_DPS):
         beta = beta_angle(n, lib=mpmath)
-        scale = prefactor * mpmath.sqrt(mpmath.mpf(2) * (n - 1) / n)
+        scale = 8.0 * mpmath.sqrt(mpmath.mpf(2) * (n - 1) / n)
         target = mpmath.cot(beta) - mpmath.mpf(lhs) / scale
         return float(mpmath.atan(1 / target) - beta)
 
@@ -165,9 +165,6 @@ class Certificate:
         ):
             if not math.isfinite(getattr(self, name)):
                 raise ArgumentError(f"certificate field {name} must be finite")
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def alpha0_certificate(n: int, mode: str = "recomputed") -> Certificate:

@@ -7,6 +7,7 @@ Exit codes: 0 success (flags allowed), 1 check failures, 2 usage errors,
 from __future__ import annotations
 
 import sys
+from dataclasses import asdict
 
 import click
 import numpy as np
@@ -98,7 +99,7 @@ def verify(dims, seed, tols, out, fmt, include_runtime):
 
 
 def _certificate_markdown(cert) -> str:
-    payload = cert.to_json_dict()
+    payload = asdict(cert)
     rows = [(key, payload[key]) for key in sorted(payload) if key != "flags"]
     text = f"# angle-margin certificate (n={cert.n}, mode {cert.mode})\n\n"
     text += render_table(("field", "value"), rows, "markdown")
@@ -125,7 +126,7 @@ def certify(dim, mode, out, fmt):
     except ArgumentError as exc:
         raise click.UsageError(str(exc))
     if fmt == "json":
-        text = canonical_json(cert.to_json_dict())
+        text = canonical_json(asdict(cert))
     else:
         text = _certificate_markdown(cert)
     _write_output(text, out)

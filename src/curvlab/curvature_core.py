@@ -38,11 +38,11 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .lie_basis import (
+    _pair_table,
+    _vertex_embedding,
     dim_from_wedge_count,
     structure_constants,
     wedge_count,
-    wedge_pairs,
-    wedge_rank,
 )
 
 __all__ = [
@@ -143,18 +143,20 @@ def _as_mat(x, name: str = "operator") -> tuple[np.ndarray, int]:
 
 @functools.lru_cache(maxsize=None)
 def _bianchi_indices(n: int):
-    """Pair-rank arrays (ij, kl, ik, jl, il, jk) over all quadruples i<j<k<l."""
-    quads = list(itertools.combinations(range(1, n + 1), 4))
-    if not quads:
-        empty = np.zeros(0, dtype=int)
-        empty.setflags(write=False)
-        return (empty,) * 6
-    out = []
-    for sel in ((0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2)):
-        arr = np.array([wedge_rank(q[sel[0]], q[sel[1]], n) for q in quads], dtype=int)
+    """Pair-rank arrays (ij, kl, ik, jl, il, jk) over all quadruples i<j<k<l.
+
+    Below n = 4 there are no quadruples, and the six arrays are empty.
+    """
+    rank, _ = _pair_table(n)
+    quads = np.array(list(itertools.combinations(range(n), 4)), dtype=np.intp)
+    quads = quads.reshape(-1, 4)
+    out = tuple(
+        rank[quads[:, a], quads[:, b]]
+        for a, b in ((0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2))
+    )
+    for arr in out:
         arr.setflags(write=False)
-        out.append(arr)
-    return tuple(out)
+    return out
 
 
 def _bianchi_pairings(mat: np.ndarray, n: int) -> np.ndarray:
@@ -195,21 +197,6 @@ def bianchi_project(s) -> CurvatureOperator:
 
 # --- traces and decomposition ----------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def _vertex_embedding(n: int) -> np.ndarray:
-    """Tensor B with B[a, i, :] the wedge coordinates of e_{a+1} ^ e_{i+1}."""
-    N = wedge_count(n)
-    B = np.zeros((n, n, N))
-    for a in range(1, n + 1):
-        for i in range(1, n + 1):
-            if a < i:
-                B[a - 1, i - 1, wedge_rank(a, i, n)] = 1.0
-            elif a > i:
-                B[a - 1, i - 1, wedge_rank(i, a, n)] = -1.0
-    B.setflags(write=False)
-    return B
-
-
 def ricci(r) -> np.ndarray:
     """Ricci matrix Ric(v, w) = sum_i <R(v ^ e_i), w ^ e_i>."""
     mat, n = _as_mat(r)
@@ -228,8 +215,7 @@ def wedge_product(a: np.ndarray, b: np.ndarray) -> SymmetricOperator:
         if np.max(np.abs(m - m.T), initial=0.0) >= SYMMETRY_TOL:
             raise ArgumentError("wedge_product factors must be symmetric")
     n = a.shape[0]
-    pairs = np.array(wedge_pairs(n)) - 1
-    i, j = pairs[:, 0], pairs[:, 1]
+    i, j = np.triu_indices(n, 1)
     ix = np.ix_(i, i)  # rows (i,j), cols (p,q): first slots of each
     jx = np.ix_(j, j)
     iq = np.ix_(i, j)
@@ -281,11 +267,8 @@ def _sharp_gather(n: int):
     B_jkil in the n^2 x n^2 product B, for the wedge rows i<j and k<l.
     """
     N = wedge_count(n)
+    rank, sgn = _pair_table(n)
     iu, ju = np.triu_indices(n, 1)
-    rank = np.zeros((n, n), dtype=np.intp)
-    rank[iu, ju] = rank[ju, iu] = np.arange(N)
-    sgn = np.zeros((n, n))
-    sgn[iu, ju], sgn[ju, iu] = 1.0, -1.0
     take = (rank[:, None, :, None] * N + rank[None, :, None, :]).reshape(n * n, -1)
     sign = (sgn[:, None, :, None] * sgn[None, :, None, :]).reshape(n * n, -1)
     i, j, k, l = iu[:, None], ju[:, None], iu[None, :], ju[None, :]
@@ -357,9 +340,8 @@ def alternative(r) -> np.ndarray:
     """Alternative operator: the read-only symmetric n x n symbol matrix with
     zero diagonal, whose entry (i, j) is R(e_i^e_j, e_i^e_j)."""
     mat, n = _as_mat(r)
-    tilde = np.zeros((n, n))
-    for rank, (i, j) in enumerate(wedge_pairs(n)):
-        tilde[i - 1, j - 1] = tilde[j - 1, i - 1] = mat[rank, rank]
+    rank, sign = _pair_table(n)
+    tilde = np.where(sign != 0, np.diag(mat)[rank], 0.0)
     tilde.setflags(write=False)
     return tilde
 
@@ -376,10 +358,7 @@ def sharp_pure(r) -> CurvatureOperator:
         raise PreconditionError("sharp_pure needs a diagonal operator matrix")
     tilde = alternative(mat)
     sq = tilde @ tilde
-    diag = np.zeros(mat.shape[0])
-    for rank, (i, j) in enumerate(wedge_pairs(n)):
-        diag[rank] = sq[i - 1, j - 1]
-    return CurvatureOperator(np.diag(diag))
+    return CurvatureOperator(np.diag(sq[np.triu_indices(n, 1)]))
 
 
 # --- Q, potential, trilinear form -------------------------------------------

@@ -9,6 +9,13 @@ bracket of basis bivectors is
 
 and everything here (structure constants, ad matrices, the sp(1)+- bases of
 so(4), the rotation action on bivectors) is derived from that formula.
+
+The pair table _pair_table(n) is the one encoding of the basis order:
+e_{a+1} ^ e_{b+1} = sign[a, b] b_rank[a, b], with sign 0 on the diagonal.
+The vertex embedding, the structure constants, the sp(1) bases and every
+index map of curvature_core, spectral_decomp and suite read that table.
+wedge_rank, wedge_index, wedge_vectors, so_matrix and so_coords keep their
+own code: they are the oracles the table is tested against.
 """
 
 from __future__ import annotations
@@ -106,25 +113,32 @@ def so_coords(mat: np.ndarray) -> np.ndarray:
     return mat[iu, ju].copy()
 
 
-def _bracket_pair(i: int, j: int, p: int, q: int) -> list[tuple[int, int, float]]:
-    """Signed wedge terms of [e_i^e_j, e_p^e_q]; entries (a, b, coeff) with a < b."""
-    raw = []
-    if j == p:
-        raw.append((i, q, 1.0))
-    if i == q:
-        raw.append((j, p, 1.0))
-    if j == q:
-        raw.append((p, i, 1.0))
-    if i == p:
-        raw.append((q, j, 1.0))
-    terms = []
-    for a, b, c in raw:
-        if a == b:
-            continue
-        if a > b:
-            a, b, c = b, a, -c
-        terms.append((a, b, c))
-    return terms
+@functools.lru_cache(maxsize=None)
+def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (n, n) arrays (rank, sign): e_{a+1} ^ e_{b+1} = sign[a, b] b_rank[a, b].
+
+    rank is symmetric and sign antisymmetric, with sign 0 (and rank 0) on the
+    diagonal; b_r is the r-th basis bivector.
+    """
+    iu, ju = np.triu_indices(n, 1)
+    rank = np.zeros((n, n), dtype=np.intp)
+    rank[iu, ju] = rank[ju, iu] = np.arange(len(iu))
+    sign = np.zeros((n, n))
+    sign[iu, ju], sign[ju, iu] = 1.0, -1.0
+    rank.setflags(write=False)
+    sign.setflags(write=False)
+    return rank, sign
+
+
+@functools.lru_cache(maxsize=None)
+def _vertex_embedding(n: int) -> np.ndarray:
+    """Tensor B with B[a, i, :] the wedge coordinates of e_{a+1} ^ e_{i+1}."""
+    rank, sign = _pair_table(n)
+    B = np.zeros((n, n, wedge_count(n)))
+    a, i = np.indices((n, n))
+    B[a, i, rank] = sign
+    B.setflags(write=False)
+    return B
 
 
 @functools.lru_cache(maxsize=None)
@@ -136,13 +150,18 @@ def structure_constants(n: int) -> np.ndarray:
     """
     if n < 3:
         raise ArgumentError(f"need n >= 3, got {n}")
-    pairs = wedge_pairs(n)
-    N = len(pairs)
+    N = wedge_count(n)
+    B = _vertex_embedding(n)
+    # on the grid of basis pairs (b_a, b_b) = (e_I ^ e_J, e_P ^ e_Q), each pass
+    # adds one delta term of the bracket formula; B gives a reversed pair its
+    # sign and e_u ^ e_u its zero
+    i, j = np.triu_indices(n, 1)
+    I, P = np.meshgrid(i, i, indexing="ij")
+    J, Q = np.meshgrid(j, j, indexing="ij")
     tensor = np.zeros((N, N, N))
-    for alpha, (i, j) in enumerate(pairs):
-        for beta, (p, q) in enumerate(pairs):
-            for a, b, c in _bracket_pair(i, j, p, q):
-                tensor[alpha, beta, wedge_rank(a, b, n)] += c
+    for x, y, u, v in ((J, P, I, Q), (I, Q, J, P), (J, Q, P, I), (I, P, Q, J)):
+        a, b = np.nonzero(x == y)
+        tensor[a, b] += B[u[a, b], v[a, b]]
     tensor.setflags(write=False)
     return tensor
 
@@ -161,13 +180,6 @@ def ad_matrix(v: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(brackets.T)
 
 
-def _wedge_vector(n: int, terms: list[tuple[int, int, float]]) -> np.ndarray:
-    out = np.zeros(wedge_count(n))
-    for i, j, c in terms:
-        out[wedge_rank(i, j, n)] = c
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def sp1_basis(n: int) -> dict[str, np.ndarray]:
     """The sp(1)+ and sp(1)- generators of so(4), zero-padded into so(n).
@@ -177,34 +189,35 @@ def sp1_basis(n: int) -> dict[str, np.ndarray]:
     """
     if n < 4:
         raise ArgumentError(f"sp(1) bases need n >= 4, got {n}")
-    basis = {
-        "i+": [(1, 2, 1.0), (3, 4, 1.0)],
-        "j+": [(1, 3, 1.0), (2, 4, -1.0)],
-        "k+": [(1, 4, -1.0), (2, 3, -1.0)],
-        "i-": [(1, 2, 1.0), (3, 4, -1.0)],
-        "j-": [(1, 3, 1.0), (2, 4, 1.0)],
-        "k-": [(1, 4, 1.0), (2, 3, -1.0)],
+    # each generator is e_i ^ e_j + e_p ^ e_q; the order of each pair carries its sign
+    terms = {
+        "i+": ((1, 2), (3, 4)),
+        "j+": ((1, 3), (4, 2)),
+        "k+": ((4, 1), (3, 2)),
+        "i-": ((1, 2), (4, 3)),
+        "j-": ((1, 3), (2, 4)),
+        "k-": ((1, 4), (3, 2)),
     }
+    B = _vertex_embedding(n)
     out = {}
-    for name, terms in basis.items():
-        vec = _wedge_vector(n, terms)
+    for name, ((i, j), (p, q)) in terms.items():
+        vec = B[i - 1, j - 1] + B[p - 1, q - 1]
         vec.setflags(write=False)
         out[name] = vec
     return out
 
 
-def adjoint_rotation(g: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def adjoint_rotation(g: np.ndarray) -> np.ndarray:
     """Matrix of v ^ w -> gv ^ gw on the wedge basis, for orthogonal g.
 
     The induced matrix is orthogonal; entry [(i,j), (p,q)] is
-    g_ip g_jq - g_iq g_jp.
+    g_ip g_jq - g_iq g_jp.  g must be orthogonal to within 1e-10.
     """
     g = np.asarray(g, dtype=float)
     n = g.shape[0]
     if g.shape != (n, n):
         raise ArgumentError("rotation must be a square matrix")
-    if np.max(np.abs(g.T @ g - np.eye(n))) > tol:
+    if np.max(np.abs(g.T @ g - np.eye(n))) > 1e-10:
         raise ArgumentError("rotation is not orthogonal within tolerance")
-    pairs = np.array(wedge_pairs(n)) - 1
-    i, j = pairs[:, 0], pairs[:, 1]
+    i, j = np.triu_indices(n, 1)
     return g[np.ix_(i, i)] * g[np.ix_(j, j)] - g[np.ix_(i, j)] * g[np.ix_(j, i)]

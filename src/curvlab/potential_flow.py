@@ -231,13 +231,13 @@ def neighborhood_potential_bound(n: int, gamma: float, lib=math) -> float:
     return lib.cos(gamma) + coeff * lib.sin(gamma) ** 3
 
 
-def neighborhood_deficit(gamma: float, dps: int = 50) -> float:
+def neighborhood_deficit(gamma: float) -> float:
     """sqrt(3/2) (1 - bound(gamma)), evaluated in high precision.
 
     At gamma near 1e-6 the deficit lives at the 1e-13 scale where plain
-    doubles cancel badly, so the subtraction is done at `dps` digits.
+    doubles cancel badly, so the subtraction is done at 50 digits.
     """
-    with mpmath.workdps(dps):
+    with mpmath.workdps(50):
         g = mpmath.mpf(gamma)
         bound = mpmath.cos(g) + 4 / (3 * mpmath.sqrt(3)) * mpmath.sin(g) ** 3
         return float(mpmath.sqrt(mpmath.mpf(3) / 2) * (1 - bound))

@@ -29,15 +29,15 @@ from .curvature_core import (
     _bianchi_indices,
     _bianchi_pairings,
     _q_mat,
-    _vertex_embedding,
     ricci,
 )
 from .errors import ArgumentError, UnsupportedDimensionError
 from .lie_basis import (
+    _pair_table,
+    _vertex_embedding,
     sp1_basis,
     structure_constants,
     wedge_count,
-    wedge_pairs,
 )
 
 __all__ = [
@@ -181,9 +181,10 @@ class SpectralReport:
         if sum(m for _, m in self.clusters) != self.size:
             raise ArgumentError("cluster multiplicities must sum to the matrix size")
 
-    def multiplicity_of(self, value: float, tol: float = 1e-6) -> int:
+    def multiplicity_of(self, value: float) -> int:
+        """Multiplicity of the first cluster within 1e-6 of value, or 0."""
         for val, mult in self.clusters:
-            if abs(val - value) <= tol:
+            if abs(val - value) <= 1e-6:
                 return mult
         return 0
 
@@ -247,20 +248,15 @@ def triple_wedge_matrix(k: int) -> np.ndarray:
     """
     if k < 3:
         raise ArgumentError(f"need k >= 3, got {k}")
-    pairs = wedge_pairs(k)
-    triples = {t: r for r, t in enumerate(itertools.combinations(range(1, k + 1), 3))}
-    phi = np.zeros((len(triples), len(pairs) * k))
-    for rank, (i, j) in enumerate(pairs):
-        for m in range(1, k + 1):
-            if m == i or m == j:
-                continue
-            if m > j:
-                key, sign = (i, j, m), 1.0
-            elif m < i:
-                key, sign = (m, i, j), 1.0
-            else:
-                key, sign = (i, m, j), -1.0
-            phi[triples[key], rank * k + (m - 1)] = sign
+    rank, _ = _pair_table(k)
+    # row t is the e_a^e_b^e_c coefficient, for the t-th triple a < b < c:
+    # e_a^e_b (x) e_c and e_b^e_c (x) e_a map to +1 times it, e_a^e_c (x) e_b to -1
+    a, b, c = np.array(list(itertools.combinations(range(k), 3)), dtype=np.intp).T
+    t = np.arange(len(a))
+    phi = np.zeros((len(a), wedge_count(k) * k))
+    phi[t, rank[a, b] * k + c] = 1.0
+    phi[t, rank[a, c] * k + b] = -1.0
+    phi[t, rank[b, c] * k + a] = 1.0
     return phi
 
 
@@ -277,6 +273,7 @@ def x_space_basis(k: int) -> np.ndarray:
     return basis
 
 
+@functools.lru_cache(maxsize=None)
 def _x4_split_dims() -> tuple[int, int]:
     """Dimensions of X_4 intersected with sp(1)+- (x) R^4."""
     x4 = x_space_basis(4)

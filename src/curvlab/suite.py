@@ -36,7 +36,7 @@ from .curvature_core import (
     tri,
 )
 from .errors import ArgumentError
-from .lie_basis import adjoint_rotation, wedge_count, wedge_rank
+from .lie_basis import _vertex_embedding, adjoint_rotation, wedge_count
 from .model_spaces import cpn, sphere_product, theta, theta_threshold
 from .potential_flow import flow_run, flow_state, neighborhood_potential_bound
 from .report import CheckRecord, SuiteReport
@@ -294,8 +294,8 @@ def _check_d2_closed_form(n, rng, tol):
         phi = float(rng.uniform(0.0, math.pi / 2 - 1e-6))
         mat = r_lambda(lam, n, phi).mat
         for i, j in pairs:
-            v = np.zeros(wedge_count(n))
-            v[wedge_rank(i, j, n)] = 1.0
+            # the basis bivector e_i ^ e_j, i < j
+            v = _vertex_embedding(n)[i - 1, j - 1]
             direct = d2(mat, v).norm
             closed = d2_family_norm(lam, n, phi, (i, j))
             worst = max(worst, abs(direct - closed))

@@ -28,6 +28,7 @@ KEPT = {
     "so_coords": ORACLE,
     "wedge_vectors": ORACLE,
     "wedge_index": ORACLE,
+    "wedge_rank": ORACLE,
     # statements of the paper that wait for a verify record
     "angle_to_identity": AWAITS,
     "crit_sym": AWAITS,
@@ -213,6 +214,22 @@ def test_spectral_decomp_svd_only_in_its_two_helpers():
             if name in ("svd", "matrix_rank", "null_space"):
                 found.add(getattr(stmt, "name", type(stmt).__name__))
     assert found == {"_null_space", "_rank"}
+
+
+def test_only_lie_basis_ranks_wedge_pairs():
+    # the wedge-basis order is encoded once, in lie_basis; every other module
+    # reads its pair table or vertex embedding instead of ranking pairs
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "lie_basis":
+            continue
+        for node in ast.walk(_parse(path)):
+            name = getattr(node, "attr", None) or getattr(node, "id", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name in ("wedge_rank", "wedge_pairs"):
+                found.add(path.stem)
+    assert not found, f"modules that rank wedge pairs themselves: {sorted(found)}"
 
 
 def test_package_modules_use_what_they_import():

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import asdict
 
 import mpmath
 import pytest
@@ -188,7 +189,7 @@ class TestCertificate:
 
     def test_json_round_trip(self):
         c = alpha0_certificate(11, "quoted")
-        d = json.loads(json.dumps(c.to_json_dict()))
+        d = json.loads(json.dumps(asdict(c)))
         assert d["n"] == 11
         assert d["verdict"] == "fails_at_quoted_constants"
         assert d["G_quoted"] == QUOTED_CONSTANTS[11]["G"]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from curvlab.curvature_core import (
     CurvatureOperator,
     SymmetricOperator,
+    _bianchi_indices,
     alternative,
     angle_to_identity,
     bianchi_project,
@@ -105,6 +106,14 @@ class TestBianchi:
                 images.append(bianchi_project(e).mat.ravel())
         rank = np.linalg.matrix_rank(np.array(images), tol=1e-8)
         assert rank == n * n * (n * n - 1) // 12 == 50
+
+    def test_indices_match_wedge_rank(self):
+        # below n = 4 there are no quadruples and every array is empty
+        sel = ((0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2))
+        for n in range(3, 11):
+            quads = list(itertools.combinations(range(1, n + 1), 4))
+            for arr, (a, b) in zip(_bianchi_indices(n), sel):
+                assert arr.tolist() == [wedge_rank(q[a], q[b], n) for q in quads]
 
     def test_projection_is_orthogonal(self, rng):
         n = 5

@@ -18,7 +18,7 @@ from curvlab.curvature_core import (
     sharp,
     sharp_via_brackets,
 )
-from curvlab.lie_basis import wedge_count
+from curvlab.lie_basis import _pair_table, _vertex_embedding, wedge_count
 from curvlab.model_spaces import random_weyl, w_cp2
 from curvlab.potential_flow import (
     _excluded_span,
@@ -165,9 +165,12 @@ class TestReadOnlyCaches:
             lambda: (_excluded_span(6),),
             lambda: (x_space_basis(4),),
             lambda: (weyl_basis(6),),
+            lambda: _pair_table(5),
+            lambda: (_vertex_embedding(5),),
         ],
         ids=["bianchi-indices", "bianchi-indices-empty", "sharp-gather",
-             "excluded-span", "x-space-basis", "weyl-basis"],
+             "excluded-span", "x-space-basis", "weyl-basis", "pair-table",
+             "vertex-embedding"],
     )
     def test_writes_raise(self, arrays):
         for arr in arrays():

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from curvlab.errors import ArgumentError
 from curvlab.lie_basis import (
+    _pair_table,
+    _vertex_embedding,
     ad_matrix,
     adjoint_rotation,
     dim_from_wedge_count,
@@ -16,6 +18,7 @@ from curvlab.lie_basis import (
     wedge_index,
     wedge_pairs,
     wedge_rank,
+    wedge_vectors,
 )
 
 from conftest import random_orthogonal
@@ -43,6 +46,23 @@ class TestWedgeIndexing:
             for r, (i, j) in enumerate(wedge_pairs(n)):
                 assert wedge_rank(i, j, n) == r
                 assert wedge_index(r, n) == (i, j)
+
+    def test_pair_table_matches_wedge_rank(self):
+        for n in range(2, 13):
+            rank, sign = _pair_table(n)
+            for a in range(n):
+                assert sign[a, a] == 0
+                for b in range(a + 1, n):
+                    assert rank[a, b] == rank[b, a] == wedge_rank(a + 1, b + 1, n)
+                    assert sign[a, b] == 1.0 and sign[b, a] == -1.0
+
+    def test_vertex_embedding_matches_wedge_vectors(self):
+        for n in range(2, 13):
+            e = np.eye(n)
+            B = _vertex_embedding(n)
+            for a in range(n):
+                for i in range(n):
+                    assert np.array_equal(B[a, i], wedge_vectors(e[a], e[i]))
 
     def test_rank_rejects_bad_pairs(self):
         with pytest.raises(ArgumentError):
@@ -93,6 +113,11 @@ class TestBracket:
                 so_matrix(u, n) @ so_matrix(v, n) - so_matrix(v, n) @ so_matrix(u, n)
             )
             assert np.max(np.abs(commutator(u, v) - via_matrices)) < 1e-12
+        # the whole table: tensor[a, b] is the bracket of basis vectors a and b
+        for n in range(3, 13):
+            basis = [so_matrix(row, n) for row in np.eye(wedge_count(n))]
+            want = np.array([[so_coords(x @ y - y @ x) for y in basis] for x in basis])
+            assert np.array_equal(structure_constants(n), want)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(3, 7), st.integers(0, 2**32 - 1))
@@ -180,6 +205,23 @@ class TestSp1Bases:
         sp = sp1_basis(7)
         vecs = np.array([sp[x + s] / np.sqrt(2) for s in "+-" for x in "ijk"])
         assert np.allclose(vecs @ vecs.T, np.eye(6))
+
+    def test_matches_term_lists(self):
+        terms = {
+            "i+": [(1, 2, 1.0), (3, 4, 1.0)],
+            "j+": [(1, 3, 1.0), (2, 4, -1.0)],
+            "k+": [(1, 4, -1.0), (2, 3, -1.0)],
+            "i-": [(1, 2, 1.0), (3, 4, -1.0)],
+            "j-": [(1, 3, 1.0), (2, 4, 1.0)],
+            "k-": [(1, 4, 1.0), (2, 3, -1.0)],
+        }
+        for n in range(4, 13):
+            sp = sp1_basis(n)
+            assert list(sp) == list(terms)
+            for name, vec in sp.items():
+                assert np.array_equal(vec, wedge(n, *terms[name]))
+                assert not np.any(np.signbit(vec[vec == 0]))
+                assert not vec.flags.writeable
 
     def test_needs_four_dims(self):
         with pytest.raises(ArgumentError):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -239,6 +240,20 @@ class TestDimensionTables:
         ])
         assert np.max(np.abs(embed @ basis.T)) < 1e-12
 
+    @pytest.mark.parametrize("k", range(3, 10))
+    def test_triple_wedge_matches_minors(self, k):
+        # Phi(e_i ^ e_j (x) e_m) has, on e_a ^ e_b ^ e_c, the minor of the
+        # frame (e_i, e_j, e_m) on the coordinates (a, b, c)
+        e = np.eye(k)
+        triples = np.array(list(itertools.combinations(range(k), 3)))
+        phi = triple_wedge_matrix(k)
+        for i, j in itertools.combinations(range(k), 2):
+            for m in range(k):
+                frame = np.stack([e[i], e[j], e[m]])
+                want = np.linalg.det(frame[:, triples].transpose(1, 0, 2))
+                got = phi @ np.kron(wedge_vectors(e[i], e[j]), e[m])
+                assert np.max(np.abs(got - want)) < 1e-12
+
     def test_null_space_checks_its_dimension(self):
         # ker Phi on Lambda^2(R^4) (x) R^4 has dimension 24 - 4 = 20
         phi = triple_wedge_matrix(4)
@@ -270,6 +285,20 @@ class TestDimensionTables:
             == 8 * l
         )
         assert decomposition_dims(11, 5).pin_blocks is None
+
+    def test_x4_split_is_computed_once(self, monkeypatch):
+        decomposition_dims(10, 4)
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        table = decomposition_dims(10, 4)
+        assert calls == []
+        assert table.pin_blocks["x4_plus_vectors"] == 8 * 6
 
     def test_rejects_thin_factors(self):
         with pytest.raises(ArgumentError):
