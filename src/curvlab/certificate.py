@@ -35,6 +35,7 @@ from .symmetry_op import g_lower_bound, sin_power_integral, sphere_volume
 
 __all__ = [
     "Certificate",
+    "CERTIFIED_DIMS",
     "QUOTED_CONSTANTS",
     "CERT_EPSILON",
     "GAMMA0",
@@ -49,6 +50,8 @@ __all__ = [
     "alpha0_certificate",
 ]
 
+# the dimensions whose chain alpha0_certificate assembles
+CERTIFIED_DIMS = (10, 11)
 # headline constants quoted for the n = 11 chain
 QUOTED_CONSTANTS = {
     11: {"G": 0.303088, "C": 1035846.0, "r": 5.86e-7, "lhs": 2.86e-15, "rhs": 2.6e-15},
@@ -168,7 +171,7 @@ class Certificate:
 
 
 def alpha0_certificate(n: int, mode: str = "recomputed") -> Certificate:
-    """Assemble the certificate chain for n in {10, 11}.
+    """Assemble the certificate chain for n in CERTIFIED_DIMS.
 
     mode "recomputed" builds every constant from first principles; mode
     "quoted" substitutes the catalogued G and C where they exist.  In both
@@ -179,8 +182,8 @@ def alpha0_certificate(n: int, mode: str = "recomputed") -> Certificate:
     mode = _MODE_ALIASES.get(mode, mode)
     if mode not in _MODES:
         raise ArgumentError(f"unknown certificate mode {mode!r}")
-    if n not in (10, 11):
-        raise ArgumentError(f"certificate supports n in {{10, 11}}, got {n}")
+    if n not in CERTIFIED_DIMS:
+        raise ArgumentError(f"certificate supports n in {set(CERTIFIED_DIMS)}, got {n}")
     flags = []
     lam0 = lambda0(n)
     kap0 = kappa0(n)

@@ -26,7 +26,7 @@ from .spectral_decomp import (
     eigen_report,
     hessian_matrix,
 )
-from .suite import run_suite
+from .suite import DEFAULT_DIMS, run_suite
 
 
 def _parse_tolerances(pairs) -> dict:
@@ -63,7 +63,8 @@ def main():
 @main.command()
 @click.option(
     "--dim", "dims", multiple=True, type=int,
-    help="Dimension to check; repeatable. Default: 4..11.",
+    help="Dimension to check; repeatable. "
+    f"Default: {DEFAULT_DIMS[0]}..{DEFAULT_DIMS[-1]}.",
 )
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option(
@@ -82,7 +83,7 @@ def verify(dims, seed, tols, out, fmt, include_runtime):
         raise click.UsageError("--include-runtime applies only to --format json")
     try:
         report = run_suite(
-            dims=dims or range(4, 12),
+            dims=dims or DEFAULT_DIMS,
             seed=seed,
             tolerances=_parse_tolerances(tols),
         )

@@ -75,12 +75,8 @@ class SymmetricOperator:
     """Symmetric operator on the wedge space, without the Bianchi constraint."""
 
     def __init__(self, mat: np.ndarray):
-        mat = np.array(mat, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ArgumentError("operator matrix must be square")
-        self.dim = dim_from_wedge_count(mat.shape[0])
-        if np.max(np.abs(mat - mat.T), initial=0.0) >= SYMMETRY_TOL:
-            raise ArgumentError("operator matrix is not symmetric")
+        # a private copy, so that freezing it leaves the caller's array writable
+        mat, self.dim = _as_mat(np.array(mat, dtype=float), "operator matrix")
         mat.setflags(write=False)
         self._mat = mat
         self.N = mat.shape[0]

@@ -6,7 +6,8 @@ Every subspace and rank here comes from two private helpers: _null_space
 values only).  weyl_basis(n) is the null space of the first Bianchi and zero
 Ricci constraints, in orthonormal coordinates of the symmetric N x N
 matrices: x_aa = R_aa and x_ab = sqrt(2) R_ab for a < b, so that the
-Frobenius norm of R is the Euclidean norm of x.  hessian_matrix represents
+Frobenius norm of R is the Euclidean norm of x; it is built only for n in
+BASIS_DIMS (5..12), the one range its users read.  hessian_matrix represents
 W -> Q(W0, W) on that basis; eigen_report clusters a symmetric spectrum;
 orbit_tangent_dim measures rotation orbits; decomposition_dims reproduces
 every dimension count of the SO(k) x SO(l) and Pin(2)-refined splittings,
@@ -41,6 +42,7 @@ from .lie_basis import (
 )
 
 __all__ = [
+    "BASIS_DIMS",
     "SpectralReport",
     "weyl_dim",
     "x_dim",
@@ -90,6 +92,10 @@ def _rank(mat: np.ndarray, rtol: float) -> int:
     return int(np.sum(s > rtol * s[0]))
 
 
+#: the dimensions at which weyl_basis builds the dense Weyl basis
+BASIS_DIMS = range(5, 13)
+
+
 @functools.lru_cache(maxsize=None)
 def weyl_basis(n: int) -> np.ndarray:
     """Orthonormal Weyl basis: the null space of the Bianchi and Ricci constraints.
@@ -104,8 +110,9 @@ def weyl_basis(n: int) -> np.ndarray:
     Weyl space.  Deterministic: each vector's sign makes its
     largest-magnitude entry positive.
     """
-    if not 5 <= n <= 12:
-        raise UnsupportedDimensionError(f"weyl_basis supports 5 <= n <= 12, got {n}")
+    if n not in BASIS_DIMS:
+        raise UnsupportedDimensionError(f"weyl_basis supports {min(BASIS_DIMS)} "
+                                        f"<= n <= {max(BASIS_DIMS)}, got {n}")
     N = wedge_count(n)
     iu, ju = np.triu_indices(N)
     col = np.zeros((N, N), dtype=np.intp)
@@ -173,8 +180,6 @@ class SpectralReport:
     """Clustered spectrum of a symmetric matrix."""
 
     clusters: tuple[tuple[float, int], ...]
-    residual: float
-    cluster_tol: float
     size: int
 
     def __post_init__(self):
@@ -201,28 +206,15 @@ def eigen_report(mat: np.ndarray, cluster_tol: float = 1e-8) -> SpectralReport:
         raise ArgumentError("eigen_report expects a square matrix")
     if np.max(np.abs(mat - mat.T), initial=0.0) >= 1e-10:
         raise ArgumentError("eigen_report expects a symmetric matrix")
-    vals, vecs = np.linalg.eigh(mat)
-    vals, vecs = vals[::-1], vecs[:, ::-1]
+    vals = np.linalg.eigvalsh(mat)[::-1]
     scale = max(float(np.max(np.abs(vals))), 1e-300)
-    scaled = vals / scale
-    boundaries = [0]
-    for i in range(1, len(vals)):
-        if scaled[i - 1] - scaled[i] > cluster_tol:
-            boundaries.append(i)
-    boundaries.append(len(vals))
-    clusters = []
-    residual = 0.0
-    for lo, hi in zip(boundaries[:-1], boundaries[1:]):
-        mean = float(np.mean(vals[lo:hi]))
-        clusters.append((mean, hi - lo))
-        rep = vecs[:, lo]
-        residual = max(residual, float(np.linalg.norm(mat @ rep - mean * rep)))
-    return SpectralReport(
-        clusters=tuple(clusters),
-        residual=residual,
-        cluster_tol=cluster_tol,
-        size=len(vals),
+    # a cluster ends where the scaled spectrum drops by more than cluster_tol
+    gaps = np.flatnonzero(-np.diff(vals / scale) > cluster_tol) + 1
+    cuts = [0, *gaps.tolist(), len(vals)]
+    clusters = tuple(
+        (float(np.mean(vals[lo:hi])), hi - lo) for lo, hi in zip(cuts, cuts[1:])
     )
+    return SpectralReport(clusters=clusters, size=len(vals))
 
 
 def _orbit_commutators(mat: np.ndarray, n: int) -> np.ndarray:

@@ -1,10 +1,13 @@
 """The verification suite: invariant checks and table reproductions.
 
 _REGISTRY is the one table of the suite: each row names a family, its result
-tag, its default tolerance, the dimensions it applies to, and its check.  A
-check is a pure function of (dimension, seeded generator, tolerance) that
-returns only the fields that vary between records (expected, computed,
-status, detail); _record_for adds the name, the tag and the tolerance.
+tag, its default tolerance, the dimensions it runs at, and its check.  The
+dims are a container read from their owner (a catalogue, CERTIFIED_DIMS, the
+basis range BASIS_DIMS) or, for the basis-free rows, _DIMS = 4..20, the
+suite's one ceiling; run_suite accepts exactly their union.  A check is a
+pure function of (dimension, seeded generator, tolerance) that returns only
+the fields that vary between records (expected, computed, status, detail);
+_record_for adds the name, the tag and the tolerance.
 Checks draw randomness only from a generator seeded by crc32(check name) xor
 suite seed, so the suite is deterministic under any execution order.
 
@@ -24,7 +27,12 @@ from time import perf_counter
 import mpmath
 import numpy as np
 
-from .certificate import QUOTED_CONSTANTS, alpha0_certificate, certificate_prefactor
+from .certificate import (
+    CERTIFIED_DIMS,
+    QUOTED_CONSTANTS,
+    alpha0_certificate,
+    certificate_prefactor,
+)
 from .curvature_core import (
     bianchi_project,
     bianchi_residual,
@@ -42,6 +50,7 @@ from .potential_flow import flow_run, flow_state, neighborhood_potential_bound
 from .report import CheckRecord, SuiteReport
 from .shi_bounds import CATALOGUED_TABLE, shi_constants
 from .spectral_decomp import (
+    BASIS_DIMS,
     decomposition_dims,
     eigen_report,
     hessian_matrix,
@@ -52,9 +61,12 @@ from .spectral_decomp import (
 from .symmetry_op import d2, d2_family_norm
 from .model_spaces import r_lambda, random_curvature, random_weyl, w_cp2
 
-__all__ = ["DEFAULT_TOLERANCES", "SUPPORTED_DIMS", "run_suite"]
+__all__ = ["DEFAULT_DIMS", "DEFAULT_TOLERANCES", "run_suite"]
 
-SUPPORTED_DIMS = tuple(range(4, 13))
+#: the dimensions of a run that names none
+DEFAULT_DIMS = tuple(range(4, 12))
+# the dimensions of every check that needs no Weyl basis
+_DIMS = range(4, 21)
 
 _SAMPLES = 8
 _LADDER = (1.0, 0.5, 1.0 / 3.0, 0.0, -1.0 / 6.0, -0.5, -1.0)
@@ -183,15 +195,10 @@ def _check_cpn_spectrum(n, rng, tol):
 
 
 def _check_weyl_dimension(n, rng, tol):
-    got = len(weyl_basis(n))
-    want = weyl_dim(n)
+    # decomposition_dims raises unless every split's blocks sum to weyl_dim(n)
     for k in range(3, n - 2):
-        total = sum(decomposition_dims(n, k).blocks.values())
-        if total != want:
-            return dict(
-                expected=want, computed=total, status="fail",
-                detail=f"block sum mismatch at split k={k}",
-            )
+        decomposition_dims(n, k)
+    got, want = len(weyl_basis(n)), weyl_dim(n)
     return dict(
         expected=want, computed=got, status="pass" if got == want else "fail",
         detail=f"rank {got}",
@@ -210,8 +217,6 @@ def _check_hessian_clusters(n, rng, tol):
     worst = max(abs(c[0] - w) for c, w in zip(rep.clusters, want))
     mults = [c[1] for c in rep.clusters]
     problems = []
-    if sum(mults) != weyl_dim(n):
-        problems.append(f"multiplicities sum to {sum(mults)} != {weyl_dim(n)}")
     half = rep.multiplicity_of(scale * 0.5)
     orbit = orbit_tangent_dim(w_cp2(n))
     if half != orbit:
@@ -313,47 +318,41 @@ def _check_symmetric_space(n, rng, tol):
     return _residual(tol, worst)
 
 
-def _every(n):
-    return True
-
-
 _REGISTRY = (
-    # family, tag, default tolerance, applies(n), check(n, rng, tol)
-    ("bianchi-idempotence", "bianchi-idempotence", 1e-12, _every,
+    # family, tag, default tolerance, dims, check(n, rng, tol)
+    ("bianchi-idempotence", "bianchi-idempotence", 1e-12, _DIMS,
      _check_bianchi_idempotence),
-    ("decomposition-orthogonality", "decomposition-orthogonality", 1e-9, _every,
+    ("decomposition-orthogonality", "decomposition-orthogonality", 1e-9, _DIMS,
      _check_decomposition_orthogonality),
-    ("bw-identity", "bw-identity", 1e-9, _every, _check_bw_identity),
-    ("sharp-routes", "sharp-routes", 1e-10, _every, _check_sharp_routes),
-    ("q-equivariance", "q-equivariance", 1e-9, _every,
+    ("bw-identity", "bw-identity", 1e-9, _DIMS, _check_bw_identity),
+    ("sharp-routes", "sharp-routes", 1e-10, _DIMS, _check_sharp_routes),
+    ("q-equivariance", "q-equivariance", 1e-9, _DIMS,
      functools.partial(_check_equivariance, q_map)),
-    ("sharp-equivariance", "sharp-equivariance", 1e-9, _every,
+    ("sharp-equivariance", "sharp-equivariance", 1e-9, _DIMS,
      functools.partial(_check_equivariance, sharp)),
-    ("d2-equivariance", "d2-equivariance", 1e-9, _every, _check_d2_equivariance),
-    ("tri-symmetry", "tri-symmetry", 1e-9, _every, _check_tri_symmetry),
-    ("product-potential", "product-potential", 1e-10, _every,
+    ("d2-equivariance", "d2-equivariance", 1e-9, _DIMS, _check_d2_equivariance),
+    ("tri-symmetry", "tri-symmetry", 1e-9, _DIMS, _check_tri_symmetry),
+    ("product-potential", "product-potential", 1e-10, _DIMS,
      _check_product_potential),
-    ("d2-closed-form", "d2-closed-form", 1e-10, lambda n: n >= 5,
-     _check_d2_closed_form),
-    ("symmetric-space-flatness", "symmetric-space-flatness", 1e-10, _every,
+    ("d2-closed-form", "d2-closed-form", 1e-10, _DIMS[1:], _check_d2_closed_form),
+    ("symmetric-space-flatness", "symmetric-space-flatness", 1e-10, _DIMS,
      _check_symmetric_space),
-    ("cpn-spectrum", "cpn-spectrum", 1e-10, lambda n: n in (4, 6, 8),
-     _check_cpn_spectrum),
-    ("weyl-dimension", "weyl-dimension", 0.5, lambda n: n >= 5,
-     _check_weyl_dimension),
-    ("hessian-clusters", "hessian-table", 1e-8, lambda n: n in (10, 11),
-     _check_hessian_clusters),
-    ("shi-table", "shi-table", 0.0, lambda n: n in CATALOGUED_TABLE,
-     _check_shi_table),
-    ("neighborhood-bound", "neighborhood-bound", 5e-4, lambda n: n in (10, 11),
+    ("cpn-spectrum", "cpn-spectrum", 1e-10, (4, 6, 8), _check_cpn_spectrum),
+    ("weyl-dimension", "weyl-dimension", 0.5, BASIS_DIMS, _check_weyl_dimension),
+    ("hessian-clusters", "hessian-table", 1e-8, (10, 11), _check_hessian_clusters),
+    ("shi-table", "shi-table", 0.0, CATALOGUED_TABLE, _check_shi_table),
+    ("neighborhood-bound", "neighborhood-bound", 5e-4, _NEIGHBORHOOD_QUOTES,
      _check_neighborhood_bound),
-    ("certificate-identity", "certificate-chain", 1e-12, lambda n: n in (10, 11),
+    ("certificate-identity", "certificate-chain", 1e-12, CERTIFIED_DIMS,
      _check_certificate_identity),
-    ("certificate-quoted", "certificate-chain", 0.0,
-     lambda n: n in QUOTED_CONSTANTS, _check_certificate_quoted),
-    ("flow-monotonicity", "flow-monotonicity", 1e-12, _every,
+    ("certificate-quoted", "certificate-chain", 0.0, QUOTED_CONSTANTS,
+     _check_certificate_quoted),
+    ("flow-monotonicity", "flow-monotonicity", 1e-12, _DIMS,
      _check_flow_monotonicity),
 )
+
+# the dimensions run_suite accepts: those where at least one row runs
+_ACCEPTED = frozenset().union(*(dims for _, _, _, dims, _ in _REGISTRY))
 
 # these checks never read their tolerance (certificate-quoted flags whatever
 # it is), so no override names them; their records keep the default
@@ -377,7 +376,7 @@ def _record_for(family, tag, check, n, seed, tol) -> CheckRecord:
 
 
 def run_suite(
-    dims=(4, 5, 6, 7, 8, 9, 10, 11),
+    dims=DEFAULT_DIMS,
     seed: int = 0,
     tolerances: dict | None = None,
 ) -> SuiteReport:
@@ -389,8 +388,9 @@ def run_suite(
     """
     dims = tuple(int(n) for n in dims)
     for n in dims:
-        if n not in SUPPORTED_DIMS:
-            raise ArgumentError(f"dimension {n} outside supported range 4..12")
+        if n not in _ACCEPTED:
+            raise ArgumentError(f"dimension {n} outside supported range "
+                                f"{min(_ACCEPTED)}..{max(_ACCEPTED)}")
     if len(set(dims)) != len(dims):
         raise ArgumentError("duplicate dimensions in the request")
     tolerances = tolerances or {}
@@ -402,9 +402,9 @@ def run_suite(
     start = perf_counter()
     records = [
         _record_for(family, tag, check, n, seed, float(tolerances.get(family, tol)))
-        for family, tag, tol, applies, check in _REGISTRY
+        for family, tag, tol, row_dims, check in _REGISTRY
         for n in sorted(dims)
-        if applies(n)
+        if n in row_dims
     ]
     records.sort(key=lambda record: record.name)
     return SuiteReport(

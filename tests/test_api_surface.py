@@ -239,3 +239,18 @@ def test_package_modules_use_what_they_import():
         if unused:
             found[path.name] = unused
     assert not found, f"imported but never used: {found}"
+
+
+def test_registry_rows_hold_their_dims_as_data():
+    # each suite row carries a container of dimensions, read by `n in dims`;
+    # a predicate would hide the range from run_suite's accepted set
+    tree = _parse(PACKAGE / "suite.py")
+    registry = next(
+        stmt.value for stmt in tree.body
+        if isinstance(stmt, ast.Assign)
+        and any(getattr(t, "id", None) == "_REGISTRY" for t in stmt.targets)
+    )
+    lambdas = [
+        node.lineno for node in ast.walk(registry) if isinstance(node, ast.Lambda)
+    ]
+    assert not lambdas, f"lambda in _REGISTRY at suite.py lines {lambdas}"

@@ -41,6 +41,24 @@ class TestVerify:
     def test_usage_error_on_bad_dim(self, runner):
         result = runner.invoke(main, ["verify", "--dim", "3"])
         assert result.exit_code == 2
+        result = runner.invoke(main, ["verify", "--dim", "21"])
+        assert result.exit_code == 2
+        assert "dimension 21 outside supported range 4..20" in result.output
+
+    def test_above_the_basis_range_runs_the_basis_free_rows(self, runner):
+        result = runner.invoke(main, ["verify", "--dim", "13"])
+        assert result.exit_code == 0
+        checks = json.loads(result.stdout)["checks"]
+        families = {c["name"].split("[")[0] for c in checks}
+        assert len(families) == 12
+        assert not families & {"weyl-dimension", "hessian-clusters"}
+
+    def test_dimension_sixteen_passes(self, runner):
+        result = runner.invoke(main, ["verify", "--dim", "16"])
+        assert result.exit_code == 0
+        checks = json.loads(result.stdout)["checks"]
+        assert len(checks) == 12
+        assert {c["status"] for c in checks} == {"pass"}
 
     def test_usage_error_on_bad_tol(self, runner):
         assert runner.invoke(main, ["verify", "--tol", "nope=1"]).exit_code == 2

@@ -66,6 +66,15 @@ class TestContainers:
         m[0, 1] = 1e-6
         with pytest.raises(ArgumentError):
             SymmetricOperator(m)
+        with pytest.raises(ArgumentError):
+            SymmetricOperator(np.eye(6)[:5])
+
+    def test_freezes_a_copy(self):
+        m = np.eye(6)
+        op = SymmetricOperator(m)
+        m[0, 0] = 2.0
+        assert op.mat[0, 0] == 1.0
+        assert not op.mat.flags.writeable
 
     def test_rejects_bianchi_violation(self):
         g = lambda4_generator(4)

@@ -1,15 +1,17 @@
 """Tests for the verification suite runner."""
 
 import json
+from collections.abc import Container
 
 import pytest
 from click.testing import CliRunner
 
 from curvlab import suite
 from curvlab.cli import main
-from curvlab.errors import ArgumentError
+from curvlab.errors import ArgumentError, UnsupportedDimensionError
 from curvlab.report import canonical_json
-from curvlab.suite import DEFAULT_TOLERANCES, SUPPORTED_DIMS, run_suite
+from curvlab.spectral_decomp import BASIS_DIMS, weyl_basis
+from curvlab.suite import DEFAULT_TOLERANCES, run_suite
 
 
 def _json_bytes(report):
@@ -52,10 +54,15 @@ class TestDeterminism:
 
 class TestConfig:
     def test_rejects_out_of_range_dim(self):
-        for dims in ([3], [13], [0]):
-            with pytest.raises(ArgumentError):
+        for dims in ([3], [21], [0]):
+            with pytest.raises(ArgumentError, match="supported range 4..20"):
                 run_suite(dims=dims)
-        assert set(SUPPORTED_DIMS) == set(range(4, 13))
+
+    def test_accepts_dims_above_the_basis_range(self):
+        report = run_suite(dims=[13, 20])
+        assert report.dims == (13, 20)
+        assert len(report.records) == 24
+        assert report.counts["pass"] == 24
 
     def test_rejects_duplicates(self):
         with pytest.raises(ArgumentError):
@@ -132,6 +139,22 @@ class TestCheckTable:
         reported = {r.name.split("[")[0] for r in run_suite(dims=range(4, 12)).records}
         assert sorted(reported) == sorted(families)
         assert len(set(families)) == len(families)
+
+    def test_row_dims_are_containers_within_the_accepted_range(self):
+        accepted = set(range(4, 21))
+        union = set()
+        for family, _, _, dims, _ in suite._REGISTRY:
+            assert isinstance(dims, Container), family
+            assert set(dims) <= accepted, family
+            union |= set(dims)
+        assert union == accepted
+
+    def test_basis_rows_read_the_basis_range(self):
+        rows = {row[0]: row[3] for row in suite._REGISTRY}
+        assert rows["weyl-dimension"] is BASIS_DIMS
+        assert set(rows["hessian-clusters"]) <= set(BASIS_DIMS)
+        with pytest.raises(UnsupportedDimensionError):
+            weyl_basis(13)
 
     def test_tags_that_differ_from_the_family(self):
         tags = {family: tag for family, tag, *_ in suite._REGISTRY if tag != family}
