@@ -6,13 +6,18 @@ Every subspace and rank here comes from two private helpers: _null_space
 values only).  weyl_basis(n) is the null space of the first Bianchi and zero
 Ricci constraints, in orthonormal coordinates of the symmetric N x N
 matrices: x_aa = R_aa and x_ab = sqrt(2) R_ab for a < b, so that the
-Frobenius norm of R is the Euclidean norm of x; it is built only for n in
-BASIS_DIMS (5..12), the one range its users read.  hessian_matrix represents
-W -> Q(W0, W) on that basis; eigen_report clusters a symmetric spectrum;
-orbit_tangent_dim measures rotation orbits; decomposition_dims reproduces
-every dimension count of the SO(k) x SO(l) and Pin(2)-refined splittings,
-including the X_k spaces: the kernel of the triple wedge map on
-Lambda^2(R^k) (x) R^k, less the embedded copy of R^k.
+Frobenius norm of R is the Euclidean norm of x.  It is graded by the sign
+flips of the n coordinates: the entry R_ab,cd has the character
+bit(a)^bit(b)^bit(c)^bit(d), every constraint row lies in one character, and
+so the basis is one small null space per character class, of dimension
+N - n, n - 3 or 2 for 0, 2 or 4 set bits.  It is built for n in BASIS_DIMS
+(5..16).  hessian_matrix represents W -> Q(W0, W) on that basis as diagonal
+blocks: Q(W0, .) couples two classes only through the characters of W0's
+nonzero entries.  eigen_report clusters a symmetric spectrum, given as one
+matrix or as blocks; orbit_tangent_dim measures rotation orbits;
+decomposition_dims reproduces every dimension count of the SO(k) x SO(l) and
+Pin(2)-refined splittings, including the X_k spaces: the kernel of the
+triple wedge map on Lambda^2(R^k) (x) R^k, less the embedded copy of R^k.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,7 +34,6 @@ from .curvature_core import (
     BIANCHI_TOL,
     _as_mat,
     _bianchi_indices,
-    _bianchi_pairings,
     _q_mat,
     ricci,
 )
@@ -44,6 +49,7 @@ from .lie_basis import (
 __all__ = [
     "BASIS_DIMS",
     "SpectralReport",
+    "WeylClass",
     "weyl_dim",
     "x_dim",
     "weyl_basis",
@@ -92,64 +98,165 @@ def _rank(mat: np.ndarray, rtol: float) -> int:
     return int(np.sum(s > rtol * s[0]))
 
 
-#: the dimensions at which weyl_basis builds the dense Weyl basis
-BASIS_DIMS = range(5, 13)
+#: the dimensions at which weyl_basis builds the Weyl basis
+BASIS_DIMS = range(5, 17)
+
+
+class WeylClass(NamedTuple):
+    """The Weyl basis vectors of one sign character, on that character's entries.
+
+    Entry (rows[t], cols[t]) of the wedge-basis matrix, rows <= cols, is
+    coordinate t; vectors holds orthonormal rows in the coordinates
+    x_AA = R_AA, x_AB = sqrt(2) R_AB (A < B).  All arrays are read-only.
+    """
+
+    character: int
+    rows: np.ndarray
+    cols: np.ndarray
+    vectors: np.ndarray
+
+
+def _pair_characters(n: int) -> np.ndarray:
+    """Sign character bit(a) ^ bit(b) of each wedge-basis vector e_a ^ e_b.
+
+    Flipping the signs of the coordinates in a set F multiplies the entry
+    R_AB by -1 to the number of bits that the XOR of A's and B's characters
+    shares with F; that XOR is the entry's character.
+    """
+    rank, _ = _pair_table(n)
+    a, b = np.triu_indices(n, 1)
+    out = np.zeros(wedge_count(n), dtype=np.int64)
+    out[rank[a, b]] = (1 << a) ^ (1 << b)
+    return out
+
+
+def _class_dims(n: int) -> dict:
+    """Weyl dimension of a character class by its number of set bits.
+
+    0: the N diagonal entries less the n traces Ric_aa; 2 ({a, b}): the n - 2
+    entries R_ac,bc less Ric_ab; 4 ({i, j, k, l}): the three entries of the
+    quadruple less its Bianchi row.
+    """
+    return {0: wedge_count(n) - n, 2: n - 3, 4: 2}
+
+
+def _split_by(keys: np.ndarray, values: np.ndarray) -> list:
+    """Positions of keys grouped by value, ascending within each group.
+
+    values must be sorted, and every key must be one of them.
+    """
+    order = np.argsort(keys, kind="stable")
+    return np.split(order, np.searchsorted(keys[order], values[1:]))
 
 
 @functools.lru_cache(maxsize=None)
-def weyl_basis(n: int) -> np.ndarray:
+def weyl_basis(n: int) -> tuple[WeylClass, ...]:
     """Orthonormal Weyl basis: the null space of the Bianchi and Ricci constraints.
 
-    Returns one read-only (count, N, N) array; entry i is the wedge-basis
-    matrix of the i-th basis operator.
+    Returns one WeylClass per sign character, in ascending order of the
+    character; together they hold weyl_dim(n) vectors.
 
     In the coordinates x_aa = R_aa, x_ab = sqrt(2) R_ab (a < b) of the
     symmetric N x N matrices, every quadruple i<j<k<l gives the Bianchi row
     R_ij,kl - R_ik,jl + R_il,jk and every pair a <= b the Ricci row Ric_ab.
-    The null space of this (C(n,4) + n(n+1)/2) x N(N+1)/2 matrix is the
-    Weyl space.  Deterministic: each vector's sign makes its
-    largest-magnitude entry positive.
+    Each row lies in one character (bit(i)^bit(j)^bit(k)^bit(l) and
+    bit(a)^bit(b)), so the constraint matrix is block-diagonal by
+    character, and each class is the null space of its own rows.
+    Deterministic: each vector's sign makes its largest-magnitude entry
+    positive.
     """
     if n not in BASIS_DIMS:
         raise UnsupportedDimensionError(f"weyl_basis supports {min(BASIS_DIMS)} "
                                         f"<= n <= {max(BASIS_DIMS)}, got {n}")
     N = wedge_count(n)
+    rank, sign = _pair_table(n)
+    char = _pair_characters(n)
     iu, ju = np.triu_indices(N)
-    col = np.zeros((N, N), dtype=np.intp)
-    col[iu, ju] = col[ju, iu] = np.arange(len(iu))
-    # coefficient of x_ab for a linear form sum_AB K_AB R_AB on symmetric R
-    weight = np.where(iu == ju, 0.5, np.sqrt(0.5))
+    coord = np.zeros((N, N), dtype=np.intp)
+    coord[iu, ju] = coord[ju, iu] = np.arange(len(iu))
+    coord_char = char[iu] ^ char[ju]
+    # The constraint rows as (row, coordinate, value) entries, Bianchi rows
+    # first.  All three entries of a Bianchi row lie off the diagonal, so the
+    # identity reads (x_ij,kl - x_ik,jl + x_il,jk) / sqrt(2) = 0; the rows
+    # omit the factor, as the Ricci rows omit theirs (1 for a = b,
+    # 1/sqrt(2) off it): Ric_ab = sum_c sign(a, c) sign(b, c) R_ac,bc.
     ij, kl, ik, jl, il, jk = _bianchi_indices(n)
-    bianchi = np.zeros((len(ij), len(iu)))
-    rows = np.arange(len(ij))
-    # all three entries lie off the diagonal, so the identity reads
-    # (x_ij,kl - x_ik,jl + x_il,jk) / sqrt(2) = 0; the rows omit the factor
-    bianchi[rows, col[ij, kl]] = 1.0
-    bianchi[rows, col[ik, jl]] = -1.0
-    bianchi[rows, col[il, jk]] = 1.0
-    B = _vertex_embedding(n)
     a, b = np.triu_indices(n)
-    # Ric_ab = sum_AB K_AB R_AB with K = sum_i B[a, i] (x) B[b, i]
-    k = np.einsum("xiA,xiB->xAB", B[a], B[b])
-    ric = (k[:, iu, ju] + k[:, ju, iu]) * weight
-    expected = weyl_dim(n)
-    null = _null_space(np.vstack([bianchi, ric]), expected, f"Weyl space at n={n}")
-    mats = np.zeros((expected, N, N))
-    mats[:, iu, ju] = mats[:, ju, iu] = null * np.where(iu == ju, 1.0, np.sqrt(0.5))
-    flat = mats.reshape(expected, -1)
-    lead = flat[np.arange(expected), np.argmax(np.abs(flat), axis=1)]
-    mats[lead < 0] *= -1.0
-    # the checks CurvatureOperator makes, once over the whole stack
-    if not np.array_equal(mats, mats.transpose(0, 2, 1)):
-        raise RuntimeError(f"Weyl basis matrices are not symmetric at n={n}")
-    residual = np.sqrt(np.sum(_bianchi_pairings(mats, n) ** 2, axis=1) / 6.0)
-    if np.max(residual) >= BIANCHI_TOL:
-        raise RuntimeError(
-            f"Weyl basis violates the first Bianchi identity at n={n} "
-            f"(residual {np.max(residual):.3e})"
-        )
-    mats.setflags(write=False)
-    return mats
+    entry_coord = np.concatenate([
+        np.stack([coord[ij, kl], coord[ik, jl], coord[il, jk]], axis=1).ravel(),
+        coord[rank[a], rank[b]].ravel(),
+    ])
+    entry_row = np.concatenate([
+        np.repeat(np.arange(len(ij)), 3), len(ij) + np.repeat(np.arange(len(a)), n)
+    ])
+    entry_val = np.concatenate([
+        np.tile([1.0, -1.0, 1.0], len(ij)), (sign[a] * sign[b]).ravel()
+    ])
+    row_char = np.concatenate([char[ij] ^ char[kl], (1 << a) ^ (1 << b)])
+    keep = entry_val != 0
+    entry_coord, entry_row, entry_val = entry_coord[keep], entry_row[keep], entry_val[keep]
+    if np.any(coord_char[entry_coord] != row_char[entry_row]):
+        raise RuntimeError(f"a constraint row mixes sign characters at n={n}")
+    chars = np.unique(coord_char)
+    dims = _class_dims(n)
+    classes = []
+    for chi, coords, rows, entries in zip(
+        chars.tolist(),
+        _split_by(coord_char, chars),
+        _split_by(row_char, chars),
+        _split_by(row_char[entry_row], chars),
+    ):
+        constraints = np.zeros((len(rows), len(coords)))
+        constraints[np.searchsorted(rows, entry_row[entries]),
+                    np.searchsorted(coords, entry_coord[entries])] = entry_val[entries]
+        vectors = _null_space(constraints, dims[chi.bit_count()],
+                              f"Weyl class {chi:#b} at n={n}")
+        lead = vectors[np.arange(len(vectors)), np.argmax(np.abs(vectors), axis=1)]
+        vectors *= np.where(lead < 0, -1.0, 1.0)[:, None]
+        residual = np.max(np.abs(constraints @ vectors.T))
+        if residual >= BIANCHI_TOL:
+            raise RuntimeError(f"Weyl class {chi:#b} violates its constraints at "
+                               f"n={n} (residual {residual:.3e})")
+        entry = WeylClass(chi, iu[coords], ju[coords], vectors)
+        for arr in entry[1:]:
+            arr.setflags(write=False)
+        classes.append(entry)
+    return tuple(classes)
+
+
+def _stack(classes, N: int) -> np.ndarray:
+    """The basis operators of the given classes, as one (count, N, N) array."""
+    out = np.zeros((sum(len(c.vectors) for c in classes), N, N))
+    lo = 0
+    for c in classes:
+        vals = c.vectors * np.where(c.rows == c.cols, 1.0, np.sqrt(0.5))
+        hi = lo + len(vals)
+        out[lo:hi, c.rows, c.cols] = out[lo:hi, c.cols, c.rows] = vals
+        lo = hi
+    return out
+
+
+def _coupled_classes(basis, mat: np.ndarray, n: int) -> list:
+    """Indices into basis of the classes in each block of the Hessian at mat.
+
+    Q(W0, .) maps character chi into the characters chi ^ psi, psi those of
+    W0's nonzero entries, since every term of an entry of another character
+    holds an exactly zero factor.  So classes chi and chi' share a block when
+    chi ^ chi' lies in the GF(2) span of the psi: the blocks are its cosets.
+    """
+    char = _pair_characters(n)
+    rows, cols = np.nonzero(mat)
+    pivots = []  # a basis of the span with distinct leading bits, descending
+    for psi in np.unique(char[rows] ^ char[cols]).tolist():
+        for p in pivots:
+            psi = min(psi, psi ^ p)
+        if psi:
+            pivots = sorted(pivots + [psi], reverse=True)
+    # reduced by every pivot, each character becomes its coset's representative
+    keys = np.array([c.character for c in basis])
+    for p in pivots:
+        keys = np.minimum(keys, keys ^ p)
+    return _split_by(keys, np.unique(keys))
 
 
 # Basis operators per batch of Q(W0, b_i) in hessian_matrix; at n = 12 each
@@ -157,22 +264,30 @@ def weyl_basis(n: int) -> np.ndarray:
 _HESSIAN_CHUNK = 16
 
 
-def hessian_matrix(w0) -> np.ndarray:
-    """Matrix of W -> Q(W0, W) on weyl_basis(n): entries <Q(W0, b_i), b_j>.
+def hessian_matrix(w0) -> tuple[np.ndarray, ...]:
+    """Matrix of W -> Q(W0, W) on weyl_basis(n), as its diagonal blocks.
 
-    W0 must be a unit Weyl operator; n is its dimension.
+    Each block holds the entries <Q(W0, b_i), b_j> between the basis vectors
+    of one coupled set of classes (see _coupled_classes); every entry between
+    two blocks is exactly zero.  W0 must be a unit Weyl operator; n is its
+    dimension.
     """
     mat, n = _as_mat(w0)
     if abs(np.linalg.norm(mat) - 1.0) > 1e-8:
         raise ArgumentError("hessian base point must have unit norm")
     if np.max(np.abs(ricci(mat))) > 1e-8:
         raise ArgumentError("hessian base point must be a Weyl operator")
-    stack = weyl_basis(n)
-    q = np.empty_like(stack)
-    for lo in range(0, len(stack), _HESSIAN_CHUNK):
-        q[lo:lo + _HESSIAN_CHUNK] = _q_mat(mat, stack[lo:lo + _HESSIAN_CHUNK], n)
-    h = q.reshape(len(q), -1) @ stack.reshape(len(stack), -1).T
-    return 0.5 * (h + h.T)
+    basis = weyl_basis(n)
+    blocks = []
+    for members in _coupled_classes(basis, mat, n):
+        stack = _stack([basis[i] for i in members], mat.shape[0])
+        flat = stack.reshape(len(stack), -1)
+        h = np.empty((len(stack), len(stack)))
+        for lo in range(0, len(stack), _HESSIAN_CHUNK):
+            q = _q_mat(mat, stack[lo:lo + _HESSIAN_CHUNK], n)
+            h[lo:lo + len(q)] = q.reshape(len(q), -1) @ flat.T
+        blocks.append(0.5 * (h + h.T))
+    return tuple(blocks)
 
 
 @dataclass(frozen=True)
@@ -194,19 +309,25 @@ class SpectralReport:
         return 0
 
 
-def eigen_report(mat: np.ndarray, cluster_tol: float = 1e-8) -> SpectralReport:
+def eigen_report(mat, cluster_tol: float = 1e-8) -> SpectralReport:
     """Eigenvalues of a symmetric matrix, grouped into clusters.
 
+    mat may also be a tuple of symmetric blocks, such as hessian_matrix
+    returns: the spectrum is then that of the block-diagonal matrix.
     Values are scaled by the spectral radius before gap detection, so
     cluster_tol is a relative tolerance; clusters are reported as
     (mean eigenvalue, multiplicity), sorted descending.
     """
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ArgumentError("eigen_report expects a square matrix")
-    if np.max(np.abs(mat - mat.T), initial=0.0) >= 1e-10:
-        raise ArgumentError("eigen_report expects a symmetric matrix")
-    vals = np.linalg.eigvalsh(mat)[::-1]
+    blocks = mat if isinstance(mat, tuple) else (mat,)
+    spectra = []
+    for block in blocks:
+        block = np.asarray(block, dtype=float)
+        if block.ndim != 2 or block.shape[0] != block.shape[1]:
+            raise ArgumentError("eigen_report expects a square matrix")
+        if np.max(np.abs(block - block.T), initial=0.0) >= 1e-10:
+            raise ArgumentError("eigen_report expects a symmetric matrix")
+        spectra.append(np.linalg.eigvalsh(block))
+    vals = np.sort(np.concatenate(spectra))[::-1]
     scale = max(float(np.max(np.abs(vals))), 1e-300)
     # a cluster ends where the scaled spectrum drops by more than cluster_tol
     gaps = np.flatnonzero(-np.diff(vals / scale) > cluster_tol) + 1

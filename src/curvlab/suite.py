@@ -198,7 +198,7 @@ def _check_weyl_dimension(n, rng, tol):
     # decomposition_dims raises unless every split's blocks sum to weyl_dim(n)
     for k in range(3, n - 2):
         decomposition_dims(n, k)
-    got, want = len(weyl_basis(n)), weyl_dim(n)
+    got, want = sum(len(c.vectors) for c in weyl_basis(n)), weyl_dim(n)
     return dict(
         expected=want, computed=got, status="pass" if got == want else "fail",
         detail=f"rank {got}",

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from curvlab.lie_basis import adjoint_rotation
+from curvlab.lie_basis import adjoint_rotation, wedge_count
+from curvlab.spectral_decomp import _coupled_classes, weyl_basis
 
 
 @pytest.fixture
@@ -19,3 +20,37 @@ def rotate_operator(g: np.ndarray, r) -> np.ndarray:
     """Rotation action (g.R)(v ^ w, x ^ y) = R(gv ^ gw, gx ^ gy), as a raw matrix."""
     ad = adjoint_rotation(g)
     return ad.T @ np.asarray(r) @ ad
+
+
+def weyl_stack(classes, size: int) -> np.ndarray:
+    """The basis operators of the given Weyl classes as one dense
+    (count, size, size) stack, in class order; a class vector holds
+    x_AA = R_AA and x_AB = sqrt(2) R_AB."""
+    mats = []
+    for c in classes:
+        for vec in c.vectors:
+            mat = np.zeros((size, size))
+            mat[c.rows, c.cols] = vec / np.where(c.rows == c.cols, 1.0, np.sqrt(2.0))
+            mat[c.cols, c.rows] = mat[c.rows, c.cols]
+            mats.append(mat)
+    return np.array(mats)
+
+
+def block_bases(w0: np.ndarray, n: int) -> list:
+    """For each block of hessian_matrix(w0), its basis operators as a dense
+    stack, in the block's own order."""
+    basis = weyl_basis(n)
+    return [
+        weyl_stack([basis[i] for i in members], wedge_count(n))
+        for members in _coupled_classes(basis, np.asarray(w0), n)
+    ]
+
+
+def block_diagonal(blocks) -> np.ndarray:
+    """The square matrix with the given square blocks on its diagonal."""
+    size = sum(len(b) for b in blocks)
+    out, lo = np.zeros((size, size)), 0
+    for b in blocks:
+        out[lo:lo + len(b), lo:lo + len(b)] = b
+        lo += len(b)
+    return out

@@ -46,7 +46,7 @@ class TestVerify:
         assert "dimension 21 outside supported range 4..20" in result.output
 
     def test_above_the_basis_range_runs_the_basis_free_rows(self, runner):
-        result = runner.invoke(main, ["verify", "--dim", "13"])
+        result = runner.invoke(main, ["verify", "--dim", "17"])
         assert result.exit_code == 0
         checks = json.loads(result.stdout)["checks"]
         families = {c["name"].split("[")[0] for c in checks}
@@ -57,7 +57,9 @@ class TestVerify:
         result = runner.invoke(main, ["verify", "--dim", "16"])
         assert result.exit_code == 0
         checks = json.loads(result.stdout)["checks"]
-        assert len(checks) == 12
+        # the twelve basis-free rows and weyl-dimension, whose basis reaches 16
+        assert len(checks) == 13
+        assert "weyl-dimension[n=16]" in {c["name"] for c in checks}
         assert {c["status"] for c in checks} == {"pass"}
 
     def test_usage_error_on_bad_tol(self, runner):

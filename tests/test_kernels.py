@@ -4,6 +4,7 @@ read-only caches the kernels share."""
 
 import numpy as np
 import pytest
+from conftest import block_bases, block_diagonal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,13 +14,14 @@ from curvlab.curvature_core import (
     _sharp_gather,
     _sharp_mat,
     bianchi_project,
+    decompose,
     potential,
     q_map,
     sharp,
     sharp_via_brackets,
 )
 from curvlab.lie_basis import _pair_table, _vertex_embedding, wedge_count
-from curvlab.model_spaces import random_weyl, w_cp2
+from curvlab.model_spaces import random_weyl, sphere_product, w_cp2
 from curvlab.potential_flow import (
     _excluded_span,
     fixed_point_residual,
@@ -98,13 +100,18 @@ class TestSharpOracle:
 class TestHessianAssembly:
     @pytest.mark.parametrize("n", [5, 6])
     def test_matches_per_vector_q(self, n):
-        basis = weyl_basis(n)
-        w0 = w_cp2(n)
-        naive = np.array(
-            [[float(np.sum(q_map(w0, bi).mat * bj)) for bj in basis]
-             for bi in basis]
-        )
-        assert gap(hessian_matrix(w0), naive) < TOL
+        # the blocks, laid on the diagonal, equal every entry
+        # <Q(W0, b_i), b_j> over the whole basis, zeros between blocks included
+        product = decompose(sphere_product(2, n - 2)).weyl.mat
+        for w0 in (w_cp2(n).mat, product / np.linalg.norm(product),
+                   random_weyl(np.random.default_rng(n), n)):
+            stacks = block_bases(w0, n)
+            basis = np.concatenate(stacks)
+            q = [q_map(w0, bi).mat for bi in basis]
+            naive = np.array([[float(np.sum(qi * bj)) for bj in basis] for qi in q])
+            blocks = hessian_matrix(w0)
+            assert [len(h) for h in blocks] == [len(s) for s in stacks]
+            assert gap(block_diagonal(blocks), naive) < TOL
 
 
 class TestFlowReusesQ:
@@ -164,7 +171,7 @@ class TestReadOnlyCaches:
             lambda: _sharp_gather(5),
             lambda: (_excluded_span(6),),
             lambda: (x_space_basis(4),),
-            lambda: (weyl_basis(6),),
+            lambda: [arr for c in weyl_basis(6) for arr in c[1:]],
             lambda: _pair_table(5),
             lambda: (_vertex_embedding(5),),
         ],

@@ -4,17 +4,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import block_bases, block_diagonal, weyl_stack
 
+from curvlab import spectral_decomp
 from curvlab.curvature_core import (
     bianchi_project,
     bianchi_residual,
     decompose,
+    q_map,
     ricci,
 )
 from curvlab.errors import ArgumentError, UnsupportedDimensionError
 from curvlab.lie_basis import wedge_count, wedge_vectors
 from curvlab.model_spaces import sphere, sphere_product, theta, w_cp2
 from curvlab.spectral_decomp import (
+    _coupled_classes,
     _null_space,
     decomposition_dims,
     eigen_report,
@@ -42,42 +46,79 @@ def unit_product_weyl(k, l):
     return report.weyl.mat / report.weyl_norm
 
 
+# The Weyl basis as a dense stack, for the properties of the whole basis.
+def dense_basis(n):
+    return weyl_stack(weyl_basis(n), wedge_count(n))
+
+
 # Every dimension weyl_basis supports.
-BASIS_DIMS = list(range(5, 13))
+BASIS_DIMS = list(range(5, 17))
+# The dimensions whose dense basis the tests assemble.
+DENSE_DIMS = list(range(5, 13))
 
 
 class TestWeylBasis:
     @pytest.mark.parametrize(
         "n,count",
-        [(5, 35), (6, 84), (7, 168), (8, 300), (9, 495), (10, 770), (11, 1144), (12, 1638)],
+        [(5, 35), (6, 84), (7, 168), (8, 300), (9, 495), (10, 770), (11, 1144),
+         (12, 1638), (13, 2275), (16, 5304)],
     )
     def test_counts(self, n, count):
         wb = weyl_basis(n)
-        assert len(wb) == count == weyl_dim(n)
+        assert sum(len(c.vectors) for c in wb) == count == weyl_dim(n)
 
     def test_dim_formula(self):
         assert [weyl_dim(n) for n in range(5, 13)] == [35, 84, 168, 300, 495, 770, 1144, 1638]
         assert weyl_dim(3) == 0
 
+    def test_class_dimension_table(self):
+        # the diagonal less the n traces, C(n,2) classes {a,b} of n - 3, and
+        # C(n,4) quadruple classes of 2
+        for n in range(4, 21):
+            N = wedge_count(n)
+            assert weyl_dim(n) == (N - n) + math.comb(n, 2) * (n - 3) + 2 * math.comb(n, 4)
+
     @pytest.mark.parametrize("n", BASIS_DIMS)
+    def test_class_sizes(self, n):
+        N = wedge_count(n)
+        want = {0: (N, N - n), 2: (n - 2, n - 3), 4: (3, 2)}
+        wb = weyl_basis(n)
+        # one class per character of 0, 2 or 4 set bits, in ascending order
+        chars = [c.character for c in wb]
+        assert chars == [x for x in range(1 << n) if x.bit_count() in want]
+        for c in wb:
+            coords, count = want[c.character.bit_count()]
+            assert len(c.rows) == len(c.cols) == c.vectors.shape[1] == coords
+            assert len(c.vectors) == count
+            assert np.all(c.rows <= c.cols)
+
+    def test_wrong_class_dimension_raises(self, monkeypatch):
+        table = spectral_decomp._class_dims
+        monkeypatch.setattr(
+            spectral_decomp, "_class_dims", lambda n: {**table(n), 4: 3}
+        )
+        with pytest.raises(RuntimeError, match="has dimension 2, not 3"):
+            weyl_basis.__wrapped__(6)
+
+    @pytest.mark.parametrize("n", DENSE_DIMS)
     def test_orthonormal(self, n):
-        flat = weyl_basis(n).reshape(weyl_dim(n), -1)
+        flat = dense_basis(n).reshape(weyl_dim(n), -1)
         gram = flat @ flat.T
         assert np.max(np.abs(gram - np.eye(weyl_dim(n)))) <= 1e-12
 
-    @pytest.mark.parametrize("n", BASIS_DIMS)
+    @pytest.mark.parametrize("n", DENSE_DIMS)
     def test_ricci_free(self, n):
-        assert max(np.max(np.abs(ricci(m))) for m in weyl_basis(n)) <= 1e-12
+        assert max(np.max(np.abs(ricci(m))) for m in dense_basis(n)) <= 1e-12
 
-    @pytest.mark.parametrize("n", BASIS_DIMS)
+    @pytest.mark.parametrize("n", DENSE_DIMS)
     def test_bianchi_free(self, n):
-        assert max(bianchi_residual(m) for m in weyl_basis(n)) <= 1e-12
+        assert max(bianchi_residual(m) for m in dense_basis(n)) <= 1e-12
 
-    @pytest.mark.parametrize("n", BASIS_DIMS)
+    @pytest.mark.parametrize("n", DENSE_DIMS)
     def test_projection_matches_decompose(self, rng, n):
         # decompose subtracts the scalar and Ricci parts by formula, sharing
         # no code with the constraint matrix the basis is the null space of
-        flat = weyl_basis(n).reshape(weyl_dim(n), -1)
+        flat = dense_basis(n).reshape(weyl_dim(n), -1)
         for _ in range(3):
             raw = rng.standard_normal((wedge_count(n),) * 2)
             r = bianchi_project(0.5 * (raw + raw.T)).mat
@@ -86,9 +127,14 @@ class TestWeylBasis:
 
     def test_deterministic(self):
         fresh = weyl_basis.__wrapped__(6)
-        assert np.array_equal(fresh, weyl_basis(6))
+        cached = weyl_basis(6)
+        assert len(fresh) == len(cached)
+        for a, b in zip(fresh, cached):
+            assert a.character == b.character
+            for x, y in zip(a[1:], b[1:]):
+                assert np.array_equal(x, y)
 
-    @pytest.mark.parametrize("n", [4, 13])
+    @pytest.mark.parametrize("n", [4, 17])
     def test_out_of_range(self, n):
         with pytest.raises(UnsupportedDimensionError):
             weyl_basis(n)
@@ -101,18 +147,19 @@ class TestHessian:
             (10, (1, 26, 78, 483, 156, 24, 2)),
             (11, (1, 30, 105, 768, 210, 28, 2)),
             (12, (1, 34, 136, 1161, 272, 32, 2)),
+            (13, (1, 38, 171, 1685, 342, 36, 2)),
         ],
     )
     def test_cp2_clusters(self, n, mults):
-        h = hessian_matrix(w_cp2(n))
-        rep = eigen_report(h)
+        blocks = hessian_matrix(w_cp2(n))
+        rep = eigen_report(blocks)
         values = [v for v, _ in rep.clusters]
         expected = [math.sqrt(1.5) * x for x in LADDER]
         assert len(rep.clusters) == 7
         assert np.allclose(values, expected, atol=1e-8)
         assert tuple(m for _, m in rep.clusters) == mults
         assert sum(mults) == weyl_dim(n)
-        assert abs(np.trace(h)) < 1e-8
+        assert abs(sum(np.trace(h) for h in blocks)) < 1e-8
 
     def test_eigenvalue_set_independent_of_n(self):
         reps = [
@@ -124,36 +171,76 @@ class TestHessian:
 
     def test_base_point_is_top_eigenvector(self):
         w0 = w_cp2(10)
-        h = hessian_matrix(w0)
-        c = weyl_basis(10).reshape(len(h), -1) @ w0.mat.ravel()
-        assert np.linalg.norm(h @ c - math.sqrt(1.5) * c) < 1e-10
+        for h, stack in zip(hessian_matrix(w0), block_bases(w0.mat, 10)):
+            c = stack.reshape(len(h), -1) @ w0.mat.ravel()
+            assert np.linalg.norm(h @ c - math.sqrt(1.5) * c) < 1e-10
 
     @pytest.mark.parametrize("k,l", [(5, 6), (4, 7), (5, 5)])
     def test_product_weyl_eigenvector(self, k, l):
         n = k + l
         w0 = unit_product_weyl(k, l)
-        h = hessian_matrix(w0)
-        c = weyl_basis(n).reshape(len(h), -1) @ w0.ravel()
-        assert np.linalg.norm(h @ c - theta(k, l) * c) < 1e-10
+        for h, stack in zip(hessian_matrix(w0), block_bases(w0, n)):
+            c = stack.reshape(len(h), -1) @ w0.ravel()
+            assert np.linalg.norm(h @ c - theta(k, l) * c) < 1e-10
 
-    def test_reads_basis_without_copy(self):
-        # Q(W0, b_i) for every i, the count x count matrix and its
-        # symmetrization; a copy of the basis would add its nbytes more.  The
-        # basis is built before tracing starts, so only the Hessian is traced
-        basis, w0 = weyl_basis(10), w_cp2(10)
+    def test_block_structure(self, rng):
+        # a random W0 couples every class, a product's diagonal Weyl part
+        # none, and W_CP2 (entries of characters 0 and 0b1111) pairs chi
+        # with chi ^ 0b1111
+        w = random_unit_weyl(rng, 7)
+        assert [len(h) for h in hessian_matrix(w)] == [weyl_dim(7)]
+        basis = weyl_basis(8)
+        blocks = hessian_matrix(unit_product_weyl(4, 4))
+        assert [len(h) for h in blocks] == [len(c.vectors) for c in basis]
+        for n in (8, 12):
+            basis = weyl_basis(n)
+            chars = {c.character for c in basis}
+            got = {
+                frozenset(basis[i].character for i in members)
+                for members in _coupled_classes(basis, w_cp2(n).mat, n)
+            }
+            assert got == {frozenset({x, x ^ 0b1111} & chars) for x in chars}
+        assert len(got) == {8: 61, 12: 442}[n]
+
+    def test_entries_between_blocks_are_exactly_zero(self):
+        n = 8
+        w0 = w_cp2(n).mat
+        stacks = block_bases(w0, n)
+        label = np.repeat(np.arange(len(stacks)), [len(s) for s in stacks])
+        stack = np.concatenate(stacks)
+        flat = stack.reshape(len(stack), -1)
+        full = np.array([q_map(w0, b).mat.ravel() for b in stack]) @ flat.T
+        across = label[:, None] != label[None, :]
+        assert np.count_nonzero(full[across]) == 0
+        assert np.max(np.abs(full - block_diagonal(hessian_matrix(w0)))) < 1e-13
+
+    def test_memory_at_n12(self):
+        # tracemalloc peaks, each bounded at about twice the one measured:
+        # the graded basis build (1.9 MiB with the pair-table and Bianchi
+        # index caches cold, 0.9 MiB warm) and, with the basis cached, the
+        # Hessian at W_CP2 (10.8 MiB).  The dense route peaked at 159 and
+        # 96 MiB.
+        tracemalloc.start()
+        try:
+            weyl_basis.__wrapped__(12)
+            build = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        weyl_basis(12)
+        w0 = w_cp2(12)
         tracemalloc.start()
         try:
             hessian_matrix(w0)
-            peak = tracemalloc.get_traced_memory()[1]
+            hessian = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < basis.nbytes + 3 * len(basis) ** 2 * 8
+        assert build < 4 * 2**20
+        assert hessian < 22 * 2**20
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_trace_vanishes(self, rng, n):
         w = random_unit_weyl(rng, n)
-        h = hessian_matrix(w)
-        assert abs(np.trace(h)) < 1e-8
+        assert abs(sum(np.trace(h) for h in hessian_matrix(w))) < 1e-8
 
     def test_rejects_bad_base_points(self):
         with pytest.raises(ArgumentError):
@@ -207,8 +294,16 @@ class TestEigenReport:
         with pytest.raises(ArgumentError):
             eigen_report(np.zeros((2, 3)))
 
+    def test_blocks_match_the_assembled_matrix(self, rng):
+        blocks = tuple(
+            0.5 * (m + m.T) for m in (rng.standard_normal((k, k)) for k in (3, 1, 5))
+        )
+        assert eigen_report(blocks) == eigen_report(block_diagonal(blocks))
+        with pytest.raises(ArgumentError):
+            eigen_report((blocks[0], np.array([[0.0, 1.0], [0.0, 0.0]])))
+
     def test_cluster_projectors(self):
-        h = hessian_matrix(w_cp2(10))
+        h = block_diagonal(hessian_matrix(w_cp2(10)))
         vals, vecs = np.linalg.eigh(h)
         order = np.argsort(vals)[::-1]
         vecs = vecs[:, order]

@@ -59,8 +59,8 @@ class TestConfig:
                 run_suite(dims=dims)
 
     def test_accepts_dims_above_the_basis_range(self):
-        report = run_suite(dims=[13, 20])
-        assert report.dims == (13, 20)
+        report = run_suite(dims=[17, 20])
+        assert report.dims == (17, 20)
         assert len(report.records) == 24
         assert report.counts["pass"] == 24
 
@@ -154,7 +154,7 @@ class TestCheckTable:
         assert rows["weyl-dimension"] is BASIS_DIMS
         assert set(rows["hessian-clusters"]) <= set(BASIS_DIMS)
         with pytest.raises(UnsupportedDimensionError):
-            weyl_basis(13)
+            weyl_basis(17)
 
     def test_tags_that_differ_from_the_family(self):
         tags = {family: tag for family, tag, *_ in suite._REGISTRY if tag != family}
