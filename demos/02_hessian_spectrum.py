@@ -31,6 +31,8 @@ rep = eigen_report(hessian_matrix(w_cp2(n)))
 scale = math.sqrt(1.5)
 print(f"\nHessian clusters at W_CP2, n={n}:")
 for mean, mult in rep.clusters:
+    # the zero cluster's mean is rounding noise of either sign; + 0.0 turns -0.0 into 0.0
+    mean = round(mean, 12) + 0.0
     print(f"  {mean:+.12f}  (x{mult})  = sqrt(3/2) * {mean / scale:+.6f}")
 
 # the 1/2-eigenspace is exactly the tangent space of the rotation orbit

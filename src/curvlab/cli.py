@@ -202,7 +202,9 @@ def tables(which, dims, split, cluster_tol, fmt, out):
 @click.option("--steps", default=500, show_default=True, type=int)
 @click.option("--dt", default=None, type=float, help="Fixed step; default adaptive.")
 @click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--sample-every", default=10, show_default=True, type=int)
+@click.option(
+    "--sample-every", default=10, show_default=True, type=click.IntRange(min=1)
+)
 @click.option(
     "--start", default="random", show_default=True,
     type=click.Choice(["random", "product"]),
@@ -217,9 +219,7 @@ def flow(dim, steps, dt, seed, sample_every, start, out):
             w = w / np.linalg.norm(w)
         else:
             w = random_weyl(np.random.default_rng(seed), dim)
-        state = flow_run(
-            flow_state(w), steps=steps, dt=dt, sample_every=max(sample_every, 1)
-        )
+        state = flow_run(flow_state(w), steps=steps, dt=dt, sample_every=sample_every)
     except ArgumentError as exc:
         raise click.UsageError(str(exc))
     _write_output(render_table(("t", "P", "residual"), state.history, "csv"), out)

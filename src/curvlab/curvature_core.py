@@ -102,7 +102,7 @@ class CurvatureOperator(SymmetricOperator):
 
     def __init__(self, mat: np.ndarray):
         super().__init__(mat)
-        res = bianchi_residual(self._mat)
+        res = bianchi_residual(self)
         if res >= BIANCHI_TOL:
             raise ArgumentError(
                 f"matrix violates the first Bianchi identity (residual {res:.3e})"
@@ -124,15 +124,35 @@ class DecompositionReport:
     weyl_norm: float
 
 
-def _as_mat(x, name: str = "operator") -> tuple[np.ndarray, int]:
-    if isinstance(x, SymmetricOperator):
-        return x.mat, x.dim
+def _symmetric(x, name: str) -> np.ndarray:
+    """x as a float matrix; ArgumentError unless square and symmetric."""
     mat = np.asarray(x, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ArgumentError(f"{name} must be a square matrix")
     if np.max(np.abs(mat - mat.T), initial=0.0) >= SYMMETRY_TOL:
         raise ArgumentError(f"{name} must be symmetric")
+    return mat
+
+
+def _as_mat(x, name: str = "operator") -> tuple[np.ndarray, int]:
+    if isinstance(x, SymmetricOperator):
+        return x.mat, x.dim
+    mat = _symmetric(x, name)
     return mat, dim_from_wedge_count(mat.shape[0])
+
+
+def _unit_weyl(x, name: str) -> CurvatureOperator:
+    """x as a CurvatureOperator; ArgumentError unless it is a unit Weyl operator.
+
+    The Bianchi residual, | ||W|| - 1 | and the largest Ricci entry must all
+    lie below BIANCHI_TOL.
+    """
+    op = x if isinstance(x, CurvatureOperator) else CurvatureOperator(x)
+    if abs(op.norm() - 1.0) > BIANCHI_TOL:
+        raise ArgumentError(f"{name} must have unit norm")
+    if np.max(np.abs(ricci(op))) > BIANCHI_TOL:
+        raise ArgumentError(f"{name} must be a Weyl operator")
+    return op
 
 
 # --- first Bianchi identity ------------------------------------------------
@@ -203,13 +223,10 @@ def ricci(r) -> np.ndarray:
 
 def wedge_product(a: np.ndarray, b: np.ndarray) -> SymmetricOperator:
     """Operator A ^ B on the wedge space: (A^B)(v^w) = 1/2 (Av^Bw + Bv^Aw)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a = _symmetric(a, "wedge_product factor")
+    b = _symmetric(b, "wedge_product factor")
+    if a.shape != b.shape:
         raise ArgumentError("wedge_product expects two n x n matrices")
-    for m in (a, b):
-        if np.max(np.abs(m - m.T), initial=0.0) >= SYMMETRY_TOL:
-            raise ArgumentError("wedge_product factors must be symmetric")
     n = a.shape[0]
     i, j = np.triu_indices(n, 1)
     ix = np.ix_(i, i)  # rows (i,j), cols (p,q): first slots of each

@@ -18,11 +18,10 @@ import numpy as np
 
 from .curvature_core import (
     CurvatureOperator,
+    _unit_weyl,
     bianchi_project,
     decompose,
-    ricci,
     wedge_product,
-    _as_mat,
 )
 from .errors import ArgumentError, UnsupportedDimensionError
 from .lie_basis import adjoint_rotation, sp1_basis, wedge_count
@@ -118,16 +117,12 @@ def r_lambda(
     base = w_cp2(n)
     mat = (lam / (n - 1)) * np.eye(base.N) + math.cos(phi) * base.mat
     if w_extra is not None:
-        extra, m = _as_mat(w_extra, "w_extra")
-        if m != n:
+        extra = _unit_weyl(w_extra, "w_extra")
+        if extra.dim != n:
             raise ArgumentError("w_extra lives in a different dimension")
-        if abs(np.linalg.norm(extra) - 1.0) > 1e-10:
-            raise ArgumentError("w_extra must have unit norm")
-        if abs(np.sum(extra * base.mat)) > 1e-10:
+        if abs(np.sum(extra.mat * base.mat)) > 1e-10:
             raise ArgumentError("w_extra must be orthogonal to the CP^2 Weyl operator")
-        if np.max(np.abs(ricci(extra))) > 1e-10:
-            raise ArgumentError("w_extra must be a Weyl operator")
-        mat = mat + math.sin(phi) * extra
+        mat = mat + math.sin(phi) * extra.mat
     return CurvatureOperator(mat)
 
 

@@ -24,8 +24,9 @@ import numpy as np
 from .curvature_core import (
     CurvatureOperator,
     _as_mat,
+    _q_mat,
+    _unit_weyl,
     q_map,
-    ricci,
 )
 from .errors import ArgumentError, DomainError, UnsupportedDimensionError
 from .model_spaces import w_cp2
@@ -47,10 +48,6 @@ __all__ = [
     "neighborhood_deficit",
 ]
 
-_UNIT_TOL = 1e-10
-_RICCI_TOL = 1e-9
-
-
 @dataclass(frozen=True)
 class FlowState:
     """A point on the unit sphere of Weyl operators, with flow time and value.
@@ -67,10 +64,7 @@ class FlowState:
     history: tuple = ()
 
     def __post_init__(self):
-        if abs(self.w.norm() - 1.0) > _UNIT_TOL:
-            raise ArgumentError("flow state must have unit norm")
-        if np.max(np.abs(ricci(self.w.mat))) > _RICCI_TOL:
-            raise ArgumentError("flow state must be a Weyl operator")
+        _unit_weyl(self.w, "flow state")
 
 
 def _evaluated(op: CurvatureOperator, **changes) -> dict:
@@ -90,8 +84,8 @@ def _tangent(q: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return q - float(np.sum(q * mat)) * mat
 
 
-def _field(mat: np.ndarray) -> np.ndarray:
-    return _tangent(q_map(mat).mat, mat)
+def _field(mat: np.ndarray, n: int) -> np.ndarray:
+    return _tangent(_q_mat(mat, mat, n), mat)
 
 
 def fixed_point_residual(w) -> float:
@@ -104,11 +98,12 @@ def flow_step(state: FlowState, dt: float) -> FlowState:
     """One RK4 step of the sphere-projected potential gradient, renormalized."""
     if dt <= 0:
         raise ArgumentError(f"step size must be positive, got {dt}")
-    mat = state.w.mat
+    mat, n = state.w.mat, state.w.dim
+    # the stages are unvalidated intermediates; the new state is checked once
     k1 = _tangent(state.q, mat)
-    k2 = _field(mat + 0.5 * dt * k1)
-    k3 = _field(mat + 0.5 * dt * k2)
-    k4 = _field(mat + dt * k3)
+    k2 = _field(mat + 0.5 * dt * k1, n)
+    k3 = _field(mat + 0.5 * dt * k2, n)
+    k4 = _field(mat + dt * k3, n)
     new = mat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     new /= np.linalg.norm(new)
     op = CurvatureOperator(new)
@@ -128,6 +123,8 @@ def flow_run(
     """
     if steps < 0:
         raise ArgumentError("steps must be non-negative")
+    if sample_every < 0:
+        raise ArgumentError(f"sample_every must be non-negative, got {sample_every}")
     history = list(state.history)
     for i in range(steps):
         step = dt
@@ -180,8 +177,9 @@ class ProfileCoefficients:
 
 def profile_coefficients(w) -> ProfileCoefficients:
     """alpha = sqrt(2/3) <Q(W), W0>, gamma = sqrt(2/3) P(W) for unit Weyl W."""
-    mat, n = _as_mat(w)
-    q = q_map(mat).mat
+    op = _unit_weyl(w, "profile direction")
+    mat, n = op.mat, op.dim
+    q = q_map(op).mat
     scale = math.sqrt(2.0 / 3.0)
     return ProfileCoefficients(
         alpha=scale * float(np.sum(q * w_cp2(n).mat)),
@@ -195,17 +193,12 @@ def f_profile(w, phi: float) -> float:
     Returns cos^3(phi) + 3 cos(phi) sin^2(phi) alpha + sin^3(phi) gamma.
     W must be a unit Weyl operator orthogonal to R W0 + orbit tangent.
     """
-    mat, n = _as_mat(w)
-    if abs(np.linalg.norm(mat) - 1.0) > 1e-8:
-        raise ArgumentError("profile direction must have unit norm")
-    if np.max(np.abs(ricci(mat))) > 1e-8:
-        raise ArgumentError("profile direction must be a Weyl operator")
+    coeffs = profile_coefficients(w)
     if admissibility_defect(w) > 1e-8:
         raise ArgumentError(
             "profile direction must be orthogonal to the critical point's "
             "span and orbit tangent"
         )
-    coeffs = profile_coefficients(w)
     c, s = math.cos(phi), math.sin(phi)
     return c**3 + 3.0 * c * s**2 * coeffs.alpha + s**3 * coeffs.gamma
 

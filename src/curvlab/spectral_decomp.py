@@ -35,7 +35,8 @@ from .curvature_core import (
     _as_mat,
     _bianchi_indices,
     _q_mat,
-    ricci,
+    _symmetric,
+    _unit_weyl,
 )
 from .errors import ArgumentError, UnsupportedDimensionError
 from .lie_basis import (
@@ -272,11 +273,8 @@ def hessian_matrix(w0) -> tuple[np.ndarray, ...]:
     two blocks is exactly zero.  W0 must be a unit Weyl operator; n is its
     dimension.
     """
-    mat, n = _as_mat(w0)
-    if abs(np.linalg.norm(mat) - 1.0) > 1e-8:
-        raise ArgumentError("hessian base point must have unit norm")
-    if np.max(np.abs(ricci(mat))) > 1e-8:
-        raise ArgumentError("hessian base point must be a Weyl operator")
+    op = _unit_weyl(w0, "hessian base point")
+    mat, n = op.mat, op.dim
     basis = weyl_basis(n)
     blocks = []
     for members in _coupled_classes(basis, mat, n):
@@ -319,14 +317,7 @@ def eigen_report(mat, cluster_tol: float = 1e-8) -> SpectralReport:
     (mean eigenvalue, multiplicity), sorted descending.
     """
     blocks = mat if isinstance(mat, tuple) else (mat,)
-    spectra = []
-    for block in blocks:
-        block = np.asarray(block, dtype=float)
-        if block.ndim != 2 or block.shape[0] != block.shape[1]:
-            raise ArgumentError("eigen_report expects a square matrix")
-        if np.max(np.abs(block - block.T), initial=0.0) >= 1e-10:
-            raise ArgumentError("eigen_report expects a symmetric matrix")
-        spectra.append(np.linalg.eigvalsh(block))
+    spectra = [np.linalg.eigvalsh(_symmetric(b, "eigen_report block")) for b in blocks]
     vals = np.sort(np.concatenate(spectra))[::-1]
     scale = max(float(np.max(np.abs(vals))), 1e-300)
     # a cluster ends where the scaled spectrum drops by more than cluster_tol

@@ -232,6 +232,30 @@ def test_only_lie_basis_ranks_wedge_pairs():
     assert not found, f"modules that rank wedge pairs themselves: {sorted(found)}"
 
 
+def test_preconditions_have_one_owner():
+    # symmetric matrix, Bianchi identity and unit Weyl operator are checked
+    # in curvature_core: no other module takes a Ricci trace or reads the
+    # symmetry tolerance, and there only _symmetric reads it
+    ricci_calls, tol_reads = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in _parse(path).body:
+            where = (path.stem, getattr(stmt, "name", type(stmt).__name__))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    if "ricci" in (getattr(func, "attr", None), getattr(func, "id", None)):
+                        ricci_calls.add(where)
+                name = getattr(node, "attr", None) or getattr(node, "id", None)
+                if isinstance(node, ast.alias):
+                    name = node.name
+                if name == "SYMMETRY_TOL" and not isinstance(
+                    getattr(node, "ctx", None), ast.Store
+                ):
+                    tol_reads.add(where)
+    assert {module for module, _ in ricci_calls} <= {"curvature_core"}, ricci_calls
+    assert tol_reads == {("curvature_core", "_symmetric")}
+
+
 def test_package_modules_use_what_they_import():
     found = {}
     for path in sorted(PACKAGE.glob("*.py")):

@@ -264,3 +264,8 @@ class TestFlow:
 
     def test_bad_dim_is_usage_error(self, runner):
         assert runner.invoke(main, ["flow", "--dim", "3"]).exit_code == 2
+
+    @pytest.mark.parametrize("every", ["0", "-4"])
+    def test_sample_every_below_one_is_usage_error(self, runner, every):
+        args = ["flow", "--dim", "5", "--steps", "3", "--sample-every", every]
+        assert runner.invoke(main, args).exit_code == 2

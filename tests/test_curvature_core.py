@@ -30,8 +30,16 @@ from curvlab.errors import (
     PreconditionError,
     UnsupportedDimensionError,
 )
-from curvlab.lie_basis import adjoint_rotation, sp1_basis, wedge_count, wedge_rank
-from curvlab.model_spaces import sphere
+from curvlab.lie_basis import (
+    _pair_table,
+    adjoint_rotation,
+    sp1_basis,
+    wedge_count,
+    wedge_rank,
+)
+from curvlab.model_spaces import r_lambda, sphere, w_cp2
+from curvlab.potential_flow import f_profile, flow_state, profile_coefficients
+from curvlab.spectral_decomp import hessian_matrix
 
 from conftest import random_orthogonal, rotate_operator
 
@@ -449,3 +457,61 @@ class TestDecompose:
         assert abs(d1.scal - d0.scal) < 1e-9
         assert abs(d1.weyl_norm - d0.weyl_norm) < 1e-9
         assert np.max(np.abs(d1.ricci0 - g.T @ d0.ricci0 @ g)) < 1e-9
+
+
+# --- the unit-Weyl precondition, at every entry point that needs it ---------
+
+def unit_four_form(n, quad):
+    """Normalized 4-form generator on the 0-based quadruple quad."""
+    rank, _ = _pair_table(n)
+    i, j, k, l = quad
+    g = np.zeros((wedge_count(n),) * 2)
+    for (a, b), (c, d), s in (
+        ((i, j), (k, l), 1.0),
+        ((i, k), (j, l), -1.0),
+        ((i, l), (j, k), 1.0),
+    ):
+        g[rank[a, b], rank[c, d]] = g[rank[c, d], rank[a, b]] = s
+    return g / np.sqrt(6.0)
+
+
+def not_unit_weyl(name):
+    n = 8
+    w0 = w_cp2(n).mat
+    if name == "four-form":
+        # on (5, 6, 7, 8): orthogonal to W0 and its orbit, so only the
+        # Bianchi check can reject it
+        return unit_four_form(n, (4, 5, 6, 7))
+    if name == "twice-w0":
+        return 2.0 * w0
+    if name == "identity":
+        ident = np.eye(wedge_count(n))
+        return ident / np.linalg.norm(ident)
+    skew = w0.copy()
+    skew[0, 1] += 1e-6
+    return skew
+
+
+UNIT_WEYL_ENTRY_POINTS = {
+    "hessian_matrix": hessian_matrix,
+    "flow_state": flow_state,
+    "f_profile": lambda w: f_profile(w, 0.3),
+    "profile_coefficients": profile_coefficients,
+    "r_lambda": lambda w: r_lambda(1.0, 8, w_extra=w),
+}
+
+
+def test_four_form_fails_only_the_bianchi_identity():
+    g = unit_four_form(8, (4, 5, 6, 7))
+    assert np.array_equal(g, g.T)
+    assert abs(np.linalg.norm(g) - 1.0) < 1e-15
+    assert np.max(np.abs(ricci(g))) == 0.0
+    assert abs(bianchi_residual(g) - 1.0) < 1e-15
+    assert np.sum(g * w_cp2(8).mat) == 0.0
+
+
+@pytest.mark.parametrize("bad", ["four-form", "twice-w0", "identity", "non-symmetric"])
+@pytest.mark.parametrize("entry", sorted(UNIT_WEYL_ENTRY_POINTS))
+def test_unit_weyl_entry_points_reject(entry, bad):
+    with pytest.raises(ArgumentError):
+        UNIT_WEYL_ENTRY_POINTS[entry](not_unit_weyl(bad))

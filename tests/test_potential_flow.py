@@ -105,6 +105,12 @@ class TestFlowStep:
         assert fixed_point_residual(state.w) < 1e-2
         assert abs(state.potential - SQRT32) < 2e-4
 
+    def test_rejects_negative_sample_every(self):
+        st = flow_state(w_cp2(5))
+        assert flow_run(st, 3, sample_every=0).history == ()
+        with pytest.raises(ArgumentError):
+            flow_run(st, 3, sample_every=-1)
+
     def test_history_and_csv(self):
         state = flow_state(random_unit_weyl(np.random.default_rng(1), 5))
         state = flow_run(state, 50, dt=1e-2, sample_every=10)
