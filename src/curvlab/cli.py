@@ -11,7 +11,6 @@ from dataclasses import asdict
 
 import click
 import numpy as np
-from click.core import ParameterSource
 
 from . import __version__
 from .certificate import alpha0_certificate
@@ -20,7 +19,7 @@ from .errors import ArgumentError
 from .model_spaces import random_weyl, sphere_product, w_cp2
 from .potential_flow import fixed_point_residual, flow_run, flow_state
 from .report import canonical_json, render_report, render_table
-from .shi_bounds import table_rows
+from .shi_bounds import CATALOGUED_TABLE, table_rows
 from .spectral_decomp import (
     decomposition_dims,
     eigen_report,
@@ -155,35 +154,30 @@ def _shi_table(dims) -> tuple:
 )
 @click.option(
     "--dim", "dims", multiple=True, type=int,
-    help="shi: table rows (default 11 10 9 8); hessian/blocks: one dimension.",
+    help=f"shi: table rows (default {' '.join(map(str, CATALOGUED_TABLE))}); "
+    "hessian/blocks: one dimension.",
 )
 @click.option("--split", default=None, type=int, help="blocks: the k of SO(k)xSO(l).")
-@click.option("--cluster-tol", default=1e-8, show_default=True, type=float)
 @click.option(
     "--format", "fmt", default="markdown", show_default=True,
     type=click.Choice(["markdown", "csv"]),
 )
 @click.option("--out", type=click.Path(dir_okay=False))
-def tables(which, dims, split, cluster_tol, fmt, out):
+def tables(which, dims, split, fmt, out):
     """Reproduce a catalogued table: derivative bounds, Hessian clusters,
     or decomposition dimensions."""
     if split is not None and which != "blocks":
         raise click.UsageError("--split applies only to --table blocks")
-    source = click.get_current_context().get_parameter_source("cluster_tol")
-    if source is not ParameterSource.DEFAULT and which != "hessian":
-        raise click.UsageError("--cluster-tol applies only to --table hessian")
+    if which != "shi" and len(dims) != 1:
+        raise click.UsageError(f"{which} table needs exactly one --dim")
     title = ""
     try:
         if which == "shi":
-            columns, rows = _shi_table(tuple(dims) or (11, 10, 9, 8))
+            columns, rows = _shi_table(dims)
         elif which == "hessian":
-            if len(dims) != 1:
-                raise click.UsageError("hessian table needs exactly one --dim")
-            rep = eigen_report(hessian_matrix(w_cp2(dims[0])), cluster_tol)
+            rep = eigen_report(hessian_matrix(w_cp2(dims[0])))
             columns, rows = ("mean", "multiplicity"), rep.clusters
         else:
-            if len(dims) != 1:
-                raise click.UsageError("blocks table needs exactly one --dim")
             n = dims[0]
             table = decomposition_dims(n, split if split is not None else n // 2)
             columns, rows = ("block", "dimension"), table.blocks.items()
@@ -200,7 +194,10 @@ def tables(which, dims, split, cluster_tol, fmt, out):
 @main.command()
 @click.option("--dim", default=11, show_default=True, type=int)
 @click.option("--steps", default=500, show_default=True, type=int)
-@click.option("--dt", default=None, type=float, help="Fixed step; default adaptive.")
+@click.option(
+    "--dt", default=None, type=click.FloatRange(min=0, min_open=True),
+    help="Fixed step; default adaptive.",
+)
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option(
     "--sample-every", default=10, show_default=True, type=click.IntRange(min=1)

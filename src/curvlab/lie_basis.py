@@ -21,6 +21,7 @@ own code: they are the oracles the table is tested against.
 from __future__ import annotations
 
 import functools
+import types
 
 import numpy as np
 
@@ -181,11 +182,12 @@ def ad_matrix(v: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def sp1_basis(n: int) -> dict[str, np.ndarray]:
+def sp1_basis(n: int) -> types.MappingProxyType:
     """The sp(1)+ and sp(1)- generators of so(4), zero-padded into so(n).
 
     Satisfies [i+-, j+-] = 2 k+- (cyclically) and [x+, y-] = 0; the vectors
-    x/sqrt(2) are orthonormal.
+    x/sqrt(2) are orthonormal.  The cached mapping and its vectors are
+    read-only.
     """
     if n < 4:
         raise ArgumentError(f"sp(1) bases need n >= 4, got {n}")
@@ -204,7 +206,7 @@ def sp1_basis(n: int) -> dict[str, np.ndarray]:
         vec = B[i - 1, j - 1] + B[p - 1, q - 1]
         vec.setflags(write=False)
         out[name] = vec
-    return out
+    return types.MappingProxyType(out)
 
 
 def adjoint_rotation(g: np.ndarray) -> np.ndarray:

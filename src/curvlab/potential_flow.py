@@ -89,9 +89,9 @@ def _field(mat: np.ndarray, n: int) -> np.ndarray:
 
 
 def fixed_point_residual(w) -> float:
-    """Distance from being an eigenvector of Q: ||Q(W) - P(W) W|| for unit W."""
-    mat, _ = _as_mat(w)
-    return float(np.linalg.norm(_tangent(q_map(mat).mat, mat)))
+    """Distance from being an eigenvector of Q: ||Q(W) - P(W) W|| for unit Weyl W."""
+    op = _unit_weyl(w, "fixed-point candidate")
+    return float(np.linalg.norm(_tangent(q_map(op).mat, op.mat)))
 
 
 def flow_step(state: FlowState, dt: float) -> FlowState:
@@ -153,10 +153,10 @@ def _excluded_span(n: int) -> np.ndarray:
 
 
 def admissibility_defect(w) -> float:
-    """Norm of the component of W inside the excluded span at its dimension."""
-    mat, n = _as_mat(w)
-    span = _excluded_span(n)
-    return float(np.linalg.norm(span @ mat.ravel()))
+    """Norm of the component of unit Weyl W inside the excluded span at its
+    dimension."""
+    op = _unit_weyl(w, "profile direction")
+    return float(np.linalg.norm(_excluded_span(op.dim) @ op.mat.ravel()))
 
 
 def admissible_part(w) -> np.ndarray:

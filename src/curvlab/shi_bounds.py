@@ -169,10 +169,10 @@ def derivative_bound(n: int, K: float, lam: float, order: int) -> float:
     return (2.0 * K - lam) ** (1.0 + order / 2.0) * value
 
 
-def table_rows(dims=(11, 10, 9, 8)) -> list:
-    """Formula values next to the catalogued values, one dict per row."""
+def table_rows(dims=()) -> list:
+    """Formula next to catalogued values, one dict per n (default: the catalogue's)."""
     rows = []
-    for n in dims:
+    for n in dims or CATALOGUED_TABLE:
         c = shi_constants(n)
         row = {"n": n, "C1": c.C1, "C2": c.C2, "C3": c.C3}
         if n in CATALOGUED_TABLE:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature_core import _as_mat, bianchi_residual
+from .curvature_core import BIANCHI_TOL, _as_mat, bianchi_residual
 from .errors import ArgumentError
 from .lie_basis import ad_matrix, wedge_count
 
@@ -43,7 +43,7 @@ class SymmetryEvaluation:
     norm: float
 
     def __post_init__(self):
-        if bianchi_residual(self.operator) >= 1e-10:
+        if bianchi_residual(self.operator) >= BIANCHI_TOL:
             raise ArgumentError("symmetry derivative must satisfy the Bianchi identity")
 
 

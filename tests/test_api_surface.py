@@ -202,18 +202,27 @@ def test_only_report_renders_text():
     assert found == {"report.py"}
 
 
-def test_spectral_decomp_svd_only_in_its_two_helpers():
-    # every null space and rank of spectral_decomp goes through _null_space
-    # or _rank, so a change of method changes one place
+SVD_OWNERS = {
+    ("spectral_decomp", "_null_space"),
+    ("spectral_decomp", "_rank"),
+    # its own rank rule at 1e-8; ROADMAP item 8 decides its fate
+    ("potential_flow", "_excluded_span"),
+}
+
+
+def test_svd_only_in_its_three_helpers():
+    # every null space and rank of the package goes through one of these,
+    # so a change of method changes one place
     found = set()
-    for stmt in _parse(PACKAGE / "spectral_decomp.py").body:
-        for node in ast.walk(stmt):
-            name = getattr(node, "attr", None) or getattr(node, "id", None)
-            if isinstance(node, ast.alias):
-                name = node.name
-            if name in ("svd", "matrix_rank", "null_space"):
-                found.add(getattr(stmt, "name", type(stmt).__name__))
-    assert found == {"_null_space", "_rank"}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in _parse(path).body:
+            for node in ast.walk(stmt):
+                name = getattr(node, "attr", None) or getattr(node, "id", None)
+                if isinstance(node, ast.alias):
+                    name = node.name
+                if name in ("svd", "matrix_rank", "null_space"):
+                    found.add((path.stem, getattr(stmt, "name", type(stmt).__name__)))
+    assert found == SVD_OWNERS
 
 
 def test_only_lie_basis_ranks_wedge_pairs():

@@ -209,23 +209,28 @@ class TestTables:
         [
             ["--table", "shi", "--split", "3"],
             ["--table", "hessian", "--dim", "8", "--split", "3"],
-            ["--table", "shi", "--cluster-tol", "5"],
-            ["--table", "blocks", "--dim", "8", "--cluster-tol", "1e-8"],
         ],
-        ids=["shi-split", "hessian-split", "shi-cluster-tol", "blocks-cluster-tol"],
+        ids=["shi-split", "hessian-split"],
     )
     def test_option_the_table_ignores(self, runner, args):
-        # an explicit --cluster-tol is refused even at its default value
         result = runner.invoke(main, ["tables", *args])
         assert result.exit_code == 2
         assert "applies only to --table" in result.output
 
-    def test_hessian_cluster_tol(self, runner):
-        args = ["tables", "--table", "hessian", "--dim", "6", "--format", "csv"]
-        merged = runner.invoke(main, args + ["--cluster-tol", "10"])
-        assert merged.exit_code == 0
-        rows = list(csv.reader(io.StringIO(merged.stdout)))
-        assert [int(r[1]) for r in rows[1:]] == [84]
+    @pytest.mark.parametrize("which", ["shi", "hessian", "blocks"])
+    def test_no_cluster_tol_option(self, runner, which):
+        # the Hessian table clusters at eigen_report's default tolerance
+        args = ["tables", "--table", which, "--dim", "8", "--cluster-tol", "1e-8"]
+        assert runner.invoke(main, args).exit_code == 2
+
+    @pytest.mark.parametrize("which", ["hessian", "blocks"])
+    @pytest.mark.parametrize(
+        "dims", [[], ["--dim", "8", "--dim", "9"]], ids=["none", "two"]
+    )
+    def test_one_dim_rule_names_its_table(self, runner, which, dims):
+        result = runner.invoke(main, ["tables", "--table", which, *dims])
+        assert result.exit_code == 2
+        assert f"{which} table needs exactly one --dim" in result.output
 
     def test_blocks_bad_split(self, runner):
         result = runner.invoke(
@@ -268,4 +273,16 @@ class TestFlow:
     @pytest.mark.parametrize("every", ["0", "-4"])
     def test_sample_every_below_one_is_usage_error(self, runner, every):
         args = ["flow", "--dim", "5", "--steps", "3", "--sample-every", every]
+        assert runner.invoke(main, args).exit_code == 2
+
+    def test_fixed_step(self, runner):
+        args = ["flow", "--dim", "5", "--steps", "4", "--dt", "0.01"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert result.stderr.startswith("final: t=0.0400 ")
+
+    @pytest.mark.parametrize("dt", ["0", "-1"])
+    def test_step_not_above_zero_is_usage_error(self, runner, dt):
+        # refused by the option itself, so even a run of no steps fails
+        args = ["flow", "--dim", "5", "--steps", "0", "--dt", dt]
         assert runner.invoke(main, args).exit_code == 2

@@ -38,7 +38,13 @@ from curvlab.lie_basis import (
     wedge_rank,
 )
 from curvlab.model_spaces import r_lambda, sphere, w_cp2
-from curvlab.potential_flow import f_profile, flow_state, profile_coefficients
+from curvlab.potential_flow import (
+    admissibility_defect,
+    f_profile,
+    fixed_point_residual,
+    flow_state,
+    profile_coefficients,
+)
 from curvlab.spectral_decomp import hessian_matrix
 
 from conftest import random_orthogonal, rotate_operator
@@ -495,6 +501,8 @@ def not_unit_weyl(name):
 UNIT_WEYL_ENTRY_POINTS = {
     "hessian_matrix": hessian_matrix,
     "flow_state": flow_state,
+    "fixed_point_residual": fixed_point_residual,
+    "admissibility_defect": admissibility_defect,
     "f_profile": lambda w: f_profile(w, 0.3),
     "profile_coefficients": profile_coefficients,
     "r_lambda": lambda w: r_lambda(1.0, 8, w_extra=w),

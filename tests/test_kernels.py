@@ -20,7 +20,7 @@ from curvlab.curvature_core import (
     sharp,
     sharp_via_brackets,
 )
-from curvlab.lie_basis import _pair_table, _vertex_embedding, wedge_count
+from curvlab.lie_basis import _pair_table, _vertex_embedding, sp1_basis, wedge_count
 from curvlab.model_spaces import random_weyl, sphere_product, w_cp2
 from curvlab.potential_flow import (
     _excluded_span,
@@ -183,3 +183,8 @@ class TestReadOnlyCaches:
         for arr in arrays():
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 1.0
+
+    @pytest.mark.parametrize("mapping", [lambda: sp1_basis(6)], ids=["sp1-basis"])
+    def test_mapping_writes_raise(self, mapping):
+        with pytest.raises(TypeError):
+            mapping()["i-"] = np.zeros(wedge_count(6))
