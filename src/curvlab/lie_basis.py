@@ -12,8 +12,9 @@ so(4), the rotation action on bivectors) is derived from that formula.
 
 The pair table _pair_table(n) is the one encoding of the basis order:
 e_{a+1} ^ e_{b+1} = sign[a, b] b_rank[a, b], with sign 0 on the diagonal.
-The vertex embedding, the structure constants, the sp(1) bases and every
-index map of curvature_core, spectral_decomp and suite read that table.
+The vertex embedding, the structure constants, the entry pattern of the ad
+matrices, the sp(1) bases and every index map of curvature_core,
+spectral_decomp and suite read that table.
 wedge_rank, wedge_index, wedge_vectors, so_matrix and so_coords keep their
 own code: they are the oracles the table is tested against.
 """
@@ -167,18 +168,51 @@ def structure_constants(n: int) -> np.ndarray:
     return tensor
 
 
+@functools.lru_cache(maxsize=None)
+def _ad_pattern(n: int) -> tuple[np.ndarray, ...]:
+    """Read-only index arrays (row, col, take, sign) of the nonzero entries of
+    ad_v: entry (row[t], col[t]) is sign[t] * v[take[t]].
+
+    With V the matrix of v, column (p, q) is [V, E_pq] = (V e_p) ^ e_q -
+    (V e_q) ^ e_p = sum over x not in {p, q} of V_xp e_x ^ e_q - V_xq e_x ^ e_p,
+    and V_xp = sign[x, p] v[rank[x, p]]; these are its 2(n - 2) entries.
+    """
+    rank, sign = _pair_table(n)
+    p, q = np.triu_indices(n, 1)
+    x, col = np.nonzero((np.arange(n)[:, None] != p) & (np.arange(n)[:, None] != q))
+    p, q = p[col], q[col]
+    s = sign[x, p] * sign[x, q]
+    out = (
+        np.concatenate([rank[x, q], rank[x, p]]),
+        np.concatenate([col, col]),
+        np.concatenate([rank[x, p], rank[x, q]]),
+        np.concatenate([s, -s]),
+    )
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
 def ad_matrix(v: np.ndarray) -> np.ndarray:
-    """Matrix of ad_v = [v, .] in the wedge basis (antisymmetric, N x N)."""
+    """Matrix of ad_v = [v, .] in the wedge basis (antisymmetric, N x N).
+
+    Every entry is 0 or one coordinate of v up to sign, so the matrix equals
+    the contraction of v with structure_constants exactly.  It is returned
+    in C order, because callers feed ad matrices to GEMMs, whose rounding
+    depends on the operand layout.
+    """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
         raise ArgumentError("ad_matrix expects one bivector")
     N = v.shape[0]
-    tensor = structure_constants(dim_from_wedge_count(N))
-    # row b of the product is [v, b_b]; the transpose is copied to C order
-    # because callers feed ad matrices to GEMMs, whose rounding depends on
-    # the operand layout
-    brackets = (v @ tensor.reshape(N, -1)).reshape(N, N)
-    return np.ascontiguousarray(brackets.T)
+    n = dim_from_wedge_count(N)
+    if n < 3:
+        raise ArgumentError(f"need n >= 3, got {n}")
+    row, col, take, sign = _ad_pattern(n)
+    out = np.zeros((N, N))
+    # adding 0.0 turns -1 * 0.0 into the +0.0 that the contraction gives
+    out[row, col] = sign * v[take] + 0.0
+    return out
 
 
 @functools.lru_cache(maxsize=None)

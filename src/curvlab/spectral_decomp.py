@@ -13,11 +13,14 @@ so the basis is one small null space per character class, of dimension
 N - n, n - 3 or 2 for 0, 2 or 4 set bits.  It is built for n in BASIS_DIMS
 (5..16).  hessian_matrix represents W -> Q(W0, W) on that basis as diagonal
 blocks: Q(W0, .) couples two classes only through the characters of W0's
-nonzero entries.  eigen_report clusters a symmetric spectrum, given as one
-matrix or as blocks; orbit_tangent_dim measures rotation orbits;
-decomposition_dims reproduces every dimension count of the SO(k) x SO(l) and
-Pin(2)-refined splittings, including the X_k spaces: the kernel of the
-triple wedge map on Lambda^2(R^k) (x) R^k, less the embedded copy of R^k.
+nonzero entries.  It pairs the basis vectors through W0's nonzero eigenpairs
+and the ad matrices of its eigenvectors, never forming Q(W0, b), so its cost
+grows with rank(W0) (3 for w_cp2) rather than with the O(n^6) sharp kernel.
+eigen_report clusters a symmetric spectrum, given as one matrix or as
+blocks; orbit_tangent_dim measures rotation orbits; decomposition_dims
+reproduces every dimension count of the SO(k) x SO(l) and Pin(2)-refined
+splittings, including the X_k spaces: the kernel of the triple wedge map on
+Lambda^2(R^k) (x) R^k, less the embedded copy of R^k.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .curvature_core import (
     BIANCHI_TOL,
     _as_mat,
     _bianchi_indices,
-    _q_mat,
     _symmetric,
     _unit_weyl,
 )
@@ -42,6 +44,7 @@ from .errors import ArgumentError, UnsupportedDimensionError
 from .lie_basis import (
     _pair_table,
     _vertex_embedding,
+    ad_matrix,
     sp1_basis,
     structure_constants,
     wedge_count,
@@ -260,9 +263,19 @@ def _coupled_classes(basis, mat: np.ndarray, n: int) -> list:
     return _split_by(keys, np.unique(keys))
 
 
-# Basis operators per batch of Q(W0, b_i) in hessian_matrix; at n = 12 each
-# of a batch's 16 x n^2 x n^2 arrays takes 2.5 MiB.
-_HESSIAN_CHUNK = 16
+def _nonzero_eigenpairs(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """mat as sum_k lam[k] u[k] u[k]^T over its nonzero eigenvalues.
+
+    The eigenproblem is solved on mat's nonzero rows and columns only, so
+    each u[k] is exactly zero off them; an eigenvalue counts as zero when it
+    is within the rounding of that solve, len(rows) * eps * max |lam|.
+    """
+    rows = np.flatnonzero(np.any(mat != 0, axis=1))
+    lam, vec = np.linalg.eigh(mat[np.ix_(rows, rows)])
+    keep = np.abs(lam) > len(rows) * np.finfo(float).eps * np.max(np.abs(lam))
+    u = np.zeros((np.count_nonzero(keep), len(mat)))
+    u[:, rows] = vec[:, keep].T
+    return lam[keep], u
 
 
 def hessian_matrix(w0) -> tuple[np.ndarray, ...]:
@@ -272,18 +285,40 @@ def hessian_matrix(w0) -> tuple[np.ndarray, ...]:
     of one coupled set of classes (see _coupled_classes); every entry between
     two blocks is exactly zero.  W0 must be a unit Weyl operator; n is its
     dimension.
+
+    The entries come from W0's nonzero eigenpairs W0 = sum_k lam_k u_k u_k^T,
+    and Q(W0, b_i) is never formed.  The bracket formula of
+    sharp_via_brackets gives W0 # S = 1/2 sum_k lam_k ad_k S ad_k^T with
+    ad_k = ad_matrix(u_k), and 1/2 (W0 S + S W0) pairs with a symmetric b_j
+    as W0 S does, so with ad_k antisymmetric
+
+        <Q(W0, b_i), b_j> = sum_k lam_k (<b_i u_k, b_j u_k>
+                                         - 1/2 <ad_k b_i, (ad_k b_j)^T>).
+
+    The second pairing reads only the rows and columns that ad_k moves (38
+    of 66 at n = 12 for w_cp2, 2(n - 2) for a basis bivector), so the cost
+    grows with rank(W0): one term per nonzero eigenvalue.
+    sharp_via_brackets and q_map are the oracles the tests check it against.
     """
     op = _unit_weyl(w0, "hessian base point")
     mat, n = op.mat, op.dim
     basis = weyl_basis(n)
+    lams, us = _nonzero_eigenpairs(mat)
+    terms = []
+    for lam, u in zip(lams, us):
+        ad = ad_matrix(u)
+        moved = np.flatnonzero(np.any(ad != 0, axis=1))
+        terms.append((lam, moved, ad[np.ix_(moved, moved)]))
     blocks = []
     for members in _coupled_classes(basis, mat, n):
         stack = _stack([basis[i] for i in members], mat.shape[0])
-        flat = stack.reshape(len(stack), -1)
-        h = np.empty((len(stack), len(stack)))
-        for lo in range(0, len(stack), _HESSIAN_CHUNK):
-            q = _q_mat(mat, stack[lo:lo + _HESSIAN_CHUNK], n)
-            h[lo:lo + len(q)] = q.reshape(len(q), -1) @ flat.T
+        m = len(stack)
+        bu = stack @ us.T  # bu[i, :, k] = b_i u_k
+        h = (bu * lams).reshape(m, -1) @ bu.reshape(m, -1).T
+        for lam, moved, ad in terms:
+            z = ad @ stack[:, moved[:, None], moved]
+            zt = z.transpose(0, 2, 1).reshape(m, -1)
+            h -= 0.5 * lam * (z.reshape(m, -1) @ zt.T)
         blocks.append(0.5 * (h + h.T))
     return tuple(blocks)
 

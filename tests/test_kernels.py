@@ -1,6 +1,6 @@
-"""The GEMM sharp kernel against its independent oracle, the batched Hessian
-assembly against the per-vector definition, the flow's reuse of Q(W), and the
-read-only caches the kernels share."""
+"""The GEMM sharp kernel against its independent oracle, the Hessian assembly
+against the per-vector definition and the bracket oracle, the flow's reuse of
+Q(W), and the read-only caches the kernels share."""
 
 import numpy as np
 import pytest
@@ -20,7 +20,13 @@ from curvlab.curvature_core import (
     sharp,
     sharp_via_brackets,
 )
-from curvlab.lie_basis import _pair_table, _vertex_embedding, sp1_basis, wedge_count
+from curvlab.lie_basis import (
+    _ad_pattern,
+    _pair_table,
+    _vertex_embedding,
+    sp1_basis,
+    wedge_count,
+)
 from curvlab.model_spaces import random_weyl, sphere_product, w_cp2
 from curvlab.potential_flow import (
     _excluded_span,
@@ -113,6 +119,33 @@ class TestHessianAssembly:
             assert [len(h) for h in blocks] == [len(s) for s in stacks]
             assert gap(block_diagonal(blocks), naive) < TOL
 
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_matches_bracket_oracle(self, n):
+        # each block against <q, b_j>, q = 1/2 (W0 b_i + b_i W0) + W0 # b_i
+        # with the sharp product from sharp_via_brackets, which reads the
+        # structure constants and shares no code with ad_matrix
+        product = decompose(sphere_product(2, n - 2)).weyl.mat
+        for w0 in (w_cp2(n).mat, product / np.linalg.norm(product),
+                   random_weyl(np.random.default_rng(n), n)):
+            for h, stack in zip(hessian_matrix(w0), block_bases(w0, n)):
+                q = np.array([0.5 * (w0 @ b + b @ w0) + sharp_via_brackets(w0, b).mat
+                              for b in stack])
+                oracle = q.reshape(len(q), -1) @ stack.reshape(len(stack), -1).T
+                assert gap(h, oracle) < TOL
+
+    def test_makes_no_sharp_kernel_call(self, monkeypatch):
+        # the assembly pairs through W0's eigenpairs and never forms Q(W0, b)
+        calls = []
+        kernel = curvature_core._sharp_mat
+
+        def counting(rm, sm, n):
+            calls.append(n)
+            return kernel(rm, sm, n)
+
+        monkeypatch.setattr(curvature_core, "_sharp_mat", counting)
+        hessian_matrix(w_cp2(8))
+        assert calls == []
+
 
 class TestFlowReusesQ:
     def test_samples_match_recomputed_values(self):
@@ -174,10 +207,11 @@ class TestReadOnlyCaches:
             lambda: [arr for c in weyl_basis(6) for arr in c[1:]],
             lambda: _pair_table(5),
             lambda: (_vertex_embedding(5),),
+            lambda: _ad_pattern(5),
         ],
         ids=["bianchi-indices", "bianchi-indices-empty", "sharp-gather",
              "excluded-span", "x-space-basis", "weyl-basis", "pair-table",
-             "vertex-embedding"],
+             "vertex-embedding", "ad-pattern"],
     )
     def test_writes_raise(self, arrays):
         for arr in arrays():

@@ -140,6 +140,19 @@ class TestBracket:
             # callers feed ad matrices to GEMMs; C order keeps their BLAS path
             assert a.flags.c_contiguous
 
+    def test_matches_structure_constant_contraction(self, rng):
+        # ad_matrix reads the pair table; the contraction of v with the
+        # structure constants is its oracle.  Each entry is 0 or one signed
+        # coordinate of v, so the two agree bit for bit, signs of zero included
+        for n in range(3, 17):
+            N = wedge_count(n)
+            tensor = structure_constants(n).reshape(N, -1)
+            dense = rng.standard_normal(N)
+            sparse = np.where(rng.random(N) < 0.5, 0.0, rng.standard_normal(N))
+            for v in (dense, sparse, np.zeros(N)):
+                want = np.ascontiguousarray((v @ tensor).reshape(N, N).T)
+                assert ad_matrix(v).tobytes() == want.tobytes()
+
     def test_killing_form(self, rng):
         # tr(ad_x ad_y) = -2(n-2) <x, y> on so(n)
         for n in (4, 6, 9):
@@ -174,7 +187,7 @@ class TestStructureConstants:
         assert structure_constants(6) is structure_constants(6)
 
     def test_holds_one_array(self):
-        # ad matrices are read off this array, not from a second N^3 copy
+        # one read-only (N, N, N) array, the oracle that ad_matrix is tested against
         t = structure_constants(6)
         assert isinstance(t, np.ndarray)
         assert t.shape == (wedge_count(6),) * 3

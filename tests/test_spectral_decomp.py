@@ -148,6 +148,9 @@ class TestHessian:
             (11, (1, 30, 105, 768, 210, 28, 2)),
             (12, (1, 34, 136, 1161, 272, 32, 2)),
             (13, (1, 38, 171, 1685, 342, 36, 2)),
+            (14, (1, 42, 210, 2365, 420, 40, 2)),
+            (15, (1, 46, 253, 3228, 506, 44, 2)),
+            (16, (1, 50, 300, 4303, 600, 48, 2)),
         ],
     )
     def test_cp2_clusters(self, n, mults):
@@ -218,8 +221,9 @@ class TestHessian:
         # tracemalloc peaks, each bounded at about twice the one measured:
         # the graded basis build (1.9 MiB with the pair-table and Bianchi
         # index caches cold, 0.9 MiB warm) and, with the basis cached, the
-        # Hessian at W_CP2 (10.8 MiB).  The dense route peaked at 159 and
-        # 96 MiB.
+        # Hessian at W_CP2 through its three eigenpairs (4.3 MiB).  The
+        # dense route peaked at 159 and 96 MiB, and the Hessian through the
+        # sharp kernel on 16-vector chunks at 10.8 MiB.
         tracemalloc.start()
         try:
             weyl_basis.__wrapped__(12)
@@ -235,7 +239,7 @@ class TestHessian:
         finally:
             tracemalloc.stop()
         assert build < 4 * 2**20
-        assert hessian < 22 * 2**20
+        assert hessian < 9 * 2**20
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_trace_vanishes(self, rng, n):
