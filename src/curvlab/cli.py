@@ -176,7 +176,10 @@ def tables(which, dims, split, fmt, out):
             columns, rows = _shi_table(dims)
         elif which == "hessian":
             rep = eigen_report(hessian_matrix(w_cp2(dims[0])))
-            columns, rows = ("mean", "multiplicity"), rep.clusters
+            # the zero cluster's mean is rounding noise of either sign; rounding
+            # keeps the table's bytes independent of the summation order
+            columns = ("mean", "multiplicity")
+            rows = [(round(mean, 12) + 0.0, mult) for mean, mult in rep.clusters]
         else:
             n = dims[0]
             table = decomposition_dims(n, split if split is not None else n // 2)

@@ -8,15 +8,19 @@ decomposition, the wedge product of symmetric matrices, the sharp product
 (GEMM route, bracket route, and the fast diagonal path), the quadratic map Q
 with its potential and trilinear form, and the angle to the identity.
 
-The GEMM route expands R and S to 4-tensors and forms, with one n^2 x n^2
-matrix product,
+The GEMM route expands R and S to 4-tensors and forms
 
     B_ijkl = sum_{p,q} R_piqj S_pkql,
     (R#S)_ijkl = 1/2 (B_ikjl - B_iljk + B_jlik - B_jkil),
 
 where the last two terms are the first two with R and S swapped, so the
-product is polarized in (R, S).  It costs O(n^6) against the O(n^8) of the
-trace pairing -1/2 tr(ad_v R ad_w S) over all pairs of basis bivectors.
+product is polarized in (R, S).  Swapping p and q in B swaps (ij) with (kl)
+in the result, so B sums over the n(n+1)/2 pairs p <= q only, with weight 2
+on p < q, and the result is symmetrized: B is one matrix product of two
+n(n+1)/2 x n^2 factors.  For R # R, B is symmetric, so the last two terms
+equal the first two and only those are read.  It costs O(n^6) against the
+O(n^8) of the trace pairing -1/2 tr(ad_v R ad_w S) over all pairs of basis
+bivectors.
 
 Inner products: bivectors use the dot product in wedge coordinates (the
 matrix pairing -1/2 tr(AB)); operators use the Frobenius pairing, so
@@ -273,17 +277,21 @@ def decompose(r) -> DecompositionReport:
 def _sharp_gather(n: int):
     """Index arrays of the GEMM route to the sharp product in dimension n.
 
-    take[(p,q),(k,l)] is the flat position of R_pkql in the N x N wedge
-    matrix and sign its sign (0 where p = k or q = l), so
-    mat.ravel()[take] * sign is the n^2 x n^2 matrix Y[(p,q),(k,l)] = R_pkql.
-    read[:, ij, kl] holds the flat positions of B_ikjl, B_jlik, B_iljk and
-    B_jkil in the n^2 x n^2 product B, for the wedge rows i<j and k<l.
+    The rows run over the n(n+1)/2 pairs p <= q.  take[(p,q),(k,l)] is the
+    flat position of R_pkql in the N x N wedge matrix, and coef is its sign
+    (0 where p = k or q = l), times sqrt(2) where p < q.  So
+    mat.ravel()[take] * coef is the matrix Y[(p,q),(k,l)] = w_pq R_pkql with
+    w_pq^2 = 2 for p < q and 1 for p = q.  read[:, ij, kl] holds the flat
+    positions of B_ikjl, B_jlik, B_iljk and B_jkil in the n^2 x n^2 product
+    B, for the wedge rows i<j and k<l.
     """
     N = wedge_count(n)
     rank, sgn = _pair_table(n)
+    p, q = np.triu_indices(n)
+    take = (rank[p, :, None] * N + rank[q, None, :]).reshape(len(p), -1)
+    weight = np.where(p < q, np.sqrt(2.0), 1.0)[:, None, None]
+    coef = (weight * sgn[p, :, None] * sgn[q, None, :]).reshape(len(p), -1)
     iu, ju = np.triu_indices(n, 1)
-    take = (rank[:, None, :, None] * N + rank[None, :, None, :]).reshape(n * n, -1)
-    sign = (sgn[:, None, :, None] * sgn[None, :, None, :]).reshape(n * n, -1)
     i, j, k, l = iu[:, None], ju[:, None], iu[None, :], ju[None, :]
     read = np.stack([
         (i * n + k) * n * n + j * n + l,
@@ -291,22 +299,30 @@ def _sharp_gather(n: int):
         (i * n + l) * n * n + j * n + k,
         (j * n + k) * n * n + i * n + l,
     ])
-    for arr in (take, sign, read):
+    for arr in (take, coef, read):
         arr.setflags(write=False)
-    return take, sign, read
+    return take, coef, read
 
 
 def _sharp_mat(rm: np.ndarray, sm: np.ndarray, n: int) -> np.ndarray:
     """R # S by the GEMM route; sm may also be a (c, N, N) stack of operators.
 
-    With Y(S)[(p,q),(k,l)] = S_pkql, B = Y(R)^T Y(S) holds
-    B_ijkl = sum_{p,q} R_piqj S_pkql, and the wedge entry (ij, kl) of R # S is
-    1/2 (B_ikjl + B_jlik - B_iljk - B_jkil).  The result is symmetrized in
-    (ij, kl), which it is up to rounding.
+    With Y(S)[(p,q),(k,l)] = w_pq S_pkql over the rows p <= q, the product
+    B = Y(R)^T Y(S) holds B_ijkl = sum_{p<=q} w_pq^2 R_piqj S_pkql.  Row (q,p)
+    of the full sum equals row (p,q) with (i,j) and (k,l) swapped, because
+    R_qipj = R_pjqi, and that swap maps the read planes at (ij, kl) onto those
+    at (kl, ij).  So the wedge entry (ij, kl) of R # S is the (ij, kl)
+    symmetrization of 1/2 (B_ikjl + B_jlik - B_iljk - B_jkil), and the weight
+    w_pq^2 = 2 stands in for the rows p > q.  When sm is rm, B is symmetric,
+    so B_jlik = B_ikjl and B_jkil = B_iljk, and two of the four planes suffice.
     """
-    take, sign, read = _sharp_gather(n)
-    y = np.take(rm.ravel(), take) * sign
-    z = y if sm is rm else np.take(sm.reshape(*sm.shape[:-2], -1), take, axis=-1) * sign
+    take, coef, read = _sharp_gather(n)
+    y = np.take(rm.ravel(), take) * coef
+    if sm is rm:
+        b = (y.T @ y).ravel()
+        m = b[read[0]] - b[read[2]]
+        return 0.5 * (m + m.T)
+    z = np.take(sm.reshape(*sm.shape[:-2], -1), take, axis=-1) * coef
     b = (y.T @ z).reshape(*z.shape[:-2], -1)[..., read]
     m = b[..., 0, :, :] + b[..., 1, :, :] - b[..., 2, :, :] - b[..., 3, :, :]
     return 0.25 * (m + np.swapaxes(m, -1, -2))

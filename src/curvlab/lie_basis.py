@@ -49,6 +49,7 @@ def wedge_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
+@functools.lru_cache(maxsize=None)
 def dim_from_wedge_count(count: int) -> int:
     """Inverse of wedge_count; raises if count is not triangular."""
     n = int(round((1 + np.sqrt(1 + 8 * count)) / 2))

@@ -178,6 +178,18 @@ class TestTables:
         for mean, step in zip(means, ladder):
             assert abs(mean - math.sqrt(1.5) * step) < 1e-8
 
+    def test_hessian_zero_cluster_prints_zero(self, runner):
+        # the zero cluster's mean is rounding noise; the table prints it
+        # rounded, so its bytes do not depend on the summation order
+        result = runner.invoke(
+            main,
+            ["tables", "--table", "hessian", "--dim", "10", "--format", "csv"],
+        )
+        rows = list(csv.reader(io.StringIO(result.stdout)))
+        assert rows[4] == ["0.0", "483"]
+        for mean, _ in rows[1:]:
+            assert mean == repr(round(float(mean), 12))
+
     def test_hessian_requires_single_dim(self, runner):
         assert runner.invoke(main, ["tables", "--table", "hessian"]).exit_code == 2
 

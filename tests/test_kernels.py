@@ -85,12 +85,35 @@ class TestSharpOracle:
             for out in (sharp(r).mat, sharp(r, s).mat):
                 assert np.array_equal(out, out.T)
 
-    @pytest.mark.parametrize("n", [13, 14, 15, 16])
+    @pytest.mark.parametrize("n", [13, 14, 15, 16, 17, 18, 19, 20])
     def test_raw_kernel_beyond_the_basis_cap(self, n, rng):
         r = unit_symmetric(rng, n, True)
         s = unit_symmetric(rng, n, False)
         assert gap(_sharp_mat(r, r, n), sharp_via_brackets(r).mat) < TOL
         assert gap(_sharp_mat(r, s, n), sharp_via_brackets(r, s).mat) < TOL
+
+    @pytest.mark.parametrize("n", [3, 4, 8, 11, 12, 16, 20])
+    def test_gemm_rows_are_the_pairs_p_le_q(self, n):
+        take, coef, _ = _sharp_gather(n)
+        assert take.shape == coef.shape == (n * (n + 1) // 2, n * n)
+
+    @pytest.mark.parametrize("n", range(3, 21))
+    def test_self_read_matches_polarized_read(self, n, rng):
+        # sm is rm reads two planes of the symmetric B; a copy reads all four
+        r = unit_symmetric(rng, n, True)
+        assert gap(_sharp_mat(r, r, n), _sharp_mat(r, r.copy(), n)) < TOL
+
+    @pytest.mark.parametrize("n", [4, 9, 12])
+    def test_output_layout(self, n, rng):
+        # the result is C-ordered, and the input's memory order does not
+        # change a byte of it
+        r = unit_symmetric(rng, n, True)
+        s = unit_symmetric(rng, n, False)
+        rf, sf = np.asfortranarray(r), np.asfortranarray(s)
+        for got, want in ((_sharp_mat(rf, rf, n), _sharp_mat(r, r, n)),
+                          (_sharp_mat(rf, sf, n), _sharp_mat(r, s, n))):
+            assert want.flags.c_contiguous and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [3, 6, 11, 16])
     def test_stack_argument(self, n, rng):
