@@ -12,9 +12,9 @@ so(4), the rotation action on bivectors) is derived from that formula.
 
 The pair table _pair_table(n) is the one encoding of the basis order:
 e_{a+1} ^ e_{b+1} = sign[a, b] b_rank[a, b], with sign 0 on the diagonal.
-The vertex embedding, the structure constants, the entry pattern of the ad
-matrices, the sp(1) bases and every index map of curvature_core,
-spectral_decomp and suite read that table.
+The vertex embedding, the structure constants, the bracket table behind the
+ad matrices and the Hessian, the sp(1) bases and every index map of
+curvature_core, spectral_decomp and suite read that table.
 wedge_rank, wedge_index, wedge_vectors, so_matrix and so_coords keep their
 own code: they are the oracles the table is tested against.
 """
@@ -170,28 +170,30 @@ def structure_constants(n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _ad_pattern(n: int) -> tuple[np.ndarray, ...]:
-    """Read-only index arrays (row, col, take, sign) of the nonzero entries of
-    ad_v: entry (row[t], col[t]) is sign[t] * v[take[t]].
+def _bracket_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (N, N) arrays (take, sign): ad_v[x, y] = sign[x, y] * v[take[x, y]].
 
-    With V the matrix of v, column (p, q) is [V, E_pq] = (V e_p) ^ e_q -
-    (V e_q) ^ e_p = sum over x not in {p, q} of V_xp e_x ^ e_q - V_xq e_x ^ e_p,
-    and V_xp = sign[x, p] v[rank[x, p]]; these are its 2(n - 2) entries.
+    So <[b_z, b_y], b_x> is sign[x, y] for z = take[x, y] and 0 for every
+    other z: at most one basis bivector brackets b_y into b_x, and where
+    none does, sign and take are 0.  With V the matrix of v, column (p, q)
+    of ad_v is [V, E_pq] = (V e_p) ^ e_q - (V e_q) ^ e_p = sum over x not in
+    {p, q} of V_xp e_x ^ e_q - V_xq e_x ^ e_p, and V_xp = sign[x, p]
+    v[rank[x, p]] in the pair table; these are its 2(n - 2) nonzero entries.
     """
-    rank, sign = _pair_table(n)
+    rank, pair_sign = _pair_table(n)
     p, q = np.triu_indices(n, 1)
     x, col = np.nonzero((np.arange(n)[:, None] != p) & (np.arange(n)[:, None] != q))
     p, q = p[col], q[col]
-    s = sign[x, p] * sign[x, q]
-    out = (
-        np.concatenate([rank[x, q], rank[x, p]]),
-        np.concatenate([col, col]),
-        np.concatenate([rank[x, p], rank[x, q]]),
-        np.concatenate([s, -s]),
-    )
-    for arr in out:
-        arr.setflags(write=False)
-    return out
+    s = pair_sign[x, p] * pair_sign[x, q]
+    row, col = np.concatenate([rank[x, q], rank[x, p]]), np.concatenate([col, col])
+    N = wedge_count(n)
+    take = np.zeros((N, N), dtype=np.intp)
+    sign = np.zeros((N, N))
+    take[row, col] = np.concatenate([rank[x, p], rank[x, q]])
+    sign[row, col] = np.concatenate([s, -s])
+    take.setflags(write=False)
+    sign.setflags(write=False)
+    return take, sign
 
 
 def ad_matrix(v: np.ndarray) -> np.ndarray:
@@ -209,10 +211,12 @@ def ad_matrix(v: np.ndarray) -> np.ndarray:
     n = dim_from_wedge_count(N)
     if n < 3:
         raise ArgumentError(f"need n >= 3, got {n}")
-    row, col, take, sign = _ad_pattern(n)
-    out = np.zeros((N, N))
-    # adding 0.0 turns -1 * 0.0 into the +0.0 that the contraction gives
-    out[row, col] = sign * v[take] + 0.0
+    take, sign = _bracket_table(n)
+    out = v[take]
+    out *= sign
+    # adding 0.0 turns -1 * 0.0 and 0 * -x into the +0.0 that the
+    # contraction gives
+    out += 0.0
     return out
 
 

@@ -13,9 +13,12 @@ so the basis is one small null space per character class, of dimension
 N - n, n - 3 or 2 for 0, 2 or 4 set bits.  It is built for n in BASIS_DIMS
 (5..16).  hessian_matrix represents W -> Q(W0, W) on that basis as diagonal
 blocks: Q(W0, .) couples two classes only through the characters of W0's
-nonzero entries.  It pairs the basis vectors through W0's nonzero eigenpairs
-and the ad matrices of its eigenvectors, never forming Q(W0, b), so its cost
-grows with rank(W0) (3 for w_cp2) rather than with the O(n^6) sharp kernel.
+nonzero entries.  Each block is V G V^T in the coordinates of its own
+classes: G pairs the coordinate matrices, each of its entries a few entries
+of W0 read through the so(n) bracket table, and V holds the class vectors.
+Q(W0, b), N x N basis matrices and eigenpairs of W0 are never formed, so the
+cost grows with the sum over blocks of their squared coordinate counts, not
+with the O(n^6) sharp kernel or with rank(W0).
 eigen_report clusters a symmetric spectrum, given as one matrix or as
 blocks; orbit_tangent_dim measures rotation orbits; decomposition_dims
 reproduces every dimension count of the SO(k) x SO(l) and Pin(2)-refined
@@ -42,9 +45,9 @@ from .curvature_core import (
 )
 from .errors import ArgumentError, UnsupportedDimensionError
 from .lie_basis import (
+    _bracket_table,
     _pair_table,
     _vertex_embedding,
-    ad_matrix,
     sp1_basis,
     structure_constants,
     wedge_count,
@@ -228,25 +231,14 @@ def weyl_basis(n: int) -> tuple[WeylClass, ...]:
     return tuple(classes)
 
 
-def _stack(classes, N: int) -> np.ndarray:
-    """The basis operators of the given classes, as one (count, N, N) array."""
-    out = np.zeros((sum(len(c.vectors) for c in classes), N, N))
-    lo = 0
-    for c in classes:
-        vals = c.vectors * np.where(c.rows == c.cols, 1.0, np.sqrt(0.5))
-        hi = lo + len(vals)
-        out[lo:hi, c.rows, c.cols] = out[lo:hi, c.cols, c.rows] = vals
-        lo = hi
-    return out
-
-
-def _coupled_classes(basis, mat: np.ndarray, n: int) -> list:
-    """Indices into basis of the classes in each block of the Hessian at mat.
+def _block_keys(basis, mat: np.ndarray, n: int) -> np.ndarray:
+    """For each class of basis, the key of its block in the Hessian at mat.
 
     Q(W0, .) maps character chi into the characters chi ^ psi, psi those of
     W0's nonzero entries, since every term of an entry of another character
     holds an exactly zero factor.  So classes chi and chi' share a block when
-    chi ^ chi' lies in the GF(2) span of the psi: the blocks are its cosets.
+    chi ^ chi' lies in the GF(2) span of the psi: the blocks are its cosets,
+    and the key is the least character of the coset.
     """
     char = _pair_characters(n)
     rows, cols = np.nonzero(mat)
@@ -260,22 +252,25 @@ def _coupled_classes(basis, mat: np.ndarray, n: int) -> list:
     keys = np.array([c.character for c in basis])
     for p in pivots:
         keys = np.minimum(keys, keys ^ p)
+    return keys
+
+
+def _coupled_classes(basis, mat: np.ndarray, n: int) -> list:
+    """Indices into basis of the classes in each block of the Hessian at mat,
+    ascending within a block, the blocks in ascending order of their key."""
+    keys = _block_keys(basis, mat, n)
     return _split_by(keys, np.unique(keys))
 
 
-def _nonzero_eigenpairs(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """mat as sum_k lam[k] u[k] u[k]^T over its nonzero eigenvalues.
-
-    The eigenproblem is solved on mat's nonzero rows and columns only, so
-    each u[k] is exactly zero off them; an eigenvalue counts as zero when it
-    is within the rounding of that solve, len(rows) * eps * max |lam|.
-    """
-    rows = np.flatnonzero(np.any(mat != 0, axis=1))
-    lam, vec = np.linalg.eigh(mat[np.ix_(rows, rows)])
-    keep = np.abs(lam) > len(rows) * np.finfo(float).eps * np.max(np.abs(lam))
-    u = np.zeros((np.count_nonzero(keep), len(mat)))
-    u[:, rows] = vec[:, keep].T
-    return lam[keep], u
+def _offsets(sizes: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """Start of each item within its group, when the items of a group lie
+    one after another in index order, each taking its size."""
+    order = np.argsort(group, kind="stable")
+    before = np.cumsum(sizes[order]) - sizes[order]
+    keys = group[order]
+    out = np.empty_like(before)
+    out[order] = before - before[np.searchsorted(keys, keys)]
+    return out
 
 
 def hessian_matrix(w0) -> tuple[np.ndarray, ...]:
@@ -286,41 +281,78 @@ def hessian_matrix(w0) -> tuple[np.ndarray, ...]:
     two blocks is exactly zero.  W0 must be a unit Weyl operator; n is its
     dimension.
 
-    The entries come from W0's nonzero eigenpairs W0 = sum_k lam_k u_k u_k^T,
-    and Q(W0, b_i) is never formed.  The bracket formula of
-    sharp_via_brackets gives W0 # S = 1/2 sum_k lam_k ad_k S ad_k^T with
-    ad_k = ad_matrix(u_k), and 1/2 (W0 S + S W0) pairs with a symmetric b_j
-    as W0 S does, so with ad_k antisymmetric
+    Each block is V G V^T over the coordinates of its classes: V holds the
+    class vectors, laid out block-diagonally, and G[t, t'] = <Q(W0, E_t),
+    E_t'> pairs the coordinate matrices E_t of t = (A, B), A <= B, which is
+    e_A e_A^T for A = B and (e_A e_B^T + e_B e_A^T) / sqrt(2) for A < B.
+    With the bracket formula of sharp_via_brackets and
+    ad_v[x, y] = sign[x, y] v[take[x, y]] (lie_basis._bracket_table), any
+    W0 = sum_k lam_k u_k u_k^T gives for symmetric X, Y
 
-        <Q(W0, b_i), b_j> = sum_k lam_k (<b_i u_k, b_j u_k>
-                                         - 1/2 <ad_k b_i, (ad_k b_j)^T>).
+        <Q(W0, X), Y> = tr(X Y W0) - 1/2 sum_k lam_k <ad_k X, (ad_k Y)^T>
+                      = sum X[a, b] Y[c, d] (d_bc W0[d, a]
+                          - 1/2 sign[b, c] sign[d, a] W0[take[b, c], take[d, a]])
 
-    The second pairing reads only the rows and columns that ad_k moves (38
-    of 66 at n = 12 for w_cp2, 2(n - 2) for a basis bivector), so the cost
-    grows with rank(W0): one term per nonzero eigenvalue.
+    over the entries (a, b) of X and (c, d) of Y, so G is gathered from W0
+    entry by entry: no eigenpair, no Q(W0, b) and no N x N basis matrix.
+    Blocks of one shape (vectors, coordinates) are assembled together, in
+    two batched matrix products: w_cp2 has six shapes at n = 8..16, for
+    example 294 blocks of (2, 3) and one of (56, 69) at n = 12.
     sharp_via_brackets and q_map are the oracles the tests check it against.
     """
     op = _unit_weyl(w0, "hessian base point")
     mat, n = op.mat, op.dim
     basis = weyl_basis(n)
-    lams, us = _nonzero_eigenpairs(mat)
-    terms = []
-    for lam, u in zip(lams, us):
-        ad = ad_matrix(u)
-        moved = np.flatnonzero(np.any(ad != 0, axis=1))
-        terms.append((lam, moved, ad[np.ix_(moved, moved)]))
-    blocks = []
-    for members in _coupled_classes(basis, mat, n):
-        stack = _stack([basis[i] for i in members], mat.shape[0])
-        m = len(stack)
-        bu = stack @ us.T  # bu[i, :, k] = b_i u_k
-        h = (bu * lams).reshape(m, -1) @ bu.reshape(m, -1).T
-        for lam, moved, ad in terms:
-            z = ad @ stack[:, moved[:, None], moved]
-            zt = z.transpose(0, 2, 1).reshape(m, -1)
-            h -= 0.5 * lam * (z.reshape(m, -1) @ zt.T)
-        blocks.append(0.5 * (h + h.T))
-    return tuple(blocks)
+    take, sign = _bracket_table(n)
+    _, block = np.unique(_block_keys(basis, mat, n), return_inverse=True)
+    nvec = np.array([len(c.vectors) for c in basis])
+    ncoord = np.array([len(c.rows) for c in basis])
+    # the blocks of one shape (vectors, coordinates) form one stack, in which
+    # a block sits at its slot; in its block, a class's vectors start at row
+    # vec_at and its coordinates at column coord_at
+    sizes = [np.bincount(block, count).astype(np.intp) for count in (nvec, ncoord)]
+    shapes, shape = np.unique(np.stack(sizes, axis=1), axis=0, return_inverse=True)
+    slot = _offsets(np.ones_like(shape), shape)
+    vec_at, coord_at = _offsets(nvec, block), _offsets(ncoord, block)
+    # every coordinate t = (rows[t], cols[t]) of every class, with its stack,
+    # slot and column
+    first = np.cumsum(ncoord) - ncoord
+    cls = np.repeat(np.arange(len(basis)), ncoord)
+    rows = np.concatenate([c.rows for c in basis])
+    cols = np.concatenate([c.cols for c in basis])
+    t_stack, t_slot = shape[block[cls]], slot[block[cls]]
+    t_col = coord_at[cls] + np.arange(len(cls)) - first[cls]
+    # every entry of every class vector, with its row and coordinate; E_t
+    # holds (A, B) and (B, A), and a diagonal t holds (A, A) twice, so each
+    # entry is weighted by 1/sqrt(2), or 1/2 on the diagonal
+    size = nvec * ncoord
+    owner = np.repeat(np.arange(len(basis)), size)
+    at = np.arange(len(owner)) - np.repeat(np.cumsum(size) - size, size)
+    e_row = vec_at[owner] + at // ncoord[owner]
+    e_coord = first[owner] + at % ncoord[owner]
+    weight = np.where(rows == cols, 0.5, np.sqrt(0.5))
+    values = np.concatenate([c.vectors.ravel() for c in basis]) * weight[e_coord]
+    stacks = []
+    for s, (m, k) in enumerate(shapes.tolist()):
+        here = t_stack == s
+        a = np.zeros((np.count_nonzero(shape == s), k), dtype=np.intp)
+        b = np.zeros_like(a)
+        a[t_slot[here], t_col[here]] = rows[here]
+        b[t_slot[here], t_col[here]] = cols[here]
+        v = np.zeros((len(a), m, k))
+        here = t_stack[e_coord] == s
+        t = e_coord[here]
+        v[t_slot[t], e_row[here], t_col[t]] = values[here]
+        # E_t's entries (a, b), (b, a) against E_t''s (c, d), (d, c): four
+        # delta terms, and two bracket terms that each occur twice
+        a, b, c, d = a[:, :, None], b[:, :, None], a[:, None, :], b[:, None, :]
+        g = ((b == c) * mat[d, a] + (a == d) * mat[c, b]
+             + (b == d) * mat[c, a] + (a == c) * mat[d, b])
+        g -= sign[b, c] * sign[d, a] * mat[take[b, c], take[d, a]]
+        g -= sign[b, d] * sign[c, a] * mat[take[b, d], take[c, a]]
+        h = v @ g @ v.transpose(0, 2, 1)
+        stacks.append(0.5 * (h + h.transpose(0, 2, 1)))
+    return tuple(stacks[s][i] for s, i in zip(shape.tolist(), slot.tolist()))
 
 
 @dataclass(frozen=True)

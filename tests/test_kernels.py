@@ -21,7 +21,7 @@ from curvlab.curvature_core import (
     sharp_via_brackets,
 )
 from curvlab.lie_basis import (
-    _ad_pattern,
+    _bracket_table,
     _pair_table,
     _vertex_embedding,
     sp1_basis,
@@ -156,8 +156,42 @@ class TestHessianAssembly:
                 oracle = q.reshape(len(q), -1) @ stack.reshape(len(stack), -1).T
                 assert gap(h, oracle) < TOL
 
+    @pytest.mark.parametrize("point", ["random-9", "s3xs6"])
+    def test_full_rank_matches_per_vector_q(self, point):
+        # at a full-rank W0 the assembly reads every entry of W0: a random
+        # unit Weyl point couples all classes into one 495-wide block, and
+        # the S^3 x S^6 Weyl part into many
+        if point == "random-9":
+            w0 = random_weyl(np.random.default_rng(9), 9)
+        else:
+            product = decompose(sphere_product(3, 6)).weyl.mat
+            w0 = product / np.linalg.norm(product)
+        assert np.linalg.matrix_rank(w0) == wedge_count(9)
+        stacks = block_bases(w0, 9)
+        basis = np.concatenate(stacks)
+        q = np.array([q_map(w0, b).mat for b in basis])
+        naive = q.reshape(len(q), -1) @ basis.reshape(len(basis), -1).T
+        blocks = hessian_matrix(w0)
+        assert [len(h) for h in blocks] == [len(s) for s in stacks]
+        if point == "random-9":
+            assert [len(h) for h in blocks] == [495]
+        assert gap(block_diagonal(blocks), naive) < TOL
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_input_layout(self, n, rng):
+        # the blocks are gathered from W0's entries, so W0's memory order
+        # does not change a byte of them (a random point is one block, so
+        # it is checked at n = 8 only)
+        points = [w_cp2(n).mat] + ([random_weyl(rng, n)] if n == 8 else [])
+        for w0 in points:
+            got = hessian_matrix(np.asfortranarray(w0))
+            want = hessian_matrix(np.ascontiguousarray(w0))
+            assert len(got) == len(want)
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
     def test_makes_no_sharp_kernel_call(self, monkeypatch):
-        # the assembly pairs through W0's eigenpairs and never forms Q(W0, b)
+        # the assembly gathers each block's class-coordinate pairing from W0's
+        # entries: it never forms Q(W0, b) and never diagonalizes W0
         calls = []
         kernel = curvature_core._sharp_mat
 
@@ -165,7 +199,13 @@ class TestHessianAssembly:
             calls.append(n)
             return kernel(rm, sm, n)
 
+        def refuse(*args, **kwargs):
+            raise AssertionError("hessian_matrix called a matrix factorization")
+
+        weyl_basis(8)  # the basis build is an SVD per class; cache it first
         monkeypatch.setattr(curvature_core, "_sharp_mat", counting)
+        for name in ("eigh", "eigvalsh", "eig", "svd"):
+            monkeypatch.setattr(np.linalg, name, refuse)
         hessian_matrix(w_cp2(8))
         assert calls == []
 
@@ -230,11 +270,11 @@ class TestReadOnlyCaches:
             lambda: [arr for c in weyl_basis(6) for arr in c[1:]],
             lambda: _pair_table(5),
             lambda: (_vertex_embedding(5),),
-            lambda: _ad_pattern(5),
+            lambda: _bracket_table(5),
         ],
         ids=["bianchi-indices", "bianchi-indices-empty", "sharp-gather",
              "excluded-span", "x-space-basis", "weyl-basis", "pair-table",
-             "vertex-embedding", "ad-pattern"],
+             "vertex-embedding", "bracket-table"],
     )
     def test_writes_raise(self, arrays):
         for arr in arrays():

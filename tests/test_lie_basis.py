@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from curvlab.errors import ArgumentError
 from curvlab.lie_basis import (
+    _bracket_table,
     _pair_table,
     _vertex_embedding,
     ad_matrix,
@@ -187,6 +188,22 @@ class TestStructureConstants:
 
     def test_cached(self):
         assert structure_constants(6) is structure_constants(6)
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_bracket_table(self, n):
+        # <[b_z, b_y], b_x> = sign[x, y] for z = take[x, y] and 0 otherwise:
+        # the table, spread over z, is the tensor itself, so no (x, y) has a
+        # second nonzero bracket
+        take, sign = _bracket_table(n)
+        N = wedge_count(n)
+        tensor = structure_constants(n)
+        assert np.all(np.count_nonzero(tensor, axis=0) <= 1)
+        x, y = np.nonzero(sign)
+        dense = np.zeros((N, N, N))
+        dense[take[x, y], y, x] = sign[x, y]
+        assert np.array_equal(dense, tensor)
+        assert np.all(take[sign == 0] == 0)
+        assert not take.flags.writeable and not sign.flags.writeable
 
     def test_holds_one_array(self):
         # one read-only (N, N, N) array, the oracle that ad_matrix is tested against

@@ -221,9 +221,11 @@ class TestHessian:
         # tracemalloc peaks, each bounded at about twice the one measured:
         # the graded basis build (1.9 MiB with the pair-table and Bianchi
         # index caches cold, 0.9 MiB warm) and, with the basis cached, the
-        # Hessian at W_CP2 through its three eigenpairs (4.3 MiB).  The
-        # dense route peaked at 159 and 96 MiB, and the Hessian through the
-        # sharp kernel on 16-vector chunks at 10.8 MiB.
+        # Hessian at W_CP2 gathered in class coordinates (1.1 MiB with the
+        # bracket table cold, most of it the index arrays that place each
+        # class's vector entries in its block).  The dense route peaked at
+        # 159 and 96 MiB, the sharp kernel on 16-vector chunks at 10.8 MiB
+        # and the pairing through W_CP2's three eigenpairs at 4.3 MiB.
         tracemalloc.start()
         try:
             weyl_basis.__wrapped__(12)
@@ -239,7 +241,7 @@ class TestHessian:
         finally:
             tracemalloc.stop()
         assert build < 4 * 2**20
-        assert hessian < 9 * 2**20
+        assert hessian < 2.25 * 2**20
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_trace_vanishes(self, rng, n):
