@@ -128,12 +128,13 @@ class DecompositionReport:
     weyl_norm: float
 
 
-def _symmetric(x, name: str) -> np.ndarray:
-    """x as a float matrix; ArgumentError unless square and symmetric."""
+def _symmetric(x, name: str, stack: bool = False) -> np.ndarray:
+    """x as a float matrix, or with stack as a (c, k, k) stack of them;
+    ArgumentError unless every matrix is square and symmetric."""
     mat = np.asarray(x, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    if mat.ndim != 2 + stack or mat.shape[-1] != mat.shape[-2]:
         raise ArgumentError(f"{name} must be a square matrix")
-    if np.max(np.abs(mat - mat.T), initial=0.0) >= SYMMETRY_TOL:
+    if np.max(np.abs(mat - mat.swapaxes(-1, -2)), initial=0.0) >= SYMMETRY_TOL:
         raise ArgumentError(f"{name} must be symmetric")
     return mat
 

@@ -2,16 +2,18 @@
 dimension bookkeeping of the invariant decompositions.
 
 Every subspace and rank here comes from two private helpers: _null_space
-(one full SVD, checked against the expected dimension) and _rank (singular
-values only).  weyl_basis(n) is the null space of the first Bianchi and zero
-Ricci constraints, in orthonormal coordinates of the symmetric N x N
-matrices: x_aa = R_aa and x_ab = sqrt(2) R_ab for a < b, so that the
-Frobenius norm of R is the Euclidean norm of x.  It is graded by the sign
-flips of the n coordinates: the entry R_ab,cd has the character
-bit(a)^bit(b)^bit(c)^bit(d), every constraint row lies in one character, and
-so the basis is one small null space per character class, of dimension
-N - n, n - 3 or 2 for 0, 2 or 4 set bits.  It is built for n in BASIS_DIMS
-(5..16).  hessian_matrix represents W -> Q(W0, W) on that basis as diagonal
+(one full SVD of a matrix or of a stack of them, each checked against the
+expected dimension) and _rank (singular values only).  weyl_basis(n) is the
+null space of the first Bianchi and zero Ricci constraints, in orthonormal
+coordinates of the symmetric N x N matrices: x_aa = R_aa and
+x_ab = sqrt(2) R_ab for a < b, so that the Frobenius norm of R is the
+Euclidean norm of x.  It is graded by the sign flips of the n coordinates:
+the entry R_ab,cd has the character bit(a)^bit(b)^bit(c)^bit(d), every
+constraint row lies in one character, and so the basis is one small null
+space per character class, of dimension N - n, n - 3 or 2 for 0, 2 or 4 set
+bits.  The classes of one constraint shape are solved as one stack: three
+stacks at n = 12 for 562 classes.  It is built for n in BASIS_DIMS (5..20).
+hessian_matrix represents W -> Q(W0, W) on that basis as diagonal
 blocks: Q(W0, .) couples two classes only through the characters of W0's
 nonzero entries.  Each block is V G V^T in the coordinates of its own
 classes: G pairs the coordinate matrices, each of its entries a few entries
@@ -20,10 +22,11 @@ Q(W0, b), N x N basis matrices and eigenpairs of W0 are never formed, so the
 cost grows with the sum over blocks of their squared coordinate counts, not
 with the O(n^6) sharp kernel or with rank(W0).
 eigen_report clusters a symmetric spectrum, given as one matrix or as
-blocks; orbit_tangent_dim measures rotation orbits; decomposition_dims
-reproduces every dimension count of the SO(k) x SO(l) and Pin(2)-refined
-splittings, including the X_k spaces: the kernel of the triple wedge map on
-Lambda^2(R^k) (x) R^k, less the embedded copy of R^k.
+blocks, with one eigvalsh per block shape; orbit_tangent_dim measures
+rotation orbits; decomposition_dims reproduces every dimension count of the
+SO(k) x SO(l) and Pin(2)-refined splittings, including the X_k spaces: the
+kernel of the triple wedge map on Lambda^2(R^k) (x) R^k, less the embedded
+copy of R^k.
 """
 
 from __future__ import annotations
@@ -84,17 +87,23 @@ def x_dim(k: int) -> int:
     return k * (k - 2) * (k + 2) // 3
 
 
-def _null_space(rows: np.ndarray, expected: int, what: str) -> np.ndarray:
-    """Orthonormal basis, as rows, of the null space of rows.
+def _null_space(rows: np.ndarray, expected: int, what) -> np.ndarray:
+    """Orthonormal basis, as rows, of the null space of rows; for a (c, r, k)
+    stack of matrices, the (c, expected, k) stack of their bases.
 
-    The rank counts singular values above 1e-10 times the largest; raises
-    RuntimeError unless the null space has dimension expected.
+    One SVD for the whole stack; each rank counts singular values above
+    1e-10 times that matrix's largest.  Raises RuntimeError unless every null
+    space has dimension expected, naming the matrix what, or item i of a
+    stack what(i).
     """
     _, s, vt = np.linalg.svd(rows, full_matrices=True)
-    null = vt[int(np.sum(s > 1e-10 * s[0])):]
-    if len(null) != expected:
-        raise RuntimeError(f"{what} has dimension {len(null)}, not {expected}")
-    return null
+    dims = rows.shape[-1] - np.sum(s > 1e-10 * s[..., :1], axis=-1)
+    wrong = np.flatnonzero(dims != expected)
+    if wrong.size:
+        i = int(wrong[0])
+        name = what(i) if rows.ndim == 3 else what
+        raise RuntimeError(f"{name} has dimension {dims.flat[i]}, not {expected}")
+    return vt[..., rows.shape[-1] - expected:, :]
 
 
 def _rank(mat: np.ndarray, rtol: float) -> int:
@@ -106,7 +115,7 @@ def _rank(mat: np.ndarray, rtol: float) -> int:
 
 
 #: the dimensions at which weyl_basis builds the Weyl basis
-BASIS_DIMS = range(5, 17)
+BASIS_DIMS = range(5, 21)
 
 
 class WeylClass(NamedTuple):
@@ -168,9 +177,10 @@ def weyl_basis(n: int) -> tuple[WeylClass, ...]:
     R_ij,kl - R_ik,jl + R_il,jk and every pair a <= b the Ricci row Ric_ab.
     Each row lies in one character (bit(i)^bit(j)^bit(k)^bit(l) and
     bit(a)^bit(b)), so the constraint matrix is block-diagonal by
-    character, and each class is the null space of its own rows.
-    Deterministic: each vector's sign makes its largest-magnitude entry
-    positive.
+    character, and each class is the null space of its own rows.  The
+    classes of one constraint shape share one batched SVD, sign fix and
+    residual check.  Deterministic: each vector's sign makes its
+    largest-magnitude entry positive.
     """
     if n not in BASIS_DIMS:
         raise UnsupportedDimensionError(f"weyl_basis supports {min(BASIS_DIMS)} "
@@ -204,31 +214,56 @@ def weyl_basis(n: int) -> tuple[WeylClass, ...]:
     entry_coord, entry_row, entry_val = entry_coord[keep], entry_row[keep], entry_val[keep]
     if np.any(coord_char[entry_coord] != row_char[entry_row]):
         raise RuntimeError(f"a constraint row mixes sign characters at n={n}")
-    chars = np.unique(coord_char)
-    dims = _class_dims(n)
-    classes = []
-    for chi, coords, rows, entries in zip(
-        chars.tolist(),
-        _split_by(coord_char, chars),
-        _split_by(row_char, chars),
-        _split_by(row_char[entry_row], chars),
-    ):
-        constraints = np.zeros((len(rows), len(coords)))
-        constraints[np.searchsorted(rows, entry_row[entries]),
-                    np.searchsorted(coords, entry_coord[entries])] = entry_val[entries]
-        vectors = _null_space(constraints, dims[chi.bit_count()],
-                              f"Weyl class {chi:#b} at n={n}")
-        lead = vectors[np.arange(len(vectors)), np.argmax(np.abs(vectors), axis=1)]
-        vectors *= np.where(lead < 0, -1.0, 1.0)[:, None]
-        residual = np.max(np.abs(constraints @ vectors.T))
-        if residual >= BIANCHI_TOL:
-            raise RuntimeError(f"Weyl class {chi:#b} violates its constraints at "
-                               f"n={n} (residual {residual:.3e})")
-        entry = WeylClass(chi, iu[coords], ju[coords], vectors)
-        for arr in entry[1:]:
-            arr.setflags(write=False)
-        classes.append(entry)
-    return tuple(classes)
+    # (return_inverse also keeps np.unique off its numpy.ma import)
+    chars, coord_class = np.unique(coord_char, return_inverse=True)
+    row_class = np.searchsorted(chars, row_char)
+    entry_class = row_class[entry_row]
+    ncoord = np.bincount(coord_class)
+    nrow = np.bincount(row_class, minlength=len(chars))
+    table = _class_dims(n)
+    dims = [table[chi.bit_count()] for chi in chars.tolist()]
+    # the classes of one shape (rows, coordinates, Weyl dimension) form one
+    # stack, in which a class sits at its slot; a constraint entry lands at
+    # its row's and its coordinate's places within their class
+    shapes, shape = np.unique(
+        np.stack([nrow, ncoord, dims], axis=1), axis=0, return_inverse=True
+    )
+    slot = _offsets(np.ones_like(shape), shape)
+    row_at = _offsets(np.ones_like(row_class), row_class)
+    coord_at = _offsets(np.ones_like(coord_class), coord_class)
+    stacks = []
+    for s, (r, k, dim) in enumerate(shapes.tolist()):
+        members = np.flatnonzero(shape == s)
+        here = shape[entry_class] == s
+        constraints = np.zeros((len(members), r, k))
+        constraints[slot[entry_class[here]], row_at[entry_row[here]],
+                    coord_at[entry_coord[here]]] = entry_val[here]
+        vectors = _null_space(constraints, dim,
+                              lambda i: f"Weyl class {chars[members[i]]:#b} at n={n}")
+        lead = np.take_along_axis(
+            vectors, np.argmax(np.abs(vectors), axis=2)[:, :, None], axis=2
+        )
+        vectors *= np.where(lead < 0, -1.0, 1.0)
+        residual = np.max(np.abs(constraints @ vectors.transpose(0, 2, 1)), axis=(1, 2))
+        worst = int(np.argmax(residual))
+        if residual[worst] >= BIANCHI_TOL:
+            raise RuntimeError(f"Weyl class {chars[members[worst]]:#b} violates its "
+                               f"constraints at n={n} (residual {residual[worst]:.3e})")
+        vectors.setflags(write=False)
+        stacks.append(vectors)
+    # each class's coordinates, ascending; slices of read-only arrays are
+    # read-only
+    order = np.argsort(coord_class, kind="stable")
+    cuts = np.cumsum(ncoord)[:-1]
+    rows, cols = iu[order], ju[order]
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return tuple(
+        WeylClass(chi, r, c, stacks[s][i]) for chi, r, c, s, i in zip(
+            chars.tolist(), np.split(rows, cuts), np.split(cols, cuts),
+            shape.tolist(), slot.tolist(),
+        )
+    )
 
 
 def _block_keys(basis, mat: np.ndarray, n: int) -> np.ndarray:
@@ -243,7 +278,7 @@ def _block_keys(basis, mat: np.ndarray, n: int) -> np.ndarray:
     char = _pair_characters(n)
     rows, cols = np.nonzero(mat)
     pivots = []  # a basis of the span with distinct leading bits, descending
-    for psi in np.unique(char[rows] ^ char[cols]).tolist():
+    for psi in sorted(set((char[rows] ^ char[cols]).tolist())):
         for p in pivots:
             psi = min(psi, psi ^ p)
         if psi:
@@ -259,7 +294,7 @@ def _coupled_classes(basis, mat: np.ndarray, n: int) -> list:
     """Indices into basis of the classes in each block of the Hessian at mat,
     ascending within a block, the blocks in ascending order of their key."""
     keys = _block_keys(basis, mat, n)
-    return _split_by(keys, np.unique(keys))
+    return _split_by(keys, np.array(sorted(set(keys.tolist()))))
 
 
 def _offsets(sizes: np.ndarray, group: np.ndarray) -> np.ndarray:
@@ -271,6 +306,41 @@ def _offsets(sizes: np.ndarray, group: np.ndarray) -> np.ndarray:
     out = np.empty_like(before)
     out[order] = before - before[np.searchsorted(keys, keys)]
     return out
+
+
+def _coordinate_pairing(mat, a, b, take, sign) -> np.ndarray:
+    """The stack G[p, i, j] = <Q(W0, E_t), E_t'> of hessian_matrix, for the
+    coordinates t = (a[p, i], b[p, i]) and t' = (a[p, j], b[p, j]) of each
+    block p of a stack; mat is W0.
+
+    E_t's entries (a, b), (b, a) against E_t''s (c, d), (d, c) give four
+    delta terms, d_bc W0[d, a], d_ad W0[c, b], d_bd W0[c, a] and
+    d_ac W0[d, b], and two bracket terms that each occur twice.  Each term is
+    gathered only where its delta holds or both its signs are nonzero (the
+    bracket table has 2(n - 2) nonzeros per row), and the terms are added in
+    that order, so G holds the values of the sum of the dense terms.
+    """
+    k = a.shape[1]
+    g = np.zeros((len(a), k, k))
+    out = g.reshape(-1)
+
+    def pairs(mask):
+        # the flat positions in g where mask holds, and there the positions
+        # of t and t' in a.ravel() and b.ravel()
+        at = np.flatnonzero(mask)
+        t, j = np.divmod(at, k)
+        return at, t, t - t % k + j
+
+    for x, y, u, w in ((b, a, b, a), (a, b, a, b), (b, b, a, a), (a, a, b, b)):
+        at, t, s = pairs(x[:, :, None] == y[:, None, :])
+        out[at] += mat[u.ravel()[s], w.ravel()[t]]
+    bracket = sign != 0
+    for x, y, u, w in ((b, a, b, a), (b, b, a, a)):
+        at, t, s = pairs(bracket[x[:, :, None], y[:, None, :]]
+                         & bracket[u[:, None, :], w[:, :, None]])
+        xy, uw = (x.ravel()[t], y.ravel()[s]), (u.ravel()[s], w.ravel()[t])
+        out[at] -= sign[xy] * sign[uw] * mat[take[xy], take[uw]]
+    return g
 
 
 def hessian_matrix(w0) -> tuple[np.ndarray, ...]:
@@ -339,19 +409,19 @@ def hessian_matrix(w0) -> tuple[np.ndarray, ...]:
         b = np.zeros_like(a)
         a[t_slot[here], t_col[here]] = rows[here]
         b[t_slot[here], t_col[here]] = cols[here]
+        g = _coordinate_pairing(mat, a, b, take, sign)
         v = np.zeros((len(a), m, k))
         here = t_stack[e_coord] == s
         t = e_coord[here]
         v[t_slot[t], e_row[here], t_col[t]] = values[here]
-        # E_t's entries (a, b), (b, a) against E_t''s (c, d), (d, c): four
-        # delta terms, and two bracket terms that each occur twice
-        a, b, c, d = a[:, :, None], b[:, :, None], a[:, None, :], b[:, None, :]
-        g = ((b == c) * mat[d, a] + (a == d) * mat[c, b]
-             + (b == d) * mat[c, a] + (a == c) * mat[d, b])
-        g -= sign[b, c] * sign[d, a] * mat[take[b, c], take[d, a]]
-        g -= sign[b, d] * sign[c, a] * mat[take[b, d], take[c, a]]
-        h = v @ g @ v.transpose(0, 2, 1)
-        stacks.append(0.5 * (h + h.transpose(0, 2, 1)))
+        # g and v go before the symmetrization, which then needs one copy of h
+        h = v @ g
+        del g
+        h = h @ v.transpose(0, 2, 1)
+        del v
+        h += h.transpose(0, 2, 1)
+        h *= 0.5
+        stacks.append(h)
     return tuple(stacks[s][i] for s, i in zip(shape.tolist(), slot.tolist()))
 
 
@@ -378,13 +448,19 @@ def eigen_report(mat, cluster_tol: float = 1e-8) -> SpectralReport:
     """Eigenvalues of a symmetric matrix, grouped into clusters.
 
     mat may also be a tuple of symmetric blocks, such as hessian_matrix
-    returns: the spectrum is then that of the block-diagonal matrix.
+    returns: the spectrum is then that of the block-diagonal matrix, taken
+    with one eigvalsh per stack of equal-shape blocks.
     Values are scaled by the spectral radius before gap detection, so
     cluster_tol is a relative tolerance; clusters are reported as
     (mean eigenvalue, multiplicity), sorted descending.
     """
-    blocks = mat if isinstance(mat, tuple) else (mat,)
-    spectra = [np.linalg.eigvalsh(_symmetric(b, "eigen_report block")) for b in blocks]
+    by_shape = {}
+    for block in mat if isinstance(mat, tuple) else (mat,):
+        by_shape.setdefault(np.shape(block), []).append(block)
+    spectra = [
+        np.linalg.eigvalsh(_symmetric(group, "eigen_report block", stack=True)).ravel()
+        for group in by_shape.values()
+    ]
     vals = np.sort(np.concatenate(spectra))[::-1]
     scale = max(float(np.max(np.abs(vals))), 1e-300)
     # a cluster ends where the scaled spectrum drops by more than cluster_tol
@@ -431,17 +507,37 @@ def triple_wedge_matrix(k: int) -> np.ndarray:
     return phi
 
 
-@functools.lru_cache(maxsize=None)
-def x_space_basis(k: int) -> np.ndarray:
-    """Orthonormal basis of X_k = ker(Phi) minus the embedded copy of R^k.
+def _x_space_rows(k: int) -> np.ndarray:
+    """Phi stacked on the embedding x -> sum_i (x ^ e_i) (x) e_i of R^k.
 
-    The copy x -> sum_i (x ^ e_i) (x) e_i already lies in ker(Phi), so X_k is
-    the null space of Phi stacked on that embedding.
+    The copy of R^k already lies in ker(Phi), so X_k is the null space of
+    these rows.
     """
     embed = _vertex_embedding(k).transpose(0, 2, 1).reshape(k, -1)
-    basis = _null_space(np.vstack([triple_wedge_matrix(k), embed]), x_dim(k), f"X_{k}")
+    return np.vstack([triple_wedge_matrix(k), embed])
+
+
+@functools.lru_cache(maxsize=None)
+def x_space_basis(k: int) -> np.ndarray:
+    """Orthonormal basis of X_k = ker(Phi) minus the embedded copy of R^k."""
+    basis = _null_space(_x_space_rows(k), x_dim(k), f"X_{k}")
     basis.setflags(write=False)
     return basis
+
+
+@functools.lru_cache(maxsize=None)
+def _x_space_dim(k: int) -> int:
+    """dim X_k: the columns of _x_space_rows(k) less their rank.
+
+    Singular values only, so no square factor of side k C(k, 2) is formed,
+    as the full SVD behind x_space_basis forms one (2312 x 2312 at k = 17).
+    RuntimeError unless the dimension is x_dim(k).
+    """
+    rows = _x_space_rows(k)
+    dim = rows.shape[1] - _rank(rows, 1e-10)
+    if dim != x_dim(k):
+        raise RuntimeError(f"X_{k} has dimension {dim}, not {x_dim(k)}")
+    return dim
 
 
 @functools.lru_cache(maxsize=None)
@@ -479,8 +575,7 @@ def decomposition_dims(n: int, k: int) -> DimensionTable:
     l = n - k
     if not (3 <= k <= n - 3):
         raise ArgumentError(f"need 3 <= k <= n-3, got k={k}, n={n}")
-    # x_space_basis raises unless the kernel dimension matches x_dim
-    xk, xl = len(x_space_basis(k)), len(x_space_basis(l))
+    xk, xl = _x_space_dim(k), _x_space_dim(l)
     sym0 = lambda m: m * (m + 1) // 2 - 1
     blocks = {
         "product_weyl_span": 1,

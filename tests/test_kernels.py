@@ -202,7 +202,7 @@ class TestHessianAssembly:
         def refuse(*args, **kwargs):
             raise AssertionError("hessian_matrix called a matrix factorization")
 
-        weyl_basis(8)  # the basis build is an SVD per class; cache it first
+        weyl_basis(8)  # the basis build makes one SVD per class shape; cache it first
         monkeypatch.setattr(curvature_core, "_sharp_mat", counting)
         for name in ("eigh", "eigvalsh", "eig", "svd"):
             monkeypatch.setattr(np.linalg, name, refuse)

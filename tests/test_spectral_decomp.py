@@ -16,7 +16,7 @@ from curvlab.curvature_core import (
 )
 from curvlab.errors import ArgumentError, UnsupportedDimensionError
 from curvlab.lie_basis import wedge_count, wedge_vectors
-from curvlab.model_spaces import sphere, sphere_product, theta, w_cp2
+from curvlab.model_spaces import random_weyl, sphere, sphere_product, theta, w_cp2
 from curvlab.spectral_decomp import (
     _coupled_classes,
     _null_space,
@@ -52,7 +52,7 @@ def dense_basis(n):
 
 
 # Every dimension weyl_basis supports.
-BASIS_DIMS = list(range(5, 17))
+BASIS_DIMS = list(range(5, 21))
 # The dimensions whose dense basis the tests assemble.
 DENSE_DIMS = list(range(5, 13))
 
@@ -61,7 +61,7 @@ class TestWeylBasis:
     @pytest.mark.parametrize(
         "n,count",
         [(5, 35), (6, 84), (7, 168), (8, 300), (9, 495), (10, 770), (11, 1144),
-         (12, 1638), (13, 2275), (16, 5304)],
+         (12, 1638), (13, 2275), (16, 5304), (20, 13090)],
     )
     def test_counts(self, n, count):
         wb = weyl_basis(n)
@@ -134,7 +134,38 @@ class TestWeylBasis:
             for x, y in zip(a[1:], b[1:]):
                 assert np.array_equal(x, y)
 
-    @pytest.mark.parametrize("n", [4, 17])
+    def test_one_svd_per_class_shape(self, monkeypatch):
+        # n = 12 has three class shapes (rows, coordinates): 495 of (1, 3),
+        # 66 of (1, 10) and one of (12, 66)
+        shapes = []
+        svd = np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        weyl_basis.__wrapped__(12)
+        assert sorted(shapes) == sorted([(495, 1, 3), (66, 1, 10), (1, 12, 66)])
+
+    def test_null_space_stack_matches_per_matrix(self, rng):
+        # rank-3 matrices of 4 rows: the stack's bases are those of its
+        # matrices, bit for bit
+        stack = rng.standard_normal((6, 4, 9))
+        stack[:, 3] = stack[:, 0] - 2.0 * stack[:, 1]
+        got = _null_space(stack, 6, lambda i: f"matrix {i}")
+        assert got.shape == (6, 6, 9)
+        for m, basis in zip(stack, got):
+            assert np.array_equal(basis, _null_space(m, 6, "matrix"))
+
+    def test_null_space_stack_names_the_wrong_item(self, rng):
+        stack = rng.standard_normal((6, 4, 9))
+        stack[:, 3] = stack[:, 0] - 2.0 * stack[:, 1]
+        stack[4, 2] = 3.0 * stack[4, 1]
+        with pytest.raises(RuntimeError, match="^matrix 4 has dimension 7, not 6$"):
+            _null_space(stack, 6, lambda i: f"matrix {i}")
+
+    @pytest.mark.parametrize("n", [4, 21])
     def test_out_of_range(self, n):
         with pytest.raises(UnsupportedDimensionError):
             weyl_basis(n)
@@ -151,6 +182,10 @@ class TestHessian:
             (14, (1, 42, 210, 2365, 420, 40, 2)),
             (15, (1, 46, 253, 3228, 506, 44, 2)),
             (16, (1, 50, 300, 4303, 600, 48, 2)),
+            (17, (1, 54, 351, 5621, 702, 52, 2)),
+            (18, (1, 58, 406, 7215, 812, 56, 2)),
+            (19, (1, 62, 465, 9120, 930, 60, 2)),
+            (20, (1, 66, 528, 11373, 1056, 64, 2)),
         ],
     )
     def test_cp2_clusters(self, n, mults):
@@ -219,13 +254,15 @@ class TestHessian:
 
     def test_memory_at_n12(self):
         # tracemalloc peaks, each bounded at about twice the one measured:
-        # the graded basis build (1.9 MiB with the pair-table and Bianchi
-        # index caches cold, 0.9 MiB warm) and, with the basis cached, the
-        # Hessian at W_CP2 gathered in class coordinates (1.1 MiB with the
-        # bracket table cold, most of it the index arrays that place each
-        # class's vector entries in its block).  The dense route peaked at
-        # 159 and 96 MiB, the sharp kernel on 16-vector chunks at 10.8 MiB
-        # and the pairing through W_CP2's three eigenpairs at 4.3 MiB.
+        # the graded basis build, one batched null space per class shape
+        # (0.8 MiB with the pair-table and Bianchi index caches cold, 0.7 MiB
+        # warm; one SVD per class peaked at 1.9 MiB), and, with the basis
+        # cached, the Hessian at W_CP2 gathered in class coordinates
+        # (1.1 MiB with the bracket table cold, most of it the index arrays
+        # that place each class's vector entries in its block).  The dense
+        # route peaked at 159 and 96 MiB, the sharp kernel on 16-vector
+        # chunks at 10.8 MiB and the pairing through W_CP2's three
+        # eigenpairs at 4.3 MiB.
         tracemalloc.start()
         try:
             weyl_basis.__wrapped__(12)
@@ -240,8 +277,25 @@ class TestHessian:
             hessian = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert build < 4 * 2**20
+        assert build < 1.5 * 2**20
         assert hessian < 2.25 * 2**20
+
+    def test_full_rank_memory_at_n10(self):
+        # a random unit Weyl point couples every class: one 770-wide block
+        # over all 1035 coordinates.  Its pairing G (8.2 MiB) is gathered
+        # only where a delta or both bracket signs are nonzero, and G and V
+        # go before the symmetrization: 23.7 MiB traced, against 47 MiB when
+        # every term of G was a dense 1035 x 1035 gather
+        w0 = random_weyl(np.random.default_rng(0), 10)
+        weyl_basis(10)
+        tracemalloc.start()
+        try:
+            (block,) = hessian_matrix(w0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert block.shape == (weyl_dim(10),) * 2
+        assert peak < 32 * 2**20
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_trace_vanishes(self, rng, n):
@@ -308,6 +362,43 @@ class TestEigenReport:
         with pytest.raises(ArgumentError):
             eigen_report((blocks[0], np.array([[0.0, 1.0], [0.0, 0.0]])))
 
+    def test_shared_shapes_match_the_assembled_matrix(self):
+        # the 61 blocks at n = 8 share a few shapes; each shape's stack is
+        # diagonalized at once, wherever its blocks sit in the tuple
+        blocks = hessian_matrix(w_cp2(8))
+        got, want = eigen_report(blocks), eigen_report(block_diagonal(blocks))
+        assert [m for _, m in got.clusters] == [m for _, m in want.clusters]
+        assert np.allclose([v for v, _ in got.clusters],
+                           [v for v, _ in want.clusters], rtol=0, atol=1e-12)
+
+    def test_one_eigvalsh_per_block_shape(self, monkeypatch):
+        blocks = hessian_matrix(w_cp2(12))
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        rep = eigen_report(blocks)
+        assert len(blocks) == 442
+        assert sorted(shapes) == sorted(
+            (sum(b.shape == s for b in blocks), *s) for s in {b.shape for b in blocks}
+        )
+        assert len(shapes) == 6
+        assert rep.size == weyl_dim(12)
+
+    def test_rejects_one_asymmetric_block_among_its_shape(self):
+        blocks = list(hessian_matrix(w_cp2(12)))
+        pairs = [i for i, b in enumerate(blocks) if b.shape == (2, 2)]
+        assert len(pairs) == 294
+        bad = blocks[pairs[150]].copy()
+        bad[0, 1] += 1e-9
+        blocks[pairs[150]] = bad
+        with pytest.raises(ArgumentError, match="must be symmetric"):
+            eigen_report(tuple(blocks))
+
     def test_cluster_projectors(self):
         h = block_diagonal(hessian_matrix(w_cp2(10)))
         vals, vecs = np.linalg.eigh(h)
@@ -367,6 +458,21 @@ class TestDimensionTables:
                 want = np.linalg.det(frame[:, triples].transpose(1, 0, 2))
                 got = phi @ np.kron(wedge_vectors(e[i], e[j]), e[m])
                 assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_tables_read_x_space_ranks(self, monkeypatch):
+        # the table needs only dim X_k, which singular values give; a basis of
+        # X_17 (n = 20, k = 3) would need the full SVD of a 697 x 2312 matrix
+        def refuse(k):
+            raise AssertionError("decomposition_dims built an X_k basis")
+
+        monkeypatch.setattr(spectral_decomp, "x_space_basis", refuse)
+        table = decomposition_dims(20, 3)
+        assert table.blocks["x_second_vectors"] == x_dim(17) * 3
+        for k in range(3, 10):
+            assert spectral_decomp._x_space_dim(k) == x_dim(k)
+        monkeypatch.setattr(spectral_decomp, "x_dim", lambda k: 0)
+        with pytest.raises(RuntimeError, match="X_5 has dimension 35, not 0"):
+            spectral_decomp._x_space_dim.__wrapped__(5)
 
     def test_null_space_checks_its_dimension(self):
         # ker Phi on Lambda^2(R^4) (x) R^4 has dimension 24 - 4 = 20

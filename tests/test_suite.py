@@ -58,11 +58,12 @@ class TestConfig:
             with pytest.raises(ArgumentError, match="supported range 4..20"):
                 run_suite(dims=dims)
 
-    def test_accepts_dims_above_the_basis_range(self):
+    def test_accepts_the_top_dims(self):
+        # the twelve basis-free rows and weyl-dimension, at each n
         report = run_suite(dims=[17, 20])
         assert report.dims == (17, 20)
-        assert len(report.records) == 24
-        assert report.counts["pass"] == 24
+        assert len(report.records) == 26
+        assert report.counts["pass"] == 26
 
     def test_rejects_duplicates(self):
         with pytest.raises(ArgumentError):
@@ -154,7 +155,7 @@ class TestCheckTable:
         assert rows["weyl-dimension"] is BASIS_DIMS
         assert set(rows["hessian-clusters"]) <= set(BASIS_DIMS)
         with pytest.raises(UnsupportedDimensionError):
-            weyl_basis(17)
+            weyl_basis(21)
 
     def test_tags_that_differ_from_the_family(self):
         tags = {family: tag for family, tag, *_ in suite._REGISTRY if tag != family}
