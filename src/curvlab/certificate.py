@@ -26,8 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath
-
 from .errors import ArgumentError
 from .model_spaces import theta_threshold
 from .shi_bounds import shi_constants
@@ -109,6 +107,8 @@ def rhs_bound(n: int, eps: float, prefactor: float = 8.0) -> float:
     """
     if eps < 0:
         raise ArgumentError(f"angle margin must be nonnegative, got {eps}")
+    import mpmath  # loaded on first use: only the certificate chain needs it
+
     with mpmath.workdps(_DPS):
         beta = beta_angle(n, lib=mpmath)
         scale = mpmath.sqrt(mpmath.mpf(2) * (n - 1) / n)
@@ -129,6 +129,8 @@ def alpha0_margin(n: int, lhs: float) -> float:
     """Largest eps with rhs_bound(n, eps) <= lhs (prefactor 8), by exact inversion of cot."""
     if lhs <= 0:
         return 0.0
+    import mpmath
+
     with mpmath.workdps(_DPS):
         beta = beta_angle(n, lib=mpmath)
         scale = 8.0 * mpmath.sqrt(mpmath.mpf(2) * (n - 1) / n)

@@ -226,19 +226,27 @@ def ricci(r) -> np.ndarray:
     return (B.reshape(n * n, N) @ mat).reshape(n, n * N) @ B.reshape(n, n * N).T
 
 
+@functools.lru_cache(maxsize=None)
+def _wedge_gather(n: int) -> np.ndarray:
+    """Read-only (4, N, N) flat indices into an n x n matrix: at row (i, j)
+    and column (p, q) of the wedge basis, the entries (i, p), (j, q), (i, q)
+    and (j, p)."""
+    i, j = np.triu_indices(n, 1)
+    table = np.stack([i[:, None] * n + i, j[:, None] * n + j,
+                      i[:, None] * n + j, j[:, None] * n + i])
+    table.setflags(write=False)
+    return table
+
+
 def wedge_product(a: np.ndarray, b: np.ndarray) -> SymmetricOperator:
     """Operator A ^ B on the wedge space: (A^B)(v^w) = 1/2 (Av^Bw + Bv^Aw)."""
     a = _symmetric(a, "wedge_product factor")
     b = _symmetric(b, "wedge_product factor")
     if a.shape != b.shape:
         raise ArgumentError("wedge_product expects two n x n matrices")
-    n = a.shape[0]
-    i, j = np.triu_indices(n, 1)
-    ix = np.ix_(i, i)  # rows (i,j), cols (p,q): first slots of each
-    jx = np.ix_(j, j)
-    iq = np.ix_(i, j)
-    jp = np.ix_(j, i)
-    out = 0.5 * (a[ix] * b[jx] + b[ix] * a[jx] - a[iq] * b[jp] - b[iq] * a[jp])
+    ip, jq, iq, jp = _wedge_gather(a.shape[0])
+    a, b = a.ravel(), b.ravel()
+    out = 0.5 * (a[ip] * b[jq] + b[ip] * a[jq] - a[iq] * b[jp] - b[iq] * a[jp])
     return SymmetricOperator(0.5 * (out + out.T))
 
 

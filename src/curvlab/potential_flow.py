@@ -18,7 +18,6 @@ import functools
 import math
 from dataclasses import dataclass, field, replace
 
-import mpmath
 import numpy as np
 
 from .curvature_core import (
@@ -230,6 +229,8 @@ def neighborhood_deficit(gamma: float) -> float:
     At gamma near 1e-6 the deficit lives at the 1e-13 scale where plain
     doubles cancel badly, so the subtraction is done at 50 digits.
     """
+    import mpmath
+
     with mpmath.workdps(50):
         g = mpmath.mpf(gamma)
         bound = mpmath.cos(g) + 4 / (3 * mpmath.sqrt(3)) * mpmath.sin(g) ** 3

@@ -23,10 +23,12 @@ cost grows with the sum over blocks of their squared coordinate counts, not
 with the O(n^6) sharp kernel or with rank(W0).
 eigen_report clusters a symmetric spectrum, given as one matrix or as
 blocks, with one eigvalsh per block shape; orbit_tangent_dim measures
-rotation orbits; decomposition_dims reproduces every dimension count of the
-SO(k) x SO(l) and Pin(2)-refined splittings, including the X_k spaces: the
-kernel of the triple wedge map on Lambda^2(R^k) (x) R^k, less the embedded
-copy of R^k.
+rotation orbits, with the commutators [ad_a, W] read from the same bracket
+table (signed rows and columns of W, no matrix product and no dense
+structure constants); decomposition_dims reproduces every dimension count
+of the SO(k) x SO(l) and Pin(2)-refined splittings, including the X_k
+spaces: the kernel of the triple wedge map on Lambda^2(R^k) (x) R^k, less
+the embedded copy of R^k.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from .lie_basis import (
     _pair_table,
     _vertex_embedding,
     sp1_basis,
-    structure_constants,
     wedge_count,
 )
 
@@ -473,10 +474,24 @@ def eigen_report(mat, cluster_tol: float = 1e-8) -> SpectralReport:
 
 
 def _orbit_commutators(mat: np.ndarray, n: int) -> np.ndarray:
-    """The stack [ad_a, W] over every basis bivector b_a, shape (N, N, N)."""
-    # ad[a] is the matrix of ad_{b_a}: ad[a, g, b] = tensor[a, b, g]
-    ad = structure_constants(n).transpose(0, 2, 1)
-    return ad @ mat - mat @ ad
+    """The stack [ad_a, W] over every basis bivector b_a, shape (N, N, N).
+
+    Read from the bracket table, with no matrix product: ad_a[x, y] is
+    sign[x, y] where take[x, y] = a, and for each (a, x) at most one y has
+    that, so row x of ad_a W is sign[x, y] W[y] and, ad_a being
+    antisymmetric, column x of -W ad_a is sign[x, y] W[:, y].  Each entry
+    of the stack is the sum of at most these two terms, as in
+    ad_a W - W ad_a, so the two agree bit for bit.
+    """
+    take, sign = _bracket_table(n)
+    x, y = np.nonzero(sign)
+    a, s = take[x, y], sign[x, y][:, None]
+    N = len(sign)
+    out = np.zeros((N, N, N))
+    # adding 0.0 turns -1 * 0.0 into the +0.0 that the matrix products give
+    out[a, x] = s * mat[y] + 0.0
+    out[a, :, x] += s * mat.T[y] + 0.0
+    return out
 
 
 def orbit_tangent_dim(w) -> int:

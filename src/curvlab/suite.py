@@ -24,7 +24,6 @@ import math
 import zlib
 from time import perf_counter
 
-import mpmath
 import numpy as np
 
 from .certificate import (
@@ -263,6 +262,8 @@ def _check_certificate_identity(n, rng, tol):
     c = alpha0_certificate(n, "recomputed")
     G, C = c.G_recomputed, c.C_recomputed
     # the closed-form lhs against the uncollapsed bracket at r = 2G/C, in 50 digits
+    import mpmath
+
     with mpmath.workdps(50):
         g, cc = mpmath.mpf(G), mpmath.mpf(C)
         r = 2 * g / cc

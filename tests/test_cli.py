@@ -21,6 +21,43 @@ def runner():
     return CliRunner()
 
 
+def fresh_interpreter_loads(module, *commands):
+    """Whether `module` is in sys.modules of a fresh interpreter, after
+    `import curvlab` and then after each command, run through cli.main."""
+    script = (
+        "import sys\n"
+        "import curvlab\n"
+        "from curvlab.cli import main\n"
+        f"loaded = [{module!r} in sys.modules]\n"
+        f"for args in {list(commands)!r}:\n"
+        "    try:\n"
+        "        main(args)\n"
+        "    except SystemExit as done:\n"
+        "        assert done.code == 0, done.code\n"
+        f"    loaded.append({module!r} in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    src = str(Path(curvlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    return json.loads(result.stdout.splitlines()[-1].lower())
+
+
+def test_mpmath_loads_only_for_the_certificate_chain():
+    # mpmath costs a cold command 23-36 ms and 3.7 MiB; only the
+    # certificate chain's high-precision steps import it
+    loaded = fresh_interpreter_loads(
+        "mpmath",
+        ["tables", "--table", "hessian", "--dim", "8"],
+        ["flow", "--dim", "6", "--steps", "5"],
+        ["certify", "--dim", "11"],
+    )
+    assert loaded == [False, False, False, True]
+
+
 class TestVerify:
     def test_json_report(self, runner):
         result = runner.invoke(main, ["verify", "--dim", "4", "--seed", "7"])
@@ -251,23 +288,11 @@ class TestTables:
 
     def test_hessian_does_not_import_numpy_ma(self):
         # np.unique without an optional output imports numpy.ma (about 20 ms
-        # of a cold command); a fresh interpreter shows whether it loaded
-        script = (
-            "import sys\n"
-            "from curvlab.cli import main\n"
-            "try:\n"
-            "    main(['tables', '--table', 'hessian', '--dim', '12'])\n"
-            "except SystemExit as done:\n"
-            "    assert done.code == 0, done.code\n"
-            "print('numpy.ma' in sys.modules)\n"
+        # of a cold command)
+        loaded = fresh_interpreter_loads(
+            "numpy.ma", ["tables", "--table", "hessian", "--dim", "12"]
         )
-        src = str(Path(curvlab.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True,
-            check=True, env={**os.environ, "PYTHONPATH": path},
-        )
-        assert result.stdout.splitlines()[-1] == "False"
+        assert loaded == [False, False]
 
     def test_blocks_bad_split(self, runner):
         result = runner.invoke(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curvlab import curvature_core
 from curvlab.curvature_core import (
     CurvatureOperator,
     SymmetricOperator,
@@ -222,6 +223,28 @@ class TestWedgeProduct:
     def test_rejects_asymmetric_factor(self):
         with pytest.raises(ArgumentError):
             wedge_product(np.triu(np.ones((4, 4))), np.eye(4))
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_gather_table_matches_the_index_grids(self, n, rng):
+        # the cached flat-index table reads the entries the np.ix_ grids did,
+        # and the same products in the same order give the same bytes,
+        # zeros' signs included (b = Id makes most products +-0)
+        def grids(a, b):
+            i, j = np.triu_indices(n, 1)
+            ix, jx, iq, jp = np.ix_(i, i), np.ix_(j, j), np.ix_(i, j), np.ix_(j, i)
+            out = 0.5 * (a[ix] * b[jx] + b[ix] * a[jx] - a[iq] * b[jp] - b[iq] * a[jp])
+            return 0.5 * (out + out.T)
+
+        a = rng.standard_normal((n, n))
+        a = a + a.T
+        ident = np.eye(n)
+        signed = -np.eye(n)  # -0.0 off the diagonal
+        for x, y in ((a, ident), (ident, a), (a, a), (ident, ident), (a, signed),
+                     (np.asfortranarray(a), -0.0 * a)):
+            assert wedge_product(x, y).mat.tobytes() == grids(x, y).tobytes()
+        table = curvature_core._wedge_gather(n)
+        assert table.shape == (4, wedge_count(n), wedge_count(n))
+        assert not table.flags.writeable
 
 
 class TestSharp:

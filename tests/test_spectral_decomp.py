@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -15,11 +16,17 @@ from curvlab.curvature_core import (
     ricci,
 )
 from curvlab.errors import ArgumentError, UnsupportedDimensionError
-from curvlab.lie_basis import wedge_count, wedge_vectors
+from curvlab.lie_basis import (
+    _bracket_table,
+    structure_constants,
+    wedge_count,
+    wedge_vectors,
+)
 from curvlab.model_spaces import random_weyl, sphere, sphere_product, theta, w_cp2
 from curvlab.spectral_decomp import (
     _coupled_classes,
     _null_space,
+    _orbit_commutators,
     decomposition_dims,
     eigen_report,
     hessian_matrix,
@@ -425,6 +432,48 @@ class TestOrbitTangent:
     @pytest.mark.parametrize("k,l", [(2, 3), (4, 6), (4, 7), (5, 5), (5, 6)])
     def test_product_weyl_orbit(self, k, l):
         assert orbit_tangent_dim(unit_product_weyl(k, l)) == k * l
+
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_commutators_match_the_structure_constants(self, n, rng):
+        # each entry is at most two signed entries of W, which the matrix
+        # products sum with exact zeros, so the bytes agree
+        ad = structure_constants(n).transpose(0, 2, 1)
+        points = [w_cp2(n).mat, unit_product_weyl(2, n - 2)]
+        points += [random_unit_weyl(rng, n) for _ in range(2)]
+        for w in points:
+            want = ad @ w - w @ ad
+            assert _orbit_commutators(w, n).tobytes() == want.tobytes()
+
+    @staticmethod
+    def replace_structure_constants(monkeypatch, fake):
+        for name, module in list(sys.modules.items()):
+            if name.startswith("curvlab") and hasattr(module, "structure_constants"):
+                monkeypatch.setattr(module, "structure_constants", fake)
+
+    def test_makes_no_structure_constants_call(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("orbit_tangent_dim built the structure constants")
+
+        self.replace_structure_constants(monkeypatch, refuse)
+        assert orbit_tangent_dim(w_cp2(11)) == 30
+
+    def test_memory_at_n11(self, monkeypatch):
+        # cold: every table the call reads is built uncached inside the
+        # trace.  The (N, N, N) stack (1.27 MiB at n = 11) and the rank's
+        # SVD of it peak at 2.6 MiB and keep nothing; through the dense
+        # structure constants the peak was 3.8 MiB, and their 1.27 MiB
+        # stayed cached.
+        self.replace_structure_constants(monkeypatch, structure_constants.__wrapped__)
+        monkeypatch.setattr(spectral_decomp, "_bracket_table", _bracket_table.__wrapped__)
+        w0 = w_cp2(11)
+        tracemalloc.start()
+        try:
+            assert orbit_tangent_dim(w0) == 30
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
+        assert kept < 2**14
 
 
 class TestDimensionTables:
