@@ -134,7 +134,10 @@ def _symmetric(x, name: str, stack: bool = False) -> np.ndarray:
     mat = np.asarray(x, dtype=float)
     if mat.ndim != 2 + stack or mat.shape[-1] != mat.shape[-2]:
         raise ArgumentError(f"{name} must be a square matrix")
-    if np.max(np.abs(mat - mat.swapaxes(-1, -2)), initial=0.0) >= SYMMETRY_TOL:
+    # ndarray.max skips np.max's Python wrapper, which on these small
+    # matrices costs more than the reduction itself
+    skew = mat - mat.swapaxes(-1, -2)
+    if np.abs(skew, out=skew).max(initial=0.0) >= SYMMETRY_TOL:
         raise ArgumentError(f"{name} must be symmetric")
     return mat
 
@@ -194,7 +197,7 @@ def bianchi_residual(mat) -> float:
     mat, n = _as_mat(mat)
     pair = _bianchi_pairings(mat, n)
     # each generator has squared norm 6, and distinct generators are orthogonal
-    return float(np.sqrt(np.sum(pair**2) / 6.0))
+    return float(np.sqrt((pair**2).sum() / 6.0))
 
 
 def bianchi_project(s) -> CurvatureOperator:

@@ -69,7 +69,7 @@ class FlowState:
 def _evaluated(op: CurvatureOperator, **changes) -> dict:
     """Fields w, q and potential of a state at op: Q(W) once, P = <Q(W), W>."""
     q = q_map(op).mat
-    return dict(changes, w=op, q=q, potential=float(np.sum(q * op.mat)))
+    return dict(changes, w=op, q=q, potential=float((q * op.mat).sum()))
 
 
 def flow_state(w) -> FlowState:
@@ -80,7 +80,7 @@ def flow_state(w) -> FlowState:
 
 def _tangent(q: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """Q(W) - <Q(W), W> W, the sphere-projected gradient at W."""
-    return q - float(np.sum(q * mat)) * mat
+    return q - float((q * mat).sum()) * mat
 
 
 def _field(mat: np.ndarray, n: int) -> np.ndarray:
