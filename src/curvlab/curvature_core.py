@@ -5,8 +5,8 @@ basis that satisfies the first Bianchi identity.  This module provides the
 validated containers (in memory only: no file serialization), the Bianchi
 projection onto that subspace, the Ricci trace, the O(n)-irreducible
 decomposition, the wedge product of symmetric matrices, the sharp product
-(GEMM route, bracket route, and the fast diagonal path), the quadratic map Q
-with its potential and trilinear form, and the angle to the identity.
+(GEMM route, bracket route, and the fast diagonal path), and the quadratic map
+Q with its potential and trilinear form.
 
 The GEMM route expands R and S to 4-tensors and forms
 
@@ -68,7 +68,6 @@ __all__ = [
     "potential",
     "potential_normalized",
     "tri",
-    "angle_to_identity",
 ]
 
 SYMMETRY_TOL = 1e-12
@@ -210,12 +209,15 @@ def bianchi_project(s) -> CurvatureOperator:
     ij, kl, ik, jl, il, jk = _bianchi_indices(n)
     coeff = _bianchi_pairings(mat, n) / 6.0
     out = mat.copy()
-    np.subtract.at(out, (ij, kl), coeff)
-    np.subtract.at(out, (kl, ij), coeff)
-    np.add.at(out, (ik, jl), coeff)
-    np.add.at(out, (jl, ik), coeff)
-    np.subtract.at(out, (il, jk), coeff)
-    np.subtract.at(out, (jk, il), coeff)
+    # no matrix entry belongs to two generators: an entry's two index pairs
+    # fix both the quadruple and its pairing, so no position repeats and
+    # plain fancy-index updates equal ufunc.at
+    out[ij, kl] -= coeff
+    out[kl, ij] -= coeff
+    out[ik, jl] += coeff
+    out[jl, ik] += coeff
+    out[il, jk] -= coeff
+    out[jk, il] -= coeff
     return CurvatureOperator(out)
 
 
@@ -439,14 +441,3 @@ def tri(r, s, t) -> float:
     tm, n = _as_mat(t, "third argument")
     return float(np.sum(q_map(r, s).mat * tm))
 
-
-# --- angle to the identity --------------------------------------------------
-
-def angle_to_identity(r) -> float:
-    """Angle between R and the identity operator, in [0, pi]."""
-    mat, _ = _as_mat(r)
-    norm = np.linalg.norm(mat)
-    if norm <= 1e-14:
-        raise DegenerateInputError("angle_to_identity needs a nonzero operator")
-    cos = np.trace(mat) / (norm * np.sqrt(mat.shape[0]))
-    return float(np.arccos(np.clip(cos, -1.0, 1.0)))

@@ -1,12 +1,10 @@
 """Constructors for the named curvature operators used throughout the package.
 
 Round spheres, products of round spheres, complex projective spaces, the unit
-Weyl operator of CP^2 embedded in higher dimensions, the Einstein family
-lambda/(n-1) Id + cos(phi) W + sin(phi) W', and the critical operator of the
-balanced sphere product, normalized to a unit Weyl part.  Everything returns
-a validated CurvatureOperator in the lexicographic wedge basis, except the
-seeded random draws random_curvature and random_weyl, which return raw
-matrices.
+Weyl operator of CP^2 embedded in higher dimensions and the Einstein family
+lambda/(n-1) Id + cos(phi) W_CP2.  Everything returns a validated
+CurvatureOperator in the lexicographic wedge basis, except the seeded random
+draws random_curvature and random_weyl, which return raw matrices.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ import numpy as np
 
 from .curvature_core import (
     CurvatureOperator,
-    _unit_weyl,
     bianchi_project,
     decompose,
     wedge_product,
@@ -33,7 +30,6 @@ __all__ = [
     "cpn",
     "w_cp2",
     "r_lambda",
-    "crit_sym",
     "theta",
     "theta_threshold",
     "Interval",
@@ -101,43 +97,15 @@ def w_cp2(n: int) -> CurvatureOperator:
     return CurvatureOperator(mat)
 
 
-def r_lambda(
-    lam: float, n: int, phi: float = 0.0, w_extra=None
-) -> CurvatureOperator:
-    """Einstein operator lambda/(n-1) Id + cos(phi) W_CP2 (+ sin(phi) W_extra).
-
-    W_extra, when given, must be a unit Weyl operator orthogonal to W_CP2; it
-    tilts the Weyl part inside the sphere of radius one without changing the
-    Einstein part.
-    """
+def r_lambda(lam: float, n: int, phi: float = 0.0) -> CurvatureOperator:
+    """Einstein operator lambda/(n-1) Id + cos(phi) W_CP2."""
     if not lam > 0:
         raise ArgumentError(f"lambda must be positive, got {lam}")
     if not 0 <= phi <= math.pi / 2:
         raise ArgumentError(f"phi must lie in [0, pi/2], got {phi}")
     base = w_cp2(n)
     mat = (lam / (n - 1)) * np.eye(base.N) + math.cos(phi) * base.mat
-    if w_extra is not None:
-        extra = _unit_weyl(w_extra, "w_extra")
-        if extra.dim != n:
-            raise ArgumentError("w_extra lives in a different dimension")
-        if abs(np.sum(extra.mat * base.mat)) > 1e-10:
-            raise ArgumentError("w_extra must be orthogonal to the CP^2 Weyl operator")
-        mat = mat + math.sin(phi) * extra.mat
     return CurvatureOperator(mat)
-
-
-def crit_sym(n: int) -> CurvatureOperator:
-    """Sphere product S^k x S^l, k = ceil(n/2), scaled by its Weyl norm.
-
-    After the scaling the Weyl part has unit norm and the Einstein constant
-    equals theta(k, l).
-    """
-    if n < 4:
-        raise UnsupportedDimensionError(f"need n >= 4, got {n}")
-    k = (n + 1) // 2
-    base = sphere_product(k, n - k)
-    weyl_norm = decompose(base).weyl_norm
-    return CurvatureOperator(base.mat / weyl_norm)
 
 
 def theta(k: int, l: int) -> float:
@@ -153,8 +121,7 @@ def theta_threshold(n: int) -> float:
     """theta for the balanced sphere product in dimension n.
 
     Even n: sqrt(2(n-1)(n-2))/n; odd n: sqrt(2 (n-1)(n-3)/((n+1)(n-2))).
-    Coincides with theta(ceil(n/2), floor(n/2)) and with the Einstein
-    constant of crit_sym(n) for both parities.
+    Coincides with theta(ceil(n/2), floor(n/2)) for both parities.
     """
     if n < 4:
         raise UnsupportedDimensionError(f"need n >= 4, got {n}")

@@ -2,10 +2,10 @@
 
 For a curvature operator R and a bivector v, the operator D^2_v R =
 [R, ad_{Rv}] measures the failure of R to be locally symmetric in the
-direction v.  This module evaluates it, its mixed polarization, the closed
-forms for the one-parameter family lambda/(n-1) Id + cos(phi) W_CP2, and the
-scalar lower-bound function G(lambda, psi, phi) together with the sine-power
-integrals and sphere volumes that feed its integral prefactor.
+direction v.  This module evaluates it, the closed forms for the one-parameter
+family lambda/(n-1) Id + cos(phi) W_CP2, and the scalar lower-bound function
+G(lambda, psi, phi) together with the sine-power integrals and sphere volumes
+that feed its integral prefactor.
 
 All scalar helpers accept a `lib` argument (math by default) so they can run
 under mpmath when extra precision is needed.
@@ -25,10 +25,8 @@ from .lie_basis import ad_matrix, wedge_count
 __all__ = [
     "SymmetryEvaluation",
     "d2",
-    "d2_mixed",
     "d2_family_norm",
     "g_lower_bound",
-    "g_sign_change_phi",
     "sin_power_integral",
     "sphere_volume",
 ]
@@ -60,19 +58,6 @@ def d2(r, v) -> SymmetryEvaluation:
     v = _direction(v, n)
     ad = ad_matrix(mat @ v)
     op = mat @ ad - ad @ mat
-    return SymmetryEvaluation(v, op, float(np.linalg.norm(op)))
-
-
-def d2_mixed(r, s, v) -> SymmetryEvaluation:
-    """Polarized form 1/2 ([R, ad_{Sv}] + [S, ad_{Rv}])."""
-    rm, n = _as_mat(r)
-    sm, m = _as_mat(s)
-    if m != n:
-        raise ArgumentError("operators live in different dimensions")
-    v = _direction(v, n)
-    ad_s = ad_matrix(sm @ v)
-    ad_r = ad_matrix(rm @ v)
-    op = 0.5 * ((rm @ ad_s - ad_s @ rm) + (sm @ ad_r - ad_r @ sm))
     return SymmetryEvaluation(v, op, float(np.linalg.norm(op)))
 
 
@@ -137,31 +122,6 @@ def g_lower_bound(
     norm_term = lam**2 * n if norm_term_squared else lam * n
     loss = sphi / 2 * (lib.sqrt(norm_term / (2 * (n - 1)) + cphi**2) + sphi)
     return gain - loss
-
-
-def g_sign_change_phi(
-    lam, psi, n: int, lib=math, norm_term_squared: bool = False
-):
-    """Smallest phi in (0, pi/2] where G crosses zero, by bisection.
-
-    G is positive at phi = 0 for the parameters of interest and negative at
-    pi/2; positivity is only claimed "for small phi", so the actual
-    threshold is located numerically.
-    """
-    lo, hi = 0.0, lib.pi / 2
-    f = lambda p: g_lower_bound(lam, psi, p, n, lib=lib,
-                                norm_term_squared=norm_term_squared)
-    if not f(lo) > 0:
-        raise ArgumentError("G is not positive at phi = 0 for these parameters")
-    if not f(hi) < 0:
-        raise ArgumentError("G does not change sign on (0, pi/2]")
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if f(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
 
 
 def sin_power_integral(m: int, psi, lib=math):

@@ -4,9 +4,9 @@ Each name in a submodule's __all__ must be referenced from src/, demos/ or
 benchmarks/: imported by name and then used, read as `module.name`, loaded
 inside its own module outside its own definition, or named as a
 `spans.Layer(module, name)` of the benchmark.  The only exceptions are the
-names in KEPT, each with the reason it stays; drop a name from KEPT once a
-verify record uses it.  A second check finds imports that a module of the
-package never uses.  Only the standard-library ast module is used, so
+names in KEPT, and each is an oracle: an independent second route that the
+tests check a kernel against.  A second check finds imports that a module of
+the package never uses.  Only the standard-library ast module is used, so
 nothing is imported or run.
 """
 
@@ -18,7 +18,6 @@ PACKAGE = ROOT / "src" / "curvlab"
 CALLER_DIRS = (ROOT / "src", ROOT / "demos", ROOT / "benchmarks")
 
 ORACLE = "oracle"
-AWAITS = "awaits verify record"
 
 #: code that only tests exercise, and why each piece stays
 KEPT = {
@@ -29,19 +28,6 @@ KEPT = {
     "wedge_vectors": ORACLE,
     "wedge_index": ORACLE,
     "wedge_rank": ORACLE,
-    # statements of the paper that wait for a verify record
-    "angle_to_identity": AWAITS,
-    "crit_sym": AWAITS,
-    "_excluded_span": AWAITS,
-    "admissibility_defect": AWAITS,
-    "admissible_part": AWAITS,
-    "ProfileCoefficients": AWAITS,
-    "profile_coefficients": AWAITS,
-    "f_profile": AWAITS,
-    "gamma_bound": AWAITS,
-    "neighborhood_deficit": AWAITS,
-    "d2_mixed": AWAITS,
-    "g_sign_change_phi": AWAITS,
 }
 
 
@@ -168,7 +154,7 @@ def test_public_names_are_reached_or_kept():
     }
     gone = sorted(set(KEPT) - defined)
     assert not gone, f"KEPT names that no module defines: {gone}"
-    assert set(KEPT.values()) <= {ORACLE, AWAITS}
+    assert set(KEPT.values()) == {ORACLE}
 
 
 def _unused_imports(tree):
@@ -205,12 +191,10 @@ def test_only_report_renders_text():
 SVD_OWNERS = {
     ("spectral_decomp", "_null_space"),
     ("spectral_decomp", "_rank"),
-    # its own rank rule at 1e-8; ROADMAP item 8 decides its fate
-    ("potential_flow", "_excluded_span"),
 }
 
 
-def test_svd_only_in_its_three_helpers():
+def test_svd_only_in_its_two_helpers():
     # every null space and rank of the package goes through one of these,
     # so a change of method changes one place
     found = set()

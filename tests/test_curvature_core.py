@@ -11,7 +11,6 @@ from curvlab.curvature_core import (
     SymmetricOperator,
     _bianchi_indices,
     alternative,
-    angle_to_identity,
     bianchi_project,
     bianchi_residual,
     decompose,
@@ -38,14 +37,8 @@ from curvlab.lie_basis import (
     wedge_count,
     wedge_rank,
 )
-from curvlab.model_spaces import r_lambda, sphere, w_cp2
-from curvlab.potential_flow import (
-    admissibility_defect,
-    f_profile,
-    fixed_point_residual,
-    flow_state,
-    profile_coefficients,
-)
+from curvlab.model_spaces import sphere, w_cp2
+from curvlab.potential_flow import fixed_point_residual, flow_state
 from curvlab.spectral_decomp import hessian_matrix
 
 from conftest import random_orthogonal, rotate_operator
@@ -145,6 +138,30 @@ class TestBianchi:
         s = 0.5 * (s + s.T)
         p = bianchi_project(s).mat
         assert abs(np.sum((s - p) * p)) < 1e-10
+
+    def test_generator_entries_never_repeat(self):
+        # bianchi_project updates the six position sets by plain fancy
+        # indexing, which equals ufunc.at only while no entry repeats
+        rng = np.random.default_rng(0)
+        for n in range(4, 21):
+            ij, kl, ik, jl, il, jk = _bianchi_indices(n)
+            N = wedge_count(n)
+            flat = np.concatenate(
+                [a * N + b for a, b in ((ij, kl), (kl, ij), (ik, jl),
+                                        (jl, ik), (il, jk), (jk, il))]
+            )
+            assert np.unique(flat).size == flat.size
+            s = rng.standard_normal((N, N))
+            s = 0.5 * (s + s.T)
+            coeff = curvature_core._bianchi_pairings(s, n) / 6.0
+            want = s.copy()
+            np.subtract.at(want, (ij, kl), coeff)
+            np.subtract.at(want, (kl, ij), coeff)
+            np.add.at(want, (ik, jl), coeff)
+            np.add.at(want, (jl, ik), coeff)
+            np.subtract.at(want, (il, jk), coeff)
+            np.subtract.at(want, (jk, il), coeff)
+            assert np.array_equal(bianchi_project(s).mat, want)
 
 
 def ricci_by_loop(mat, n):
@@ -391,16 +408,6 @@ class TestQAndPotential:
 
 
 class TestAngleRotateNorm:
-    def test_angle_of_identity(self):
-        # arccos near 1 is ill-conditioned, so allow square-root noise
-        assert angle_to_identity(np.eye(10)) < 1e-6
-
-    def test_angle_scale_invariant(self, rng):
-        r = random_curvature(rng, 5)
-        assert abs(angle_to_identity(r) - angle_to_identity(3.7 * r)) < 1e-12
-        with pytest.raises(DegenerateInputError):
-            angle_to_identity(np.zeros((10, 10)))
-
     def test_rotation_is_isometric_and_equivariant(self, rng):
         n = 5
         r = random_curvature(rng, n)
@@ -408,7 +415,8 @@ class TestAngleRotateNorm:
         gr = rotate_operator(g, r)
         assert abs(np.linalg.norm(gr) - np.linalg.norm(r)) < 1e-10
         assert abs(potential(gr) - potential(r)) < 1e-9
-        assert abs(angle_to_identity(gr) - angle_to_identity(r)) < 1e-10
+        # trace and norm fix the angle to the identity, so it is invariant too
+        assert abs(np.trace(gr) - np.trace(r)) < 1e-10
         ad = adjoint_rotation(g)
         assert np.max(np.abs(q_map(gr).mat - ad.T @ q_map(r).mat @ ad)) < 1e-9
 
@@ -449,7 +457,9 @@ class TestDecompose:
         assert abs(d.scal - 20) < 1e-12
         assert np.max(np.abs(d.ricci0)) < 1e-12
         assert d.weyl_norm < 1e-12
-        assert angle_to_identity(sphere(5)) < 1e-6
+        # at angle zero to the identity: cos = tr R / (||R|| sqrt N) = 1
+        mat = sphere(5).mat
+        assert abs(np.trace(mat) / (np.linalg.norm(mat) * np.sqrt(10)) - 1.0) < 1e-15
 
     def test_reconstruction_and_orthogonality(self, rng):
         for n in (4, 5, 7):
@@ -525,10 +535,6 @@ UNIT_WEYL_ENTRY_POINTS = {
     "hessian_matrix": hessian_matrix,
     "flow_state": flow_state,
     "fixed_point_residual": fixed_point_residual,
-    "admissibility_defect": admissibility_defect,
-    "f_profile": lambda w: f_profile(w, 0.3),
-    "profile_coefficients": profile_coefficients,
-    "r_lambda": lambda w: r_lambda(1.0, 8, w_extra=w),
 }
 
 

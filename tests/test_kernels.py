@@ -28,12 +28,7 @@ from curvlab.lie_basis import (
     wedge_count,
 )
 from curvlab.model_spaces import random_weyl, sphere_product, w_cp2
-from curvlab.potential_flow import (
-    _excluded_span,
-    fixed_point_residual,
-    flow_run,
-    flow_state,
-)
+from curvlab.potential_flow import fixed_point_residual, flow_run, flow_state
 from curvlab.spectral_decomp import hessian_matrix, weyl_basis, x_space_basis
 
 # Inputs have unit Frobenius norm; the routes differ only by rounding.
@@ -265,7 +260,6 @@ class TestReadOnlyCaches:
             lambda: _bianchi_indices(6),
             lambda: _bianchi_indices(3),
             lambda: _sharp_gather(5),
-            lambda: (_excluded_span(6),),
             lambda: (x_space_basis(4),),
             lambda: [arr for c in weyl_basis(6) for arr in c[1:]],
             lambda: _pair_table(5),
@@ -273,7 +267,7 @@ class TestReadOnlyCaches:
             lambda: _bracket_table(5),
         ],
         ids=["bianchi-indices", "bianchi-indices-empty", "sharp-gather",
-             "excluded-span", "x-space-basis", "weyl-basis", "pair-table",
+             "x-space-basis", "weyl-basis", "pair-table",
              "vertex-embedding", "bracket-table"],
     )
     def test_writes_raise(self, arrays):

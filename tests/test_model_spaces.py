@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from curvlab.curvature_core import (
-    angle_to_identity,
-    bianchi_project,
     decompose,
     potential,
     potential_normalized,
@@ -20,7 +18,6 @@ from curvlab.model_spaces import (
     LAMBDA_CRIT,
     Interval,
     cpn,
-    crit_sym,
     intermediate_range,
     r_lambda,
     sphere,
@@ -31,6 +28,11 @@ from curvlab.model_spaces import (
 )
 
 from conftest import rotate_operator
+
+
+def cos_to_identity(r):
+    """Cosine of the angle between R and the identity: tr R / (||R|| sqrt N)."""
+    return np.trace(r.mat) / (np.linalg.norm(r.mat) * math.sqrt(r.N))
 
 
 class TestSphere:
@@ -101,14 +103,6 @@ class TestTheta:
             k = (n + 1) // 2
             assert abs(theta_threshold(n) - theta(k, n - k)) < 1e-12
         assert abs(theta_threshold(10) - 1.2) < 1e-12
-
-    def test_crit_sym_einstein_constant_is_threshold(self):
-        # holds for even and odd n alike
-        for n in range(5, 13):
-            r = crit_sym(n)
-            ric = ricci(r)
-            assert np.max(np.abs(ric - ric[0, 0] * np.eye(n))) < 1e-10
-            assert abs(ric[0, 0] - theta_threshold(n)) < 1e-10
 
 
 class TestCPn:
@@ -243,7 +237,7 @@ class TestRLambda:
 
     def test_angle_formula(self):
         for n, lam in ((5, 0.9), (11, 1.3)):
-            cos2 = math.cos(angle_to_identity(r_lambda(lam, n))) ** 2
+            cos2 = cos_to_identity(r_lambda(lam, n)) ** 2
             assert abs(cos2 - lam**2 * n / (lam**2 * n + 2 * (n - 1))) < 1e-12
 
     def test_crit_cp2_is_q_eigenvector(self):
@@ -253,45 +247,11 @@ class TestRLambda:
 
     def test_crit_cp2_angle(self):
         for n in (5, 8, 11):
-            cos2 = math.cos(angle_to_identity(r_lambda(LAMBDA_CRIT, n))) ** 2
+            cos2 = cos_to_identity(r_lambda(LAMBDA_CRIT, n)) ** 2
             assert abs(cos2 - 3 * n / (7 * n - 4)) < 1e-12
 
-    def test_crit_sym_angle(self):
-        cos2 = math.cos(angle_to_identity(crit_sym(10))) ** 2
-        assert abs(cos2 - (10 - 2) / (2 * 9)) < 1e-12
-        cos2 = math.cos(angle_to_identity(crit_sym(11))) ** 2
-        assert abs(cos2 - 11 * 8 / (2 * (121 - 22 - 1))) < 1e-12
-
-    def test_angle_ordering_flips_at_twelve(self):
-        def gap(n):
-            cp2 = angle_to_identity(r_lambda(LAMBDA_CRIT, n))
-            return cp2 - angle_to_identity(crit_sym(n))
-
-        for n in range(5, 12):
-            assert gap(n) < 0
-        for n in (12, 13):
-            assert gap(n) > 0
-
-    def test_phi_tilts_at_constant_angle(self, rng):
-        # phi = pi/2 with any admissible extra Weyl direction keeps the angle
-        n = 6
-        s = rng.standard_normal((15, 15))
-        w = decompose(bianchi_project(0.5 * (s + s.T)).mat).weyl.mat
-        w = w - np.sum(w * w_cp2(n).mat) * w_cp2(n).mat
-        w /= np.linalg.norm(w)
-        lam = 1.2
-        base = angle_to_identity(r_lambda(lam, n, 0.0))
-        tilted = angle_to_identity(r_lambda(lam, n, math.pi / 2, w_extra=w))
-        assert abs(base - tilted) < 1e-10
-        halfway = angle_to_identity(r_lambda(lam, n, 0.7, w_extra=w))
-        assert abs(base - halfway) < 1e-10
-
-    def test_w_extra_validation(self):
+    def test_validation(self):
         n = 5
-        with pytest.raises(ArgumentError):
-            r_lambda(1.0, n, 0.3, w_extra=w_cp2(n).mat)  # not orthogonal
-        with pytest.raises(ArgumentError):
-            r_lambda(1.0, n, 0.3, w_extra=2.0 * np.eye(wedge_count(n)))  # not unit
         with pytest.raises(ArgumentError):
             r_lambda(-1.0, n)
         with pytest.raises(ArgumentError):

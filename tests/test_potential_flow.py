@@ -6,28 +6,17 @@ import mpmath
 import numpy as np
 import pytest
 
-from curvlab.curvature_core import (
-    bianchi_project,
-    decompose,
-    potential,
-    ricci,
-)
-from curvlab.errors import ArgumentError, DomainError, UnsupportedDimensionError
+from curvlab.curvature_core import bianchi_project, decompose, ricci
+from curvlab.errors import ArgumentError, UnsupportedDimensionError
 from curvlab.lie_basis import wedge_count
 from curvlab.model_spaces import sphere, sphere_product, theta, w_cp2
 from curvlab.potential_flow import (
     FlowState,
-    admissibility_defect,
-    admissible_part,
-    f_profile,
     fixed_point_residual,
     flow_run,
     flow_state,
     flow_step,
-    gamma_bound,
-    neighborhood_deficit,
     neighborhood_potential_bound,
-    profile_coefficients,
 )
 from curvlab.report import render_table
 
@@ -38,11 +27,6 @@ def random_unit_weyl(rng, n):
     raw = rng.standard_normal((wedge_count(n),) * 2)
     w = decompose(bianchi_project(0.5 * (raw + raw.T))).weyl.mat
     return w / np.linalg.norm(w)
-
-
-def random_admissible(rng, n):
-    a = admissible_part(random_unit_weyl(rng, n))
-    return a / np.linalg.norm(a)
 
 
 class TestFlowState:
@@ -126,79 +110,7 @@ class TestFlowStep:
         assert all(b >= a - 1e-12 for a, b in zip(ps, ps[1:]))
 
 
-class TestProfile:
-    def test_admissible_part_kills_defect(self, rng):
-        w = random_admissible(rng, 10)
-        assert admissibility_defect(w) < 1e-12
-        assert admissibility_defect(w_cp2(10)) > 0.99
-
-    def test_profile_at_zero(self, rng):
-        assert f_profile(random_admissible(rng, 10), 0.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_matches_direct_potential(self, rng):
-        w = random_admissible(rng, 10)
-        w0 = w_cp2(10).mat
-        for phi in (0.1, 0.3, math.pi / 6, 0.6):
-            direct = math.sqrt(2.0 / 3.0) * potential(
-                math.cos(phi) * w0 + math.sin(phi) * w
-            )
-            assert f_profile(w, phi) == pytest.approx(direct, abs=1e-12)
-
-    def test_derivative_matches_finite_differences(self, rng):
-        coeffs = profile_coefficients(random_admissible(rng, 11))
-
-        def f(phi):
-            c, s = math.cos(phi), math.sin(phi)
-            return c**3 + 3.0 * c * s**2 * coeffs.alpha + s**3 * coeffs.gamma
-
-        for phi in (0.1, 0.3, 0.52):
-            c, s = math.cos(phi), math.sin(phi)
-            analytic = (
-                -3.0 * c**2 * s
-                + 3.0 * coeffs.alpha * (2.0 * c**2 * s - s**3)
-                + 3.0 * coeffs.gamma * s**2 * c
-            )
-            h = 1e-6
-            fd = (f(phi + h) - f(phi - h)) / (2.0 * h)
-            assert analytic == pytest.approx(fd, rel=1e-6)
-
-    @pytest.mark.parametrize("n", [10, 11])
-    def test_alpha_ceiling(self, n):
-        rng = np.random.default_rng(n)
-        worst = -math.inf
-        for _ in range(200):
-            worst = max(worst, profile_coefficients(random_admissible(rng, n)).alpha)
-        assert worst <= 1.0 / 3.0 + 1e-8
-
-    def test_sampled_monotonicity(self):
-        # decreasing on (0, pi/6] for admissible directions; any violation
-        # here is a finding about the conjectured global maximum, not a bug
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            w = random_admissible(rng, 11)
-            phis = np.sort(rng.uniform(1e-3, math.pi / 6, 6))
-            values = [f_profile(w, p) for p in phis]
-            assert all(b < a for a, b in zip(values, values[1:]))
-
-    def test_rejects_bad_directions(self, rng):
-        with pytest.raises(ArgumentError):
-            f_profile(w_cp2(10), 0.1)  # inside the excluded span
-        w = random_admissible(rng, 10)
-        with pytest.raises(ArgumentError):
-            f_profile(2.0 * w, 0.1)
-        ident = sphere(10)
-        with pytest.raises(ArgumentError):
-            f_profile(ident.mat / ident.norm(), 0.1)
-
-
 class TestBounds:
-    def test_gamma_bound_values(self):
-        assert gamma_bound(1.0 / 3.0) == pytest.approx(math.sqrt(1.0 / 3.0) * (4.0 / 3.0), abs=1e-15)
-        assert gamma_bound(0.0) == 1.0
-        assert gamma_bound(0.5) == 0.0
-        with pytest.raises(DomainError):
-            gamma_bound(0.5 + 1e-9)
-
     def test_quoted_neighborhood_values(self):
         b11 = neighborhood_potential_bound(11, 0.13)
         b10 = neighborhood_potential_bound(10, 0.26)
@@ -232,14 +144,6 @@ class TestBounds:
         with mpmath.workdps(40):
             hi = neighborhood_potential_bound(11, 0.13, lib=mpmath)
         assert float(hi) == pytest.approx(neighborhood_potential_bound(11, 0.13), abs=1e-14)
-
-    def test_tiny_angle_deficit(self):
-        # positive but at the 1e-13 scale: sqrt(3/2) * gamma^2 / 2 to leading
-        # order, far above the 2.66e-15 sometimes associated with this angle
-        d = neighborhood_deficit(1e-6)
-        assert d == pytest.approx(6.123714928867018e-13, rel=1e-10)
-        assert d == pytest.approx(SQRT32 * 0.5e-12, rel=1e-5)
-        assert d > 100.0 * 2.66e-15
 
     def test_validation(self):
         with pytest.raises(ArgumentError):

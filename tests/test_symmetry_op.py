@@ -25,9 +25,7 @@ from curvlab.model_spaces import (
 from curvlab.symmetry_op import (
     d2,
     d2_family_norm,
-    d2_mixed,
     g_lower_bound,
-    g_sign_change_phi,
     sin_power_integral,
     sphere_volume,
 )
@@ -113,39 +111,6 @@ class TestD2:
         op = d2(r, basis_vec(1, 5, n)).operator
         dead = [wedge_rank(i, j, n) for i in range(5, n) for j in range(i + 1, n + 1)]
         assert np.max(np.abs(op[np.ix_(dead, dead)])) < 1e-12
-
-
-class TestD2Mixed:
-    def test_polarization(self, rng):
-        n = 6
-        r, s = random_curvature(rng, n), random_curvature(rng, n)
-        v = rng.standard_normal(wedge_count(n))
-        lhs = d2(r + s, v).operator
-        rhs = d2(r, v).operator + 2 * d2_mixed(r, s, v).operator + d2(s, v).operator
-        assert np.max(np.abs(lhs - rhs)) < 1e-10
-
-    def test_diagonal_reduces_to_d2(self, rng):
-        n = 5
-        r = random_curvature(rng, n)
-        v = rng.standard_normal(wedge_count(n))
-        assert np.max(np.abs(d2_mixed(r, r, v).operator - d2(r, v).operator)) == 0
-
-    def test_identity_slot_gives_half_bracket(self, rng):
-        n = 6
-        w = random_curvature(rng, n)
-        v = rng.standard_normal(wedge_count(n))
-        adv = ad_matrix(v)
-        want = 0.5 * (w @ adv - adv @ w)
-        got = d2_mixed(np.eye(wedge_count(n)), w, v).operator
-        assert np.max(np.abs(got - want)) < 1e-12
-
-    def test_norm_bound_on_simple_bivectors(self, rng):
-        n = 6
-        for _ in range(50):
-            r, s = random_curvature(rng, n), random_curvature(rng, n)
-            u = random_simple_unit_bivector(rng, n)
-            bound = 8 * np.linalg.norm(r) * np.linalg.norm(s)
-            assert d2_mixed(r, s, u).norm <= bound + 1e-12
 
 
 class TestAntisymmetrizationIdentity:
@@ -258,13 +223,6 @@ class TestGLowerBound:
 
     def test_negative_at_right_angle(self):
         assert g_lower_bound(1.2, math.pi / 4, math.pi / 2, 11) < 0
-
-    def test_sign_change_is_bracketed(self):
-        phi_star = g_sign_change_phi(math.sqrt(40 / 27), math.pi / 4, 11)
-        assert 0 < phi_star < math.pi / 2
-        before = g_lower_bound(math.sqrt(40 / 27), math.pi / 4, phi_star - 1e-6, 11)
-        after = g_lower_bound(math.sqrt(40 / 27), math.pi / 4, phi_star + 1e-6, 11)
-        assert before > 0 > after
 
     def test_mpmath_backend_agrees(self):
         mpmath.mp.dps = 40
