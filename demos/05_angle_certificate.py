@@ -39,7 +39,7 @@ print(f"alpha0 = beta + margin = {cert.alpha0:.15f} (beta = {cert.beta:.15f})")
 # strictly below the product threshold theta_n -- so a flow line that starts
 # inside the ball with potential above theta_n can never reach its boundary
 for n, gamma in ((11, 0.13), (10, 0.26)):
-    bound = neighborhood_potential_bound(n, gamma)
+    bound = neighborhood_potential_bound(gamma)
     gate = math.sqrt(2 / 3) * theta_threshold(n)
     print(
         f"n={n}, gamma={gamma}: profile bound {bound:.6f}"

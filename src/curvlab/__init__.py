@@ -13,7 +13,7 @@ Subpackage tour:
 - spectral_decomp: Weyl bases, the Hessian-type operator at a critical
   point, eigenvalue clustering, orbit tangent dimensions.
 - potential_flow: the normalized gradient flow of the cubic potential and
-  the scalar profile bounds used near critical points.
+  the closed-form bound on the potential near the distinguished point.
 - shi_bounds: explicit derivative bounds for curvature under bounded
   geometry.
 - certificate: the end-to-end numerical certificate comparing the gradient

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .curvature_core import CurvatureOperator, _q_mat, _unit_weyl, q_map
-from .errors import ArgumentError, UnsupportedDimensionError
+from .errors import ArgumentError
 
 __all__ = [
     "FlowState",
@@ -116,7 +116,7 @@ def flow_run(
     return replace(state, history=tuple(history))
 
 
-def neighborhood_potential_bound(n: int, gamma: float, lib=math) -> float:
+def neighborhood_potential_bound(gamma: float, lib=math) -> float:
     """Bound on sqrt(2/3) P at angle gamma from the distinguished point.
 
     The maximum over alpha <= 1/3 of the cubic profile bound
@@ -124,8 +124,6 @@ def neighborhood_potential_bound(n: int, gamma: float, lib=math) -> float:
     The maximum sits at alpha = 1/3 throughout 0 < gamma <= pi/6, where the
     bound collapses to cos(gamma) + 4/(3 sqrt 3) sin^3(gamma).
     """
-    if n < 5:
-        raise UnsupportedDimensionError(f"need n >= 5, got {n}")
     if not 0.0 < gamma <= math.pi / 6.0 + 1e-12:
         raise ArgumentError(f"angle must lie in (0, pi/6], got {gamma}")
     coeff = 4.0 / (3.0 * lib.sqrt(3.0))

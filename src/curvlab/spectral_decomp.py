@@ -20,9 +20,10 @@ classes: G pairs the coordinate matrices, each of its entries a few entries
 of W0 read through the so(n) bracket table, and V holds the class vectors.
 Q(W0, b), N x N basis matrices and eigenpairs of W0 are never formed, so the
 cost grows with the sum over blocks of their squared coordinate counts, not
-with the O(n^6) sharp kernel or with rank(W0).
+with the O(n^6) sharp kernel or with rank(W0).  The blocks come back as
+HessianBlocks: one stack per block shape, and each class's place in them.
 eigen_report clusters a symmetric spectrum, given as one matrix or as
-blocks, with one eigvalsh per block shape; orbit_tangent_dim measures
+those stacks, with one eigvalsh per stack; orbit_tangent_dim measures
 rotation orbits, with the commutators [ad_a, W] read from the same bracket
 table (signed rows and columns of W, no matrix product and no dense
 structure constants); decomposition_dims reproduces every dimension count
@@ -59,6 +60,7 @@ from .lie_basis import (
 
 __all__ = [
     "BASIS_DIMS",
+    "HessianBlocks",
     "SpectralReport",
     "WeylClass",
     "weyl_dim",
@@ -155,15 +157,6 @@ def _class_dims(n: int) -> dict:
     quadruple less its Bianchi row.
     """
     return {0: wedge_count(n) - n, 2: n - 3, 4: 2}
-
-
-def _split_by(keys: np.ndarray, values: np.ndarray) -> list:
-    """Positions of keys grouped by value, ascending within each group.
-
-    values must be sorted, and every key must be one of them.
-    """
-    order = np.argsort(keys, kind="stable")
-    return np.split(order, np.searchsorted(keys[order], values[1:]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -291,13 +284,6 @@ def _block_keys(basis, mat: np.ndarray, n: int) -> np.ndarray:
     return keys
 
 
-def _coupled_classes(basis, mat: np.ndarray, n: int) -> list:
-    """Indices into basis of the classes in each block of the Hessian at mat,
-    ascending within a block, the blocks in ascending order of their key."""
-    keys = _block_keys(basis, mat, n)
-    return _split_by(keys, np.array(sorted(set(keys.tolist()))))
-
-
 def _offsets(sizes: np.ndarray, group: np.ndarray) -> np.ndarray:
     """Start of each item within its group, when the items of a group lie
     one after another in index order, each taking its size."""
@@ -344,13 +330,28 @@ def _coordinate_pairing(mat, a, b, take, sign) -> np.ndarray:
     return g
 
 
-def hessian_matrix(w0) -> tuple[np.ndarray, ...]:
+@dataclass(frozen=True, eq=False)
+class HessianBlocks:
+    """Matrix of W -> Q(W0, W) on weyl_basis(dim), as stacks of diagonal blocks.
+
+    stacks holds one (c, m, m) stack per block shape.  Class i of the basis
+    lies in block slot[i] of stacks[stack[i]]; the classes of a block take
+    its rows in basis order, as many as each has vectors.  Every entry
+    between two blocks is exactly zero.
+    """
+
+    dim: int
+    stacks: tuple[np.ndarray, ...]
+    stack: np.ndarray
+    slot: np.ndarray
+
+
+def hessian_matrix(w0) -> HessianBlocks:
     """Matrix of W -> Q(W0, W) on weyl_basis(n), as its diagonal blocks.
 
     Each block holds the entries <Q(W0, b_i), b_j> between the basis vectors
-    of one coupled set of classes (see _coupled_classes); every entry between
-    two blocks is exactly zero.  W0 must be a unit Weyl operator; n is its
-    dimension.
+    of one coupled set of classes (see _block_keys).  W0 must be a unit Weyl
+    operator; n is its dimension.
 
     Each block is V G V^T over the coordinates of its classes: V holds the
     class vectors, laid out block-diagonally, and G[t, t'] = <Q(W0, E_t),
@@ -367,8 +368,9 @@ def hessian_matrix(w0) -> tuple[np.ndarray, ...]:
     over the entries (a, b) of X and (c, d) of Y, so G is gathered from W0
     entry by entry: no eigenpair, no Q(W0, b) and no N x N basis matrix.
     Blocks of one shape (vectors, coordinates) are assembled together, in
-    two batched matrix products: w_cp2 has six shapes at n = 8..16, for
-    example 294 blocks of (2, 3) and one of (56, 69) at n = 12.
+    two batched matrix products, and returned as one stack: w_cp2 has six
+    shapes at n = 8..16, for example 294 blocks of (2, 3) and one of
+    (56, 69) at n = 12.
     sharp_via_brackets and q_map are the oracles the tests check it against.
     """
     op = _unit_weyl(w0, "hessian base point")
@@ -423,7 +425,7 @@ def hessian_matrix(w0) -> tuple[np.ndarray, ...]:
         h += h.transpose(0, 2, 1)
         h *= 0.5
         stacks.append(h)
-    return tuple(stacks[s][i] for s, i in zip(shape.tolist(), slot.tolist()))
+    return HessianBlocks(n, tuple(stacks), shape[block], slot[block])
 
 
 @dataclass(frozen=True)
@@ -448,19 +450,17 @@ class SpectralReport:
 def eigen_report(mat, cluster_tol: float = 1e-8) -> SpectralReport:
     """Eigenvalues of a symmetric matrix, grouped into clusters.
 
-    mat may also be a tuple of symmetric blocks, such as hessian_matrix
-    returns: the spectrum is then that of the block-diagonal matrix, taken
-    with one eigvalsh per stack of equal-shape blocks.
+    mat may also be the HessianBlocks that hessian_matrix returns: the
+    spectrum is then that of its block-diagonal matrix, taken with one
+    eigvalsh per stack.
     Values are scaled by the spectral radius before gap detection, so
     cluster_tol is a relative tolerance; clusters are reported as
     (mean eigenvalue, multiplicity), sorted descending.
     """
-    by_shape = {}
-    for block in mat if isinstance(mat, tuple) else (mat,):
-        by_shape.setdefault(np.shape(block), []).append(block)
+    stacks = mat.stacks if isinstance(mat, HessianBlocks) else ([mat],)
     spectra = [
-        np.linalg.eigvalsh(_symmetric(group, "eigen_report block", stack=True)).ravel()
-        for group in by_shape.values()
+        np.linalg.eigvalsh(_symmetric(s, "eigen_report block", stack=True)).ravel()
+        for s in stacks
     ]
     vals = np.sort(np.concatenate(spectra))[::-1]
     scale = max(float(np.max(np.abs(vals))), 1e-300)

@@ -244,7 +244,7 @@ def _check_shi_table(n, rng, tol):
 
 def _check_neighborhood_bound(n, rng, tol):
     gamma, quoted = _NEIGHBORHOOD_QUOTES[n]
-    bound = neighborhood_potential_bound(n, gamma)
+    bound = neighborhood_potential_bound(gamma)
     ceiling = math.sqrt(2.0 / 3.0) * theta_threshold(n)
     if bound >= ceiling:
         return dict(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from curvlab.lie_basis import adjoint_rotation, wedge_count
-from curvlab.spectral_decomp import _coupled_classes, weyl_basis
+from curvlab.spectral_decomp import weyl_basis
 
 
 @pytest.fixture
@@ -36,18 +36,30 @@ def weyl_stack(classes, size: int) -> np.ndarray:
     return np.array(mats)
 
 
-def block_bases(w0: np.ndarray, n: int) -> list:
-    """For each block of hessian_matrix(w0), its basis operators as a dense
-    stack, in the block's own order."""
-    basis = weyl_basis(n)
-    return [
-        weyl_stack([basis[i] for i in members], wedge_count(n))
-        for members in _coupled_classes(basis, np.asarray(w0), n)
-    ]
+def block_classes(h) -> list:
+    """For each block of h = hessian_matrix(w0), in stack-then-slot order,
+    its classes of weyl_basis(h.dim), in the block's own order."""
+    members = {}
+    for c, place in zip(weyl_basis(h.dim), zip(h.stack.tolist(), h.slot.tolist())):
+        members.setdefault(place, []).append(c)
+    return [members[place] for place in sorted(members)]
 
 
-def block_diagonal(blocks) -> np.ndarray:
-    """The square matrix with the given square blocks on its diagonal."""
+def block_bases(h) -> list:
+    """For each block of h = hessian_matrix(w0), in stack-then-slot order,
+    its basis operators as a dense stack, in the block's own order."""
+    return [weyl_stack(classes, wedge_count(h.dim)) for classes in block_classes(h)]
+
+
+def blocks_of(h) -> list:
+    """The blocks of h = hessian_matrix(w0), in stack-then-slot order."""
+    return [block for stack in h.stacks for block in stack]
+
+
+def block_diagonal(h) -> np.ndarray:
+    """The square matrix with the blocks of h = hessian_matrix(w0) on its
+    diagonal, in stack-then-slot order."""
+    blocks = blocks_of(h)
     size = sum(len(b) for b in blocks)
     out, lo = np.zeros((size, size)), 0
     for b in blocks:

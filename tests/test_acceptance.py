@@ -317,8 +317,8 @@ def test_criterion_07_shi_constants(suite_report):
 
 
 def test_criterion_08_neighborhood_bounds():
-    b11 = neighborhood_potential_bound(11, 0.13)
-    b10 = neighborhood_potential_bound(10, 0.26)
+    b11 = neighborhood_potential_bound(0.13)
+    b10 = neighborhood_potential_bound(0.26)
     e11 = abs(b11 - 0.9934)
     e10 = abs(b10 - 0.9796)
     strict = (

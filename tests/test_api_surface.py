@@ -6,8 +6,8 @@ inside its own module outside its own definition, or named as a
 `spans.Layer(module, name)` of the benchmark.  The only exceptions are the
 names in KEPT, and each is an oracle: an independent second route that the
 tests check a kernel against.  A second check finds imports that a module of
-the package never uses.  Only the standard-library ast module is used, so
-nothing is imported or run.
+the package, a test or a demo never uses.  Only the standard-library ast
+module is used, so nothing is imported or run.
 """
 
 import ast
@@ -272,11 +272,13 @@ def test_preconditions_have_one_owner():
 
 
 def test_package_modules_use_what_they_import():
+    # the package, its tests and its demos
     found = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        unused = _unused_imports(_parse(path))
-        if unused:
-            found[path.name] = unused
+    for folder in (PACKAGE, ROOT / "tests", ROOT / "demos"):
+        for path in sorted(folder.glob("*.py")):
+            unused = _unused_imports(_parse(path))
+            if unused:
+                found[str(path.relative_to(ROOT))] = unused
     assert not found, f"imported but never used: {found}"
 
 

@@ -4,7 +4,7 @@ Q(W), and the read-only caches the kernels share."""
 
 import numpy as np
 import pytest
-from conftest import block_bases, block_diagonal
+from conftest import block_bases, block_diagonal, blocks_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -129,13 +129,13 @@ class TestHessianAssembly:
         product = decompose(sphere_product(2, n - 2)).weyl.mat
         for w0 in (w_cp2(n).mat, product / np.linalg.norm(product),
                    random_weyl(np.random.default_rng(n), n)):
-            stacks = block_bases(w0, n)
+            h = hessian_matrix(w0)
+            stacks = block_bases(h)
             basis = np.concatenate(stacks)
             q = [q_map(w0, bi).mat for bi in basis]
             naive = np.array([[float(np.sum(qi * bj)) for bj in basis] for qi in q])
-            blocks = hessian_matrix(w0)
-            assert [len(h) for h in blocks] == [len(s) for s in stacks]
-            assert gap(block_diagonal(blocks), naive) < TOL
+            assert [len(b) for b in blocks_of(h)] == [len(s) for s in stacks]
+            assert gap(block_diagonal(h), naive) < TOL
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_matches_bracket_oracle(self, n):
@@ -145,11 +145,12 @@ class TestHessianAssembly:
         product = decompose(sphere_product(2, n - 2)).weyl.mat
         for w0 in (w_cp2(n).mat, product / np.linalg.norm(product),
                    random_weyl(np.random.default_rng(n), n)):
-            for h, stack in zip(hessian_matrix(w0), block_bases(w0, n)):
+            h = hessian_matrix(w0)
+            for block, stack in zip(blocks_of(h), block_bases(h), strict=True):
                 q = np.array([0.5 * (w0 @ b + b @ w0) + sharp_via_brackets(w0, b).mat
                               for b in stack])
                 oracle = q.reshape(len(q), -1) @ stack.reshape(len(stack), -1).T
-                assert gap(h, oracle) < TOL
+                assert gap(block, oracle) < TOL
 
     @pytest.mark.parametrize("point", ["random-9", "s3xs6"])
     def test_full_rank_matches_per_vector_q(self, point):
@@ -162,15 +163,15 @@ class TestHessianAssembly:
             product = decompose(sphere_product(3, 6)).weyl.mat
             w0 = product / np.linalg.norm(product)
         assert np.linalg.matrix_rank(w0) == wedge_count(9)
-        stacks = block_bases(w0, 9)
+        h = hessian_matrix(w0)
+        stacks = block_bases(h)
         basis = np.concatenate(stacks)
         q = np.array([q_map(w0, b).mat for b in basis])
         naive = q.reshape(len(q), -1) @ basis.reshape(len(basis), -1).T
-        blocks = hessian_matrix(w0)
-        assert [len(h) for h in blocks] == [len(s) for s in stacks]
+        assert [len(b) for b in blocks_of(h)] == [len(s) for s in stacks]
         if point == "random-9":
-            assert [len(h) for h in blocks] == [495]
-        assert gap(block_diagonal(blocks), naive) < TOL
+            assert [len(b) for b in blocks_of(h)] == [495]
+        assert gap(block_diagonal(h), naive) < TOL
 
     @pytest.mark.parametrize("n", [8, 12])
     def test_input_layout(self, n, rng):
@@ -181,8 +182,10 @@ class TestHessianAssembly:
         for w0 in points:
             got = hessian_matrix(np.asfortranarray(w0))
             want = hessian_matrix(np.ascontiguousarray(w0))
-            assert len(got) == len(want)
-            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+            assert len(got.stacks) == len(want.stacks)
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got.stacks, want.stacks))
+            assert np.array_equal(got.stack, want.stack)
+            assert np.array_equal(got.slot, want.slot)
 
     def test_makes_no_sharp_kernel_call(self, monkeypatch):
         # the assembly gathers each block's class-coordinate pairing from W0's

@@ -16,7 +16,6 @@ from curvlab.errors import ArgumentError, UnsupportedDimensionError
 from curvlab.lie_basis import sp1_basis, wedge_count, wedge_pairs, wedge_vectors
 from curvlab.model_spaces import (
     LAMBDA_CRIT,
-    Interval,
     cpn,
     intermediate_range,
     r_lambda,

@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 from curvlab.curvature_core import bianchi_project, decompose, ricci
-from curvlab.errors import ArgumentError, UnsupportedDimensionError
+from curvlab.errors import ArgumentError
 from curvlab.lie_basis import wedge_count
 from curvlab.model_spaces import sphere, sphere_product, theta, w_cp2
 from curvlab.potential_flow import (
-    FlowState,
     fixed_point_residual,
     flow_run,
     flow_state,
@@ -112,8 +111,8 @@ class TestFlowStep:
 
 class TestBounds:
     def test_quoted_neighborhood_values(self):
-        b11 = neighborhood_potential_bound(11, 0.13)
-        b10 = neighborhood_potential_bound(10, 0.26)
+        b11 = neighborhood_potential_bound(0.13)
+        b10 = neighborhood_potential_bound(0.26)
         assert b11 == pytest.approx(0.9932389062477238, abs=1e-12)
         assert b10 == pytest.approx(0.979469316642573, abs=1e-12)
         assert b11 <= 0.9934
@@ -125,7 +124,7 @@ class TestBounds:
         assert math.sqrt(2.0 / 3.0) * theta(5, 5) == pytest.approx(2.0 * math.sqrt(6.0) / 5.0, abs=1e-15)
 
     def test_boundary_value_is_g2(self):
-        assert neighborhood_potential_bound(11, math.pi / 6.0) == pytest.approx(
+        assert neighborhood_potential_bound(math.pi / 6.0) == pytest.approx(
             5.0 * math.sqrt(3.0) / 9.0, abs=1e-14
         )
 
@@ -137,18 +136,16 @@ class TestBounds:
             + 3.0 * grid * np.cos(gamma) * np.sin(gamma) ** 2
             + np.sin(gamma) ** 3 * np.sqrt(1.0 - 2.0 * grid) * (1.0 + grid)
         )
-        assert vals.max() <= neighborhood_potential_bound(11, gamma) + 1e-12
-        assert vals.max() == pytest.approx(neighborhood_potential_bound(11, gamma), abs=1e-8)
+        assert vals.max() <= neighborhood_potential_bound(gamma) + 1e-12
+        assert vals.max() == pytest.approx(neighborhood_potential_bound(gamma), abs=1e-8)
 
     def test_mpmath_backend(self):
         with mpmath.workdps(40):
-            hi = neighborhood_potential_bound(11, 0.13, lib=mpmath)
-        assert float(hi) == pytest.approx(neighborhood_potential_bound(11, 0.13), abs=1e-14)
+            hi = neighborhood_potential_bound(0.13, lib=mpmath)
+        assert float(hi) == pytest.approx(neighborhood_potential_bound(0.13), abs=1e-14)
 
     def test_validation(self):
         with pytest.raises(ArgumentError):
-            neighborhood_potential_bound(11, 0.0)
+            neighborhood_potential_bound(0.0)
         with pytest.raises(ArgumentError):
-            neighborhood_potential_bound(11, 1.0)
-        with pytest.raises(UnsupportedDimensionError):
-            neighborhood_potential_bound(4, 0.1)
+            neighborhood_potential_bound(1.0)

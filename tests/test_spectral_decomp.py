@@ -2,10 +2,11 @@ import itertools
 import math
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import block_bases, block_diagonal, weyl_stack
+from conftest import block_bases, block_classes, block_diagonal, blocks_of, weyl_stack
 
 from curvlab import spectral_decomp
 from curvlab.curvature_core import (
@@ -24,7 +25,8 @@ from curvlab.lie_basis import (
 )
 from curvlab.model_spaces import random_weyl, sphere, sphere_product, theta, w_cp2
 from curvlab.spectral_decomp import (
-    _coupled_classes,
+    BASIS_DIMS,
+    HessianBlocks,
     _null_space,
     _orbit_commutators,
     decomposition_dims,
@@ -193,18 +195,29 @@ class TestHessian:
             (18, (1, 58, 406, 7215, 812, 56, 2)),
             (19, (1, 62, 465, 9120, 930, 60, 2)),
             (20, (1, 66, 528, 11373, 1056, 64, 2)),
+            (5, (1, 6, 3, 13, 6, 4, 2)),
+            (6, (1, 10, 10, 33, 20, 8, 2)),
+            (7, (1, 14, 21, 76, 42, 12, 2)),
+            (8, (1, 18, 36, 155, 72, 16, 2)),
+            (9, (1, 22, 55, 285, 110, 20, 2)),
         ],
     )
     def test_cp2_clusters(self, n, mults):
-        blocks = hessian_matrix(w_cp2(n))
-        rep = eigen_report(blocks)
+        h = hessian_matrix(w_cp2(n))
+        rep = eigen_report(h)
         values = [v for v, _ in rep.clusters]
         expected = [math.sqrt(1.5) * x for x in LADDER]
         assert len(rep.clusters) == 7
         assert np.allclose(values, expected, atol=1e-8)
         assert tuple(m for _, m in rep.clusters) == mults
         assert sum(mults) == weyl_dim(n)
-        assert abs(sum(np.trace(h) for h in blocks)) < 1e-8
+        # the closed form of the ladder's multiplicities, l = n - 4; the
+        # zero rung takes the rest of the Weyl space
+        l = n - 4
+        rungs = (1, 4 * l + 2, l * (2 * l + 1), 2 * l * (2 * l + 1), 4 * l, 2)
+        rest = weyl_dim(n) - sum(rungs)
+        assert mults == (*rungs[:3], rest, *rungs[3:])
+        assert abs(sum(np.trace(b) for b in blocks_of(h))) < 1e-8
 
     def test_eigenvalue_set_independent_of_n(self):
         reps = [
@@ -216,48 +229,76 @@ class TestHessian:
 
     def test_base_point_is_top_eigenvector(self):
         w0 = w_cp2(10)
-        for h, stack in zip(hessian_matrix(w0), block_bases(w0.mat, 10)):
-            c = stack.reshape(len(h), -1) @ w0.mat.ravel()
-            assert np.linalg.norm(h @ c - math.sqrt(1.5) * c) < 1e-10
+        h = hessian_matrix(w0)
+        for block, stack in zip(blocks_of(h), block_bases(h), strict=True):
+            c = stack.reshape(len(block), -1) @ w0.mat.ravel()
+            assert np.linalg.norm(block @ c - math.sqrt(1.5) * c) < 1e-10
 
     @pytest.mark.parametrize("k,l", [(5, 6), (4, 7), (5, 5)])
     def test_product_weyl_eigenvector(self, k, l):
-        n = k + l
         w0 = unit_product_weyl(k, l)
-        for h, stack in zip(hessian_matrix(w0), block_bases(w0, n)):
-            c = stack.reshape(len(h), -1) @ w0.ravel()
-            assert np.linalg.norm(h @ c - theta(k, l) * c) < 1e-10
+        h = hessian_matrix(w0)
+        assert h.dim == k + l
+        for block, stack in zip(blocks_of(h), block_bases(h), strict=True):
+            c = stack.reshape(len(block), -1) @ w0.ravel()
+            assert np.linalg.norm(block @ c - theta(k, l) * c) < 1e-10
 
     def test_block_structure(self, rng):
         # a random W0 couples every class, a product's diagonal Weyl part
         # none, and W_CP2 (entries of characters 0 and 0b1111) pairs chi
         # with chi ^ 0b1111
         w = random_unit_weyl(rng, 7)
-        assert [len(h) for h in hessian_matrix(w)] == [weyl_dim(7)]
+        assert [len(b) for b in blocks_of(hessian_matrix(w))] == [weyl_dim(7)]
         basis = weyl_basis(8)
-        blocks = hessian_matrix(unit_product_weyl(4, 4))
-        assert [len(h) for h in blocks] == [len(c.vectors) for c in basis]
+        h = hessian_matrix(unit_product_weyl(4, 4))
+        assert len(blocks_of(h)) == len(basis)
+        assert [h.stacks[s].shape[1] for s in h.stack] == [len(c.vectors) for c in basis]
         for n in (8, 12):
             basis = weyl_basis(n)
             chars = {c.character for c in basis}
             got = {
-                frozenset(basis[i].character for i in members)
-                for members in _coupled_classes(basis, w_cp2(n).mat, n)
+                frozenset(c.character for c in classes)
+                for classes in block_classes(hessian_matrix(w_cp2(n)))
             }
             assert got == {frozenset({x, x ^ 0b1111} & chars) for x in chars}
-        assert len(got) == {8: 61, 12: 442}[n]
+            assert len(got) == {8: 61, 12: 442}[n]
+
+    @pytest.mark.parametrize("point", [f"cp2-{n}" for n in BASIS_DIMS] + ["s4xs5"])
+    def test_blocks_contract(self, point):
+        # every class of the basis sits in one block of one stack, each
+        # stack's slots run 0..c-1, a block is as wide as its classes have
+        # vectors, and each stack is symmetric to the last bit
+        if point == "s4xs5":
+            n, h = 9, hessian_matrix(unit_product_weyl(4, 5))
+        else:
+            n = int(point.removeprefix("cp2-"))
+            h = hessian_matrix(w_cp2(n))
+        nvec = np.array([len(c.vectors) for c in weyl_basis(n)])
+        assert h.dim == n
+        assert h.stack.shape == h.slot.shape == nvec.shape
+        counts = np.array([len(stack) for stack in h.stacks])
+        assert np.all((0 <= h.stack) & (h.stack < len(h.stacks)))
+        assert np.all((0 <= h.slot) & (h.slot < counts[h.stack]))
+        for s, stack in enumerate(h.stacks):
+            mine = h.stack == s
+            assert sorted(set(h.slot[mine].tolist())) == list(range(len(stack)))
+            widths = np.bincount(h.slot[mine], weights=nvec[mine], minlength=len(stack))
+            assert stack.shape[1] == stack.shape[2]
+            assert np.all(widths == stack.shape[1])
+            assert stack.tobytes() == np.ascontiguousarray(stack.transpose(0, 2, 1)).tobytes()
+        assert sum(stack.shape[0] * stack.shape[1] for stack in h.stacks) == weyl_dim(n)
 
     def test_entries_between_blocks_are_exactly_zero(self):
-        n = 8
-        w0 = w_cp2(n).mat
-        stacks = block_bases(w0, n)
+        w0 = w_cp2(8).mat
+        h = hessian_matrix(w0)
+        stacks = block_bases(h)
         label = np.repeat(np.arange(len(stacks)), [len(s) for s in stacks])
         stack = np.concatenate(stacks)
         flat = stack.reshape(len(stack), -1)
         full = np.array([q_map(w0, b).mat.ravel() for b in stack]) @ flat.T
         across = label[:, None] != label[None, :]
         assert np.count_nonzero(full[across]) == 0
-        assert np.max(np.abs(full - block_diagonal(hessian_matrix(w0)))) < 1e-13
+        assert np.max(np.abs(full - block_diagonal(h))) < 1e-13
 
     def test_memory_at_n12(self):
         # tracemalloc peaks, each bounded at about twice the one measured:
@@ -297,17 +338,18 @@ class TestHessian:
         weyl_basis(10)
         tracemalloc.start()
         try:
-            (block,) = hessian_matrix(w0)
+            h = hessian_matrix(w0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert block.shape == (weyl_dim(10),) * 2
+        (stack,) = h.stacks
+        assert stack.shape == (1, weyl_dim(10), weyl_dim(10))
         assert peak < 32 * 2**20
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_trace_vanishes(self, rng, n):
         w = random_unit_weyl(rng, n)
-        assert abs(sum(np.trace(h) for h in hessian_matrix(w))) < 1e-8
+        assert abs(sum(np.trace(b) for b in blocks_of(hessian_matrix(w)))) < 1e-8
 
     def test_rejects_bad_base_points(self):
         with pytest.raises(ArgumentError):
@@ -362,16 +404,22 @@ class TestEigenReport:
             eigen_report(np.zeros((2, 3)))
 
     def test_blocks_match_the_assembled_matrix(self, rng):
-        blocks = tuple(
-            0.5 * (m + m.T) for m in (rng.standard_normal((k, k)) for k in (3, 1, 5))
+        # eigen_report reads only the stacks: here three random blocks, each
+        # its own stack
+        stacks = tuple(
+            0.5 * (m + m.transpose(0, 2, 1))
+            for m in (rng.standard_normal((1, k, k)) for k in (3, 1, 5))
         )
+        blocks = HessianBlocks(0, stacks, np.arange(3), np.zeros(3, dtype=np.intp))
         assert eigen_report(blocks) == eigen_report(block_diagonal(blocks))
         with pytest.raises(ArgumentError):
-            eigen_report((blocks[0], np.array([[0.0, 1.0], [0.0, 0.0]])))
+            eigen_report(replace(blocks, stacks=(
+                stacks[0], np.array([[[0.0, 1.0], [0.0, 0.0]]])
+            )))
 
     def test_shared_shapes_match_the_assembled_matrix(self):
-        # the 61 blocks at n = 8 share a few shapes; each shape's stack is
-        # diagonalized at once, wherever its blocks sit in the tuple
+        # the 61 blocks at n = 8 share six shapes; each shape's stack is
+        # diagonalized at once
         blocks = hessian_matrix(w_cp2(8))
         got, want = eigen_report(blocks), eigen_report(block_diagonal(blocks))
         assert [m for _, m in got.clusters] == [m for _, m in want.clusters]
@@ -379,7 +427,7 @@ class TestEigenReport:
                            [v for v, _ in want.clusters], rtol=0, atol=1e-12)
 
     def test_one_eigvalsh_per_block_shape(self, monkeypatch):
-        blocks = hessian_matrix(w_cp2(12))
+        h = hessian_matrix(w_cp2(12))
         shapes = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -388,23 +436,23 @@ class TestEigenReport:
             return eigvalsh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-        rep = eigen_report(blocks)
-        assert len(blocks) == 442
-        assert sorted(shapes) == sorted(
-            (sum(b.shape == s for b in blocks), *s) for s in {b.shape for b in blocks}
-        )
+        rep = eigen_report(h)
+        assert sum(len(stack) for stack in h.stacks) == 442
+        # one stack, and so one call, per block shape
+        assert len({stack.shape[1:] for stack in h.stacks}) == len(h.stacks)
+        assert sorted(shapes) == sorted(stack.shape for stack in h.stacks)
         assert len(shapes) == 6
         assert rep.size == weyl_dim(12)
 
     def test_rejects_one_asymmetric_block_among_its_shape(self):
-        blocks = list(hessian_matrix(w_cp2(12)))
-        pairs = [i for i, b in enumerate(blocks) if b.shape == (2, 2)]
-        assert len(pairs) == 294
-        bad = blocks[pairs[150]].copy()
-        bad[0, 1] += 1e-9
-        blocks[pairs[150]] = bad
+        h = hessian_matrix(w_cp2(12))
+        (pairs,) = [i for i, stack in enumerate(h.stacks) if stack.shape[1:] == (2, 2)]
+        assert len(h.stacks[pairs]) == 294
+        stacks = list(h.stacks)
+        stacks[pairs] = stacks[pairs].copy()
+        stacks[pairs][150, 0, 1] += 1e-9
         with pytest.raises(ArgumentError, match="must be symmetric"):
-            eigen_report(tuple(blocks))
+            eigen_report(replace(h, stacks=tuple(stacks)))
 
     def test_cluster_projectors(self):
         h = block_diagonal(hessian_matrix(w_cp2(10)))

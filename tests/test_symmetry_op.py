@@ -20,7 +20,6 @@ from curvlab.model_spaces import (
     r_lambda,
     sphere,
     sphere_product,
-    w_cp2,
 )
 from curvlab.symmetry_op import (
     d2,
