@@ -24,7 +24,6 @@ Subpackage tour:
 from .errors import (
     ArgumentError,
     DegenerateInputError,
-    DomainError,
     PreconditionError,
     UnsupportedDimensionError,
 )
@@ -47,7 +46,6 @@ from . import (  # noqa: E402  (errors must exist before the submodules load)
 __all__ = [
     "ArgumentError",
     "DegenerateInputError",
-    "DomainError",
     "PreconditionError",
     "UnsupportedDimensionError",
     "__version__",

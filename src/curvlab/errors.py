@@ -19,7 +19,3 @@ class PreconditionError(ArgumentError):
 
 class DegenerateInputError(ArgumentError):
     """Input is too close to zero for the operation to be meaningful."""
-
-
-class DomainError(ArgumentError):
-    """A scalar argument lies outside the formula's domain."""

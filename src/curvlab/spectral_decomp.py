@@ -11,13 +11,14 @@ Euclidean norm of x.  It is graded by the sign flips of the n coordinates:
 the entry R_ab,cd has the character bit(a)^bit(b)^bit(c)^bit(d), every
 constraint row lies in one character, and so the basis is one small null
 space per character class, of dimension N - n, n - 3 or 2 for 0, 2 or 4 set
-bits.  The classes of one constraint shape are solved as one stack: three
-stacks at n = 12 for 562 classes.  It is built for n in BASIS_DIMS (5..20).
-hessian_matrix represents W -> Q(W0, W) on that basis as diagonal
-blocks: Q(W0, .) couples two classes only through the characters of W0's
-nonzero entries.  Each block is V G V^T in the coordinates of its own
-classes: G pairs the coordinate matrices, each of its entries a few entries
-of W0 read through the so(n) bracket table, and V holds the class vectors.
+bits.  The classes of one constraint shape are solved as one stack, and
+the WeylBasis holds those stacks: three at n = 12 for 562 classes.  It is
+built for n in BASIS_DIMS (5..20).  hessian_matrix represents
+W -> Q(W0, W) on that basis as diagonal blocks: Q(W0, .) couples two
+classes only through the characters of W0's nonzero entries.  Each block
+is V G V^T in the coordinates of its own classes: G pairs the coordinate
+matrices, each of its entries a few entries of W0 read through the so(n)
+bracket table, and V holds the class vectors.
 Q(W0, b), N x N basis matrices and eigenpairs of W0 are never formed, so the
 cost grows with the sum over blocks of their squared coordinate counts, not
 with the O(n^6) sharp kernel or with rank(W0).  The blocks come back as
@@ -38,7 +39,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -62,7 +62,7 @@ __all__ = [
     "BASIS_DIMS",
     "HessianBlocks",
     "SpectralReport",
-    "WeylClass",
+    "WeylBasis",
     "weyl_dim",
     "x_dim",
     "weyl_basis",
@@ -119,20 +119,8 @@ def _rank(mat: np.ndarray, rtol: float) -> int:
 
 #: the dimensions at which weyl_basis builds the Weyl basis
 BASIS_DIMS = range(5, 21)
-
-
-class WeylClass(NamedTuple):
-    """The Weyl basis vectors of one sign character, on that character's entries.
-
-    Entry (rows[t], cols[t]) of the wedge-basis matrix, rows <= cols, is
-    coordinate t; vectors holds orthonormal rows in the coordinates
-    x_AA = R_AA, x_AB = sqrt(2) R_AB (A < B).  All arrays are read-only.
-    """
-
-    character: int
-    rows: np.ndarray
-    cols: np.ndarray
-    vectors: np.ndarray
+#: the relative drop in the scaled spectrum that ends an eigen_report cluster
+_CLUSTER_TOL = 1e-8
 
 
 def _pair_characters(n: int) -> np.ndarray:
@@ -159,12 +147,33 @@ def _class_dims(n: int) -> dict:
     return {0: wedge_count(n) - n, 2: n - 3, 4: 2}
 
 
+@dataclass(frozen=True, eq=False)
+class WeylBasis:
+    """Orthonormal Weyl basis at n = dim, as stacks of its sign-character classes.
+
+    Class i has character characters[i], ascending, and the next ncoord[i]
+    coordinates t, class after class: entry (rows[t], cols[t]), rows <= cols,
+    of the wedge-basis matrix, with x_AA = R_AA, x_AB = sqrt(2) R_AB (A < B).
+    Its vectors are the rows of stacks[stack[i]][slot[i]], in one (c, d, k)
+    stack per class shape.  All arrays are read-only.
+    """
+
+    dim: int
+    characters: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    ncoord: np.ndarray
+    stacks: tuple[np.ndarray, ...]
+    stack: np.ndarray
+    slot: np.ndarray
+
+
 @functools.lru_cache(maxsize=None)
-def weyl_basis(n: int) -> tuple[WeylClass, ...]:
+def weyl_basis(n: int) -> WeylBasis:
     """Orthonormal Weyl basis: the null space of the Bianchi and Ricci constraints.
 
-    Returns one WeylClass per sign character, in ascending order of the
-    character; together they hold weyl_dim(n) vectors.
+    Returns a WeylBasis with one class per sign character of 0, 2 or 4 set
+    bits; together they hold weyl_dim(n) vectors.
 
     In the coordinates x_aa = R_aa, x_ab = sqrt(2) R_ab (a < b) of the
     symmetric N x N matrices, every quadruple i<j<k<l gives the Bianchi row
@@ -215,7 +224,8 @@ def weyl_basis(n: int) -> tuple[WeylClass, ...]:
     ncoord = np.bincount(coord_class)
     nrow = np.bincount(row_class, minlength=len(chars))
     table = _class_dims(n)
-    dims = [table[chi.bit_count()] for chi in chars.tolist()]
+    bits = np.sum((chars[:, None] >> np.arange(n)) & 1, axis=1)
+    dims = np.choose(bits // 2, [table[0], table[2], table[4]])
     # the classes of one shape (rows, coordinates, Weyl dimension) form one
     # stack, in which a class sits at its slot; a constraint entry lands at
     # its row's and its coordinate's places within their class
@@ -245,23 +255,16 @@ def weyl_basis(n: int) -> tuple[WeylClass, ...]:
                                f"constraints at n={n} (residual {residual[worst]:.3e})")
         vectors.setflags(write=False)
         stacks.append(vectors)
-    # each class's coordinates, ascending; slices of read-only arrays are
-    # read-only
+    # each class's coordinates, ascending, class after class
     order = np.argsort(coord_class, kind="stable")
-    cuts = np.cumsum(ncoord)[:-1]
     rows, cols = iu[order], ju[order]
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return tuple(
-        WeylClass(chi, r, c, stacks[s][i]) for chi, r, c, s, i in zip(
-            chars.tolist(), np.split(rows, cuts), np.split(cols, cuts),
-            shape.tolist(), slot.tolist(),
-        )
-    )
+    for arr in (chars, rows, cols, ncoord, shape, slot):
+        arr.setflags(write=False)
+    return WeylBasis(n, chars, rows, cols, ncoord, tuple(stacks), shape, slot)
 
 
-def _block_keys(basis, mat: np.ndarray, n: int) -> np.ndarray:
-    """For each class of basis, the key of its block in the Hessian at mat.
+def _block_keys(keys: np.ndarray, mat: np.ndarray, n: int) -> np.ndarray:
+    """For each class character in keys, its block's key in the Hessian at mat.
 
     Q(W0, .) maps character chi into the characters chi ^ psi, psi those of
     W0's nonzero entries, since every term of an entry of another character
@@ -278,7 +281,6 @@ def _block_keys(basis, mat: np.ndarray, n: int) -> np.ndarray:
         if psi:
             pivots = sorted(pivots + [psi], reverse=True)
     # reduced by every pivot, each character becomes its coset's representative
-    keys = np.array([c.character for c in basis])
     for p in pivots:
         keys = np.minimum(keys, keys ^ p)
     return keys
@@ -354,9 +356,9 @@ def hessian_matrix(w0) -> HessianBlocks:
     operator; n is its dimension.
 
     Each block is V G V^T over the coordinates of its classes: V holds the
-    class vectors, laid out block-diagonally, and G[t, t'] = <Q(W0, E_t),
-    E_t'> pairs the coordinate matrices E_t of t = (A, B), A <= B, which is
-    e_A e_A^T for A = B and (e_A e_B^T + e_B e_A^T) / sqrt(2) for A < B.
+    class vectors from the basis stacks, laid out block-diagonally, and
+    G[t, t'] = <Q(W0, E_t), E_t'> pairs the coordinate matrices E_t of
+    t = (A, B), A <= B: e_A e_A^T, or (e_A e_B^T + e_B e_A^T) / sqrt(2) if A < B.
     With the bracket formula of sharp_via_brackets and
     ad_v[x, y] = sign[x, y] v[take[x, y]] (lie_basis._bracket_table), any
     W0 = sum_k lam_k u_k u_k^T gives for symmetric X, Y
@@ -377,9 +379,9 @@ def hessian_matrix(w0) -> HessianBlocks:
     mat, n = op.mat, op.dim
     basis = weyl_basis(n)
     take, sign = _bracket_table(n)
-    _, block = np.unique(_block_keys(basis, mat, n), return_inverse=True)
-    nvec = np.array([len(c.vectors) for c in basis])
-    ncoord = np.array([len(c.rows) for c in basis])
+    _, block = np.unique(_block_keys(basis.characters, mat, n), return_inverse=True)
+    nvec = np.array([v.shape[1] for v in basis.stacks])[basis.stack]
+    ncoord, rows, cols = basis.ncoord, basis.rows, basis.cols
     # the blocks of one shape (vectors, coordinates) form one stack, in which
     # a block sits at its slot; in its block, a class's vectors start at row
     # vec_at and its coordinates at column coord_at
@@ -390,21 +392,20 @@ def hessian_matrix(w0) -> HessianBlocks:
     # every coordinate t = (rows[t], cols[t]) of every class, with its stack,
     # slot and column
     first = np.cumsum(ncoord) - ncoord
-    cls = np.repeat(np.arange(len(basis)), ncoord)
-    rows = np.concatenate([c.rows for c in basis])
-    cols = np.concatenate([c.cols for c in basis])
+    cls = np.repeat(np.arange(len(ncoord)), ncoord)
     t_stack, t_slot = shape[block[cls]], slot[block[cls]]
     t_col = coord_at[cls] + np.arange(len(cls)) - first[cls]
-    # every entry of every class vector, with its row and coordinate; E_t
-    # holds (A, B) and (B, A), and a diagonal t holds (A, A) twice, so each
-    # entry is weighted by 1/sqrt(2), or 1/2 on the diagonal
-    size = nvec * ncoord
-    owner = np.repeat(np.arange(len(basis)), size)
+    # every entry of every class vector, classes in stack-then-slot order as
+    # the stacks hold them; E_t holds (A, B) and (B, A), and a diagonal t
+    # (A, A) twice, so each is weighted by 1/sqrt(2), or 1/2 on the diagonal
+    by_stack = np.lexsort((basis.slot, basis.stack))
+    size = (nvec * ncoord)[by_stack]
+    owner = np.repeat(by_stack, size)
     at = np.arange(len(owner)) - np.repeat(np.cumsum(size) - size, size)
     e_row = vec_at[owner] + at // ncoord[owner]
     e_coord = first[owner] + at % ncoord[owner]
     weight = np.where(rows == cols, 0.5, np.sqrt(0.5))
-    values = np.concatenate([c.vectors.ravel() for c in basis]) * weight[e_coord]
+    values = np.concatenate([v.ravel() for v in basis.stacks]) * weight[e_coord]
     stacks = []
     for s, (m, k) in enumerate(shapes.tolist()):
         here = t_stack == s
@@ -447,14 +448,14 @@ class SpectralReport:
         return 0
 
 
-def eigen_report(mat, cluster_tol: float = 1e-8) -> SpectralReport:
+def eigen_report(mat) -> SpectralReport:
     """Eigenvalues of a symmetric matrix, grouped into clusters.
 
     mat may also be the HessianBlocks that hessian_matrix returns: the
     spectrum is then that of its block-diagonal matrix, taken with one
     eigvalsh per stack.
     Values are scaled by the spectral radius before gap detection, so
-    cluster_tol is a relative tolerance; clusters are reported as
+    _CLUSTER_TOL is a relative tolerance; clusters are reported as
     (mean eigenvalue, multiplicity), sorted descending.
     """
     stacks = mat.stacks if isinstance(mat, HessianBlocks) else ([mat],)
@@ -464,8 +465,8 @@ def eigen_report(mat, cluster_tol: float = 1e-8) -> SpectralReport:
     ]
     vals = np.sort(np.concatenate(spectra))[::-1]
     scale = max(float(np.max(np.abs(vals))), 1e-300)
-    # a cluster ends where the scaled spectrum drops by more than cluster_tol
-    gaps = np.flatnonzero(-np.diff(vals / scale) > cluster_tol) + 1
+    # a cluster ends where the scaled spectrum drops by more than _CLUSTER_TOL
+    gaps = np.flatnonzero(-np.diff(vals / scale) > _CLUSTER_TOL) + 1
     cuts = [0, *gaps.tolist(), len(vals)]
     clusters = tuple(
         (float(np.mean(vals[lo:hi])), hi - lo) for lo, hi in zip(cuts, cuts[1:])

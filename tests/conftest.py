@@ -22,33 +22,42 @@ def rotate_operator(g: np.ndarray, r) -> np.ndarray:
     return ad.T @ np.asarray(r) @ ad
 
 
-def weyl_stack(classes, size: int) -> np.ndarray:
-    """The basis operators of the given Weyl classes as one dense
-    (count, size, size) stack, in class order; a class vector holds
+def class_vector_counts(basis) -> np.ndarray:
+    """The number of vectors of each class of basis = weyl_basis(n)."""
+    return np.array([v.shape[1] for v in basis.stacks])[basis.stack]
+
+
+def weyl_stack(basis, classes) -> np.ndarray:
+    """The basis operators of the given classes of basis = weyl_basis(n) as
+    one dense (count, N, N) stack, in class order; a class vector holds
     x_AA = R_AA and x_AB = sqrt(2) R_AB."""
+    size = wedge_count(basis.dim)
+    first = np.cumsum(basis.ncoord) - basis.ncoord
     mats = []
-    for c in classes:
-        for vec in c.vectors:
+    for i in classes:
+        rows = basis.rows[first[i]:first[i] + basis.ncoord[i]]
+        cols = basis.cols[first[i]:first[i] + basis.ncoord[i]]
+        for vec in basis.stacks[basis.stack[i]][basis.slot[i]]:
             mat = np.zeros((size, size))
-            mat[c.rows, c.cols] = vec / np.where(c.rows == c.cols, 1.0, np.sqrt(2.0))
-            mat[c.cols, c.rows] = mat[c.rows, c.cols]
+            mat[rows, cols] = vec / np.where(rows == cols, 1.0, np.sqrt(2.0))
+            mat[cols, rows] = mat[rows, cols]
             mats.append(mat)
     return np.array(mats)
 
 
 def block_classes(h) -> list:
     """For each block of h = hessian_matrix(w0), in stack-then-slot order,
-    its classes of weyl_basis(h.dim), in the block's own order."""
-    members = {}
-    for c, place in zip(weyl_basis(h.dim), zip(h.stack.tolist(), h.slot.tolist())):
-        members.setdefault(place, []).append(c)
-    return [members[place] for place in sorted(members)]
+    the indices of its classes in weyl_basis(h.dim), in the block's own
+    order."""
+    places = sorted(set(zip(h.stack.tolist(), h.slot.tolist())))
+    return [np.flatnonzero((h.stack == s) & (h.slot == i)) for s, i in places]
 
 
 def block_bases(h) -> list:
     """For each block of h = hessian_matrix(w0), in stack-then-slot order,
     its basis operators as a dense stack, in the block's own order."""
-    return [weyl_stack(classes, wedge_count(h.dim)) for classes in block_classes(h)]
+    basis = weyl_basis(h.dim)
+    return [weyl_stack(basis, classes) for classes in block_classes(h)]
 
 
 def blocks_of(h) -> list:

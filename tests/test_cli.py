@@ -273,7 +273,7 @@ class TestTables:
 
     @pytest.mark.parametrize("which", ["shi", "hessian", "blocks"])
     def test_no_cluster_tol_option(self, runner, which):
-        # the Hessian table clusters at eigen_report's default tolerance
+        # the Hessian table clusters at eigen_report's fixed _CLUSTER_TOL
         args = ["tables", "--table", which, "--dim", "8", "--cluster-tol", "1e-8"]
         assert runner.invoke(main, args).exit_code == 2
 

@@ -2,6 +2,8 @@
 against the per-vector definition and the bracket oracle, the flow's reuse of
 Q(W), and the read-only caches the kernels share."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from conftest import block_bases, block_diagonal, blocks_of
@@ -256,6 +258,13 @@ class TestFlowReusesQ:
         assert len(calls) == 4 * 6
 
 
+def weyl_basis_arrays(n):
+    """Every array of weyl_basis(n): each field that is one, and each stack."""
+    basis = weyl_basis(n)
+    values = [getattr(basis, f.name) for f in fields(basis)]
+    return [*basis.stacks, *(v for v in values if isinstance(v, np.ndarray))]
+
+
 class TestReadOnlyCaches:
     @pytest.mark.parametrize(
         "arrays",
@@ -264,7 +273,7 @@ class TestReadOnlyCaches:
             lambda: _bianchi_indices(3),
             lambda: _sharp_gather(5),
             lambda: (x_space_basis(4),),
-            lambda: [arr for c in weyl_basis(6) for arr in c[1:]],
+            lambda: weyl_basis_arrays(6),
             lambda: _pair_table(5),
             lambda: (_vertex_embedding(5),),
             lambda: _bracket_table(5),

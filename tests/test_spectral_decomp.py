@@ -6,7 +6,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import block_bases, block_classes, block_diagonal, blocks_of, weyl_stack
+from conftest import (
+    block_bases,
+    block_classes,
+    block_diagonal,
+    blocks_of,
+    class_vector_counts,
+    weyl_stack,
+)
 
 from curvlab import spectral_decomp
 from curvlab.curvature_core import (
@@ -57,7 +64,8 @@ def unit_product_weyl(k, l):
 
 # The Weyl basis as a dense stack, for the properties of the whole basis.
 def dense_basis(n):
-    return weyl_stack(weyl_basis(n), wedge_count(n))
+    basis = weyl_basis(n)
+    return weyl_stack(basis, range(len(basis.characters)))
 
 
 # Every dimension weyl_basis supports.
@@ -74,7 +82,7 @@ class TestWeylBasis:
     )
     def test_counts(self, n, count):
         wb = weyl_basis(n)
-        assert sum(len(c.vectors) for c in wb) == count == weyl_dim(n)
+        assert sum(v.shape[0] * v.shape[1] for v in wb.stacks) == count == weyl_dim(n)
 
     def test_dim_formula(self):
         assert [weyl_dim(n) for n in range(5, 13)] == [35, 84, 168, 300, 495, 770, 1144, 1638]
@@ -93,13 +101,45 @@ class TestWeylBasis:
         want = {0: (N, N - n), 2: (n - 2, n - 3), 4: (3, 2)}
         wb = weyl_basis(n)
         # one class per character of 0, 2 or 4 set bits, in ascending order
-        chars = [c.character for c in wb]
+        chars = wb.characters.tolist()
         assert chars == [x for x in range(1 << n) if x.bit_count() in want]
-        for c in wb:
-            coords, count = want[c.character.bit_count()]
-            assert len(c.rows) == len(c.cols) == c.vectors.shape[1] == coords
-            assert len(c.vectors) == count
-            assert np.all(c.rows <= c.cols)
+        coords, count = np.array([want[x.bit_count()] for x in chars]).T
+        widths = np.array([v.shape[2] for v in wb.stacks])[wb.stack]
+        assert np.array_equal(wb.ncoord, coords)
+        assert np.array_equal(widths, coords)
+        assert len(wb.rows) == len(wb.cols) == np.sum(coords)
+        assert np.array_equal(class_vector_counts(wb), count)
+        assert np.all(wb.rows <= wb.cols)
+
+    @pytest.mark.parametrize("n", BASIS_DIMS)
+    def test_contract(self, n):
+        # characters strictly ascend; every class sits at one slot of one
+        # stack, and each stack's slots run 0..c-1; a stack's (d, k) is the
+        # class dimension of its classes' bit count and their coordinate
+        # count; the coordinates, class after class, cover each entry
+        # (A, B), A <= B, of the N x N matrices exactly once, ascending
+        # within each class, and each lies in its class's character
+        wb = weyl_basis(n)
+        N = wedge_count(n)
+        assert wb.dim == n
+        assert np.all(np.diff(wb.characters) > 0)
+        assert wb.stack.shape == wb.slot.shape == wb.ncoord.shape == wb.characters.shape
+        assert np.all((0 <= wb.stack) & (wb.stack < len(wb.stacks)))
+        table = spectral_decomp._class_dims(n)
+        for s, stack in enumerate(wb.stacks):
+            mine = np.flatnonzero(wb.stack == s)
+            assert sorted(wb.slot[mine].tolist()) == list(range(len(stack)))
+            dims = {table[x.bit_count()] for x in wb.characters[mine].tolist()}
+            assert dims == {stack.shape[1]}
+            assert set(wb.ncoord[mine].tolist()) == {stack.shape[2]}
+        assert np.sum(wb.ncoord) == N * (N + 1) // 2
+        covered = np.zeros((N, N), dtype=int)
+        np.add.at(covered, (wb.rows, wb.cols), 1)
+        assert np.array_equal(covered, np.triu(np.ones((N, N), dtype=int)))
+        char = spectral_decomp._pair_characters(n)
+        owner = np.repeat(wb.characters, wb.ncoord)
+        assert np.array_equal(char[wb.rows] ^ char[wb.cols], owner)
+        assert np.all(np.diff(owner * N * N + wb.rows * N + wb.cols) > 0)
 
     def test_wrong_class_dimension_raises(self, monkeypatch):
         table = spectral_decomp._class_dims
@@ -137,11 +177,12 @@ class TestWeylBasis:
     def test_deterministic(self):
         fresh = weyl_basis.__wrapped__(6)
         cached = weyl_basis(6)
-        assert len(fresh) == len(cached)
-        for a, b in zip(fresh, cached):
-            assert a.character == b.character
-            for x, y in zip(a[1:], b[1:]):
-                assert np.array_equal(x, y)
+        assert fresh.dim == cached.dim
+        assert len(fresh.stacks) == len(cached.stacks)
+        for x, y in zip(fresh.stacks, cached.stacks):
+            assert np.array_equal(x, y)
+        for name in ("characters", "rows", "cols", "ncoord", "stack", "slot"):
+            assert np.array_equal(getattr(fresh, name), getattr(cached, name))
 
     def test_one_svd_per_class_shape(self, monkeypatch):
         # n = 12 has three class shapes (rows, coordinates): 495 of (1, 3),
@@ -251,13 +292,14 @@ class TestHessian:
         assert [len(b) for b in blocks_of(hessian_matrix(w))] == [weyl_dim(7)]
         basis = weyl_basis(8)
         h = hessian_matrix(unit_product_weyl(4, 4))
-        assert len(blocks_of(h)) == len(basis)
-        assert [h.stacks[s].shape[1] for s in h.stack] == [len(c.vectors) for c in basis]
+        assert len(blocks_of(h)) == len(basis.characters)
+        widths = np.array([stack.shape[1] for stack in h.stacks])[h.stack]
+        assert np.array_equal(widths, class_vector_counts(basis))
         for n in (8, 12):
             basis = weyl_basis(n)
-            chars = {c.character for c in basis}
+            chars = set(basis.characters.tolist())
             got = {
-                frozenset(c.character for c in classes)
+                frozenset(basis.characters[classes].tolist())
                 for classes in block_classes(hessian_matrix(w_cp2(n)))
             }
             assert got == {frozenset({x, x ^ 0b1111} & chars) for x in chars}
@@ -273,7 +315,7 @@ class TestHessian:
         else:
             n = int(point.removeprefix("cp2-"))
             h = hessian_matrix(w_cp2(n))
-        nvec = np.array([len(c.vectors) for c in weyl_basis(n)])
+        nvec = class_vector_counts(weyl_basis(n))
         assert h.dim == n
         assert h.stack.shape == h.slot.shape == nvec.shape
         counts = np.array([len(stack) for stack in h.stacks])
@@ -377,7 +419,7 @@ def _assert_matches_general_solver(rep, m):
 class TestEigenReport:
     def test_two_clusters(self):
         m = np.diag([1.0, 1.0, 2.0])
-        rep = eigen_report(m, cluster_tol=1e-6)
+        rep = eigen_report(m)
         assert rep.clusters == ((2.0, 1), (1.0, 2))
         assert rep.size == 3
         _assert_matches_general_solver(rep, m)

@@ -10,7 +10,7 @@ from curvlab import suite
 from curvlab.cli import main
 from curvlab.errors import ArgumentError, UnsupportedDimensionError
 from curvlab.report import canonical_json
-from curvlab.spectral_decomp import BASIS_DIMS, weyl_basis
+from curvlab.spectral_decomp import BASIS_DIMS, SpectralReport, weyl_basis
 from curvlab.suite import DEFAULT_TOLERANCES, run_suite
 
 
@@ -106,6 +106,45 @@ class TestHighDims:
         assert "not reproduced" in record.detail
         assert by_name["hessian-clusters[n=11]"].status == "pass"
         assert report.exit_code == 0
+
+
+class TestHessianClusters:
+    def test_closed_form_multiplicities(self):
+        assert suite._ladder_multiplicities(10) == [1, 26, 78, 483, 156, 24, 2]
+        assert suite._ladder_multiplicities(11) == [1, 30, 105, 768, 210, 28, 2]
+        record = suite._check_hessian_clusters(10, None, 1e-8)
+        assert record["status"] == "pass"
+        assert record["detail"] == "multiplicities [1, 26, 78, 483, 156, 24, 2]"
+
+    @pytest.mark.parametrize("rung", range(7))
+    def test_one_wrong_expected_multiplicity_fails(self, monkeypatch, rung):
+        closed = suite._ladder_multiplicities
+
+        def wrong(n):
+            mults = closed(n)
+            mults[rung] += 1
+            return mults
+
+        monkeypatch.setattr(suite, "_ladder_multiplicities", wrong)
+        record = suite._check_hessian_clusters(10, None, 1e-8)
+        assert record["status"] == "fail"
+        assert record["detail"].startswith("multiplicities [1, 26, 78, 483, 156, 24, 2] "
+                                           "!= closed form")
+
+    def test_merged_rungs_fail(self, monkeypatch):
+        # six clusters for seven rungs: the multiplicities differ in length
+        report = suite.eigen_report
+
+        def merged(h):
+            rep = report(h)
+            (top, a), (_, b), *rest = rep.clusters
+            return SpectralReport(((top, a + b), *rest), rep.size)
+
+        monkeypatch.setattr(suite, "eigen_report", merged)
+        record = suite._check_hessian_clusters(10, None, 1e-8)
+        assert record["status"] == "fail"
+        assert record["detail"].startswith("multiplicities [27, 78, 483, 156, 24, 2] "
+                                           "!= closed form")
 
 
 class TestCheckTable:
