@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,6 @@ from .errors import (
 )
 from .lie_basis import (
     _pair_table,
-    _vertex_embedding,
     dim_from_wedge_count,
     structure_constants,
     wedge_count,
@@ -94,7 +94,7 @@ class SymmetricOperator:
         return self._mat
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self._mat))
+        return math.sqrt(_pairing(self._mat, self._mat))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dim}, N={self.N})"
@@ -133,10 +133,12 @@ def _symmetric(x, name: str, stack: bool = False) -> np.ndarray:
     mat = np.asarray(x, dtype=float)
     if mat.ndim != 2 + stack or mat.shape[-1] != mat.shape[-2]:
         raise ArgumentError(f"{name} must be a square matrix")
-    # ndarray.max skips np.max's Python wrapper, which on these small
-    # matrices costs more than the reduction itself
+    # skew is exactly antisymmetric (b - a == -(a - b) in floating point), so
+    # its largest entry is its largest magnitude.  ndarray.max skips np.max's
+    # Python wrapper, which on these small matrices costs more than the
+    # reduction itself
     skew = mat - mat.swapaxes(-1, -2)
-    if np.abs(skew, out=skew).max(initial=0.0) >= SYMMETRY_TOL:
+    if skew.max(initial=0.0) >= SYMMETRY_TOL:
         raise ArgumentError(f"{name} must be symmetric")
     return mat
 
@@ -157,7 +159,7 @@ def _unit_weyl(x, name: str) -> CurvatureOperator:
     op = x if isinstance(x, CurvatureOperator) else CurvatureOperator(x)
     if abs(op.norm() - 1.0) > BIANCHI_TOL:
         raise ArgumentError(f"{name} must have unit norm")
-    if np.max(np.abs(ricci(op))) > BIANCHI_TOL:
+    if np.abs(ricci(op)).max() > BIANCHI_TOL:
         raise ArgumentError(f"{name} must be a Weyl operator")
     return op
 
@@ -182,13 +184,32 @@ def _bianchi_indices(n: int):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _bianchi_flat(n: int):
+    """Read-only flat positions in an N x N matrix of the three Bianchi planes,
+    (ij*N+kl, ik*N+jl, il*N+jk) over all quadruples i<j<k<l, followed by
+    their transposes (kl*N+ij, jl*N+ik, jk*N+il)."""
+    ij, kl, ik, jl, il, jk = _bianchi_indices(n)
+    N = wedge_count(n)
+    out = tuple(a * N + b for a, b in ((ij, kl), (ik, jl), (il, jk),
+                                       (kl, ij), (jl, ik), (jk, il)))
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
 def _bianchi_pairings(mat: np.ndarray, n: int) -> np.ndarray:
     """<R, G_q> for every quadruple generator G_q of the image of b.
 
-    mat may be one N x N matrix or a (..., N, N) stack of them.
+    mat may be one N x N matrix or a (c, N, N) stack of them.
     """
-    ij, kl, ik, jl, il, jk = _bianchi_indices(n)
-    return 2.0 * (mat[..., ij, kl] - mat[..., ik, jl] + mat[..., il, jk])
+    a, b, c = _bianchi_flat(n)[:3]
+    flat = mat.reshape(mat.shape[:-2] + (-1,))
+    pair = flat.take(a, axis=-1)
+    pair -= flat.take(b, axis=-1)
+    pair += flat.take(c, axis=-1)
+    pair *= 2.0
+    return pair
 
 
 def bianchi_residual(mat) -> float:
@@ -196,7 +217,8 @@ def bianchi_residual(mat) -> float:
     mat, n = _as_mat(mat)
     pair = _bianchi_pairings(mat, n)
     # each generator has squared norm 6, and distinct generators are orthogonal
-    return float(np.sqrt((pair**2).sum() / 6.0))
+    pair *= pair
+    return float(np.sqrt(pair.sum() / 6.0))
 
 
 def bianchi_project(s) -> CurvatureOperator:
@@ -206,29 +228,45 @@ def bianchi_project(s) -> CurvatureOperator:
     projection subtracts <S, G_q>/6 times each of them.
     """
     mat, n = _as_mat(s)
-    ij, kl, ik, jl, il, jk = _bianchi_indices(n)
-    coeff = _bianchi_pairings(mat, n) / 6.0
+    coeff = _bianchi_pairings(mat, n)
+    coeff /= 6.0
     out = mat.copy()
+    flat = out.reshape(-1)
     # no matrix entry belongs to two generators: an entry's two index pairs
     # fix both the quadruple and its pairing, so no position repeats and
     # plain fancy-index updates equal ufunc.at
-    out[ij, kl] -= coeff
-    out[kl, ij] -= coeff
-    out[ik, jl] += coeff
-    out[jl, ik] += coeff
-    out[il, jk] -= coeff
-    out[jk, il] -= coeff
+    a, b, c, at, bt, ct = _bianchi_flat(n)
+    flat[a] -= coeff
+    flat[at] -= coeff
+    flat[b] += coeff
+    flat[bt] += coeff
+    flat[c] -= coeff
+    flat[ct] -= coeff
     return CurvatureOperator(out)
 
 
 # --- traces and decomposition ----------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _ricci_gather(n: int):
+    """Read-only (n, n, n) arrays (take, sign): take[a, b, i] is the flat
+    position of R(e_a ^ e_i, e_b ^ e_i) in the N x N wedge matrix and sign its
+    sign, 0 where i is a or b."""
+    rank, sgn = _pair_table(n)
+    take = rank[:, None, :] * wedge_count(n) + rank[None, :, :]
+    sign = sgn[:, None, :] * sgn[None, :, :]
+    for arr in (take, sign):
+        arr.setflags(write=False)
+    return take, sign
+
+
 def ricci(r) -> np.ndarray:
     """Ricci matrix Ric(v, w) = sum_i <R(v ^ e_i), w ^ e_i>."""
     mat, n = _as_mat(r)
-    B = _vertex_embedding(n)
-    N = mat.shape[0]
-    return (B.reshape(n * n, N) @ mat).reshape(n, n * N) @ B.reshape(n, n * N).T
+    take, sign = _ricci_gather(n)
+    terms = mat.reshape(-1).take(take)
+    terms *= sign
+    return terms.sum(axis=-1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -331,11 +369,15 @@ def _sharp_mat(rm: np.ndarray, sm: np.ndarray, n: int) -> np.ndarray:
     so B_jlik = B_ikjl and B_jkil = B_iljk, and two of the four planes suffice.
     """
     take, coef, read = _sharp_gather(n)
-    y = np.take(rm.ravel(), take) * coef
+    y = rm.reshape(-1)[take]
+    y *= coef
     if sm is rm:
-        b = (y.T @ y).ravel()
-        m = b[read[0]] - b[read[2]]
-        return 0.5 * (m + m.T)
+        b = (y.T @ y).reshape(-1)
+        m = b[read[0]]
+        m -= b[read[2]]
+        m = m + m.T
+        m *= 0.5
+        return m
     z = np.take(sm.reshape(*sm.shape[:-2], -1), take, axis=-1) * coef
     b = (y.T @ z).reshape(*z.shape[:-2], -1)[..., read]
     m = b[..., 0, :, :] + b[..., 1, :, :] - b[..., 2, :, :] - b[..., 3, :, :]
@@ -347,8 +389,9 @@ def _q_mat(rm: np.ndarray, sm: np.ndarray, n: int) -> np.ndarray:
 
     sm may also be a (c, N, N) stack, giving Q(R, S_c) for every c.
     """
-    sym = rm @ rm if sm is rm else 0.5 * (rm @ sm + sm @ rm)
-    return sym + _sharp_mat(rm, sm, n)
+    out = _sharp_mat(rm, sm, n)
+    out += rm @ rm if sm is rm else 0.5 * (rm @ sm + sm @ rm)
+    return out
 
 
 def sharp(r, s=None) -> SymmetricOperator:
@@ -421,10 +464,16 @@ def q_map(r, s=None) -> CurvatureOperator:
     return CurvatureOperator(_q_mat(rm, sm, n))
 
 
+def _pairing(a: np.ndarray, b: np.ndarray) -> float:
+    """Frobenius pairing <A, B> = sum_xy A_xy B_xy of two matrices of one shape."""
+    # ndarray.dot: on 1-D operands the @ operator costs about twice as much
+    return float(a.ravel().dot(b.ravel()))
+
+
 def potential(r) -> float:
     """Cubic potential P(R) = <Q(R), R> in the Frobenius pairing."""
     mat, n = _as_mat(r)
-    return float(np.sum(_q_mat(mat, mat, n) * mat))
+    return _pairing(_q_mat(mat, mat, n), mat)
 
 
 def potential_normalized(r) -> float:
@@ -439,5 +488,5 @@ def potential_normalized(r) -> float:
 def tri(r, s, t) -> float:
     """Trilinear form <Q(R,S), T>, fully symmetric in its three arguments."""
     tm, n = _as_mat(t, "third argument")
-    return float(np.sum(q_map(r, s).mat * tm))
+    return _pairing(q_map(r, s).mat, tm)
 

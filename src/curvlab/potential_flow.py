@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .curvature_core import CurvatureOperator, _q_mat, _unit_weyl, q_map
+from .curvature_core import CurvatureOperator, _pairing, _q_mat, _unit_weyl, q_map
 from .errors import ArgumentError
 
 __all__ = [
@@ -46,25 +46,30 @@ class FlowState:
         _unit_weyl(self.w, "flow state")
 
 
-def _evaluated(op: CurvatureOperator, **changes) -> dict:
-    """Fields w, q and potential of a state at op: Q(W) once, P = <Q(W), W>."""
+def _evaluated(op: CurvatureOperator, t: float, history: tuple = ()) -> FlowState:
+    """The state at op: Q(W) once, and P = <Q(W), W>."""
     q = q_map(op).mat
-    return dict(changes, w=op, q=q, potential=float((q * op.mat).sum()))
+    return FlowState(op, t, _pairing(q, op.mat), q, history)
 
 
 def flow_state(w) -> FlowState:
     """Wrap a unit Weyl operator as an initial flow state at t = 0."""
     op = w if isinstance(w, CurvatureOperator) else CurvatureOperator(w)
-    return FlowState(**_evaluated(op, t=0.0))
+    return _evaluated(op, 0.0)
 
 
 def _tangent(q: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """Q(W) - <Q(W), W> W, the sphere-projected gradient at W."""
-    return q - float((q * mat).sum()) * mat
+    return q - _pairing(q, mat) * mat
 
 
-def _field(mat: np.ndarray, n: int) -> np.ndarray:
-    return _tangent(_q_mat(mat, mat, n), mat)
+def _stage(mat: np.ndarray, h: float, k: np.ndarray, n: int) -> np.ndarray:
+    """_tangent at x = mat + h k, computed in place in the fresh Q(x)."""
+    x = h * k
+    x += mat
+    q = _q_mat(x, x, n)
+    q -= _pairing(q, x) * x
+    return q
 
 
 def fixed_point_residual(w) -> float:
@@ -75,18 +80,27 @@ def fixed_point_residual(w) -> float:
 
 def flow_step(state: FlowState, dt: float) -> FlowState:
     """One RK4 step of the sphere-projected potential gradient, renormalized."""
+    dt = float(dt)
     if dt <= 0:
         raise ArgumentError(f"step size must be positive, got {dt}")
     mat, n = state.w.mat, state.w.dim
     # the stages are unvalidated intermediates; the new state is checked once
     k1 = _tangent(state.q, mat)
-    k2 = _field(mat + 0.5 * dt * k1, n)
-    k3 = _field(mat + 0.5 * dt * k2, n)
-    k4 = _field(mat + dt * k3, n)
-    new = mat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    new /= np.linalg.norm(new)
-    op = CurvatureOperator(new)
-    return replace(state, **_evaluated(op, t=state.t + dt))
+    k2 = _stage(mat, 0.5 * dt, k1, n)
+    k3 = _stage(mat, 0.5 * dt, k2, n)
+    k4 = _stage(mat, dt, k3, n)
+    # new = mat + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right in the
+    # buffers of k2 and k3
+    new = k2
+    new *= 2.0
+    new += k1
+    k3 *= 2.0
+    new += k3
+    new += k4
+    new *= dt / 6.0
+    new += mat
+    new /= math.sqrt(_pairing(new, new))
+    return _evaluated(CurvatureOperator(new), state.t + dt, state.history)
 
 
 def flow_run(

@@ -343,6 +343,21 @@ class TestFlow:
         assert result.exit_code == 0
         assert result.stderr.startswith("final: t=0.0400 ")
 
+    @pytest.mark.parametrize("seed", [0, 13])
+    def test_final_potential_matches_recorded_trajectory(self, runner, seed):
+        # the benchmark's recorded final P of `flow --dim 11 --steps 500`
+        # (seed 13 ends near a saddle), to its tolerance of 1e-11: a change
+        # to the RK4 arithmetic or the kernels that moves the trajectory
+        # beyond rounding fails here
+        benchmarks = Path(__file__).resolve().parents[1] / "benchmarks"
+        reference = json.loads((benchmarks / "flow11_reference.json").read_text())
+        want = reference["final_P"][seed]
+        args = ["flow", "--dim", "11", "--steps", "500", "--seed", str(seed)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        rows = list(csv.reader(io.StringIO(result.stdout)))
+        assert abs(float(rows[-1][1]) - want) <= 1e-11
+
     @pytest.mark.parametrize("dt", ["0", "-1"])
     def test_step_not_above_zero_is_usage_error(self, runner, dt):
         # refused by the option itself, so even a run of no steps fails

@@ -32,6 +32,7 @@ from curvlab.errors import (
 )
 from curvlab.lie_basis import (
     _pair_table,
+    _vertex_embedding,
     adjoint_rotation,
     sp1_basis,
     wedge_count,
@@ -143,7 +144,7 @@ class TestBianchi:
         # bianchi_project updates the six position sets by plain fancy
         # indexing, which equals ufunc.at only while no entry repeats
         rng = np.random.default_rng(0)
-        for n in range(4, 21):
+        for n in range(3, 21):
             ij, kl, ik, jl, il, jk = _bianchi_indices(n)
             N = wedge_count(n)
             flat = np.concatenate(
@@ -162,6 +163,46 @@ class TestBianchi:
             np.subtract.at(want, (il, jk), coeff)
             np.subtract.at(want, (jk, il), coeff)
             assert np.array_equal(bianchi_project(s).mat, want)
+
+
+def pairings_by_fancy_index(mat, n):
+    """<R, G_q> for every quadruple, read through 2-D fancy indices."""
+    ij, kl, ik, jl, il, jk = _bianchi_indices(n)
+    return 2.0 * (mat[..., ij, kl] - mat[..., ik, jl] + mat[..., il, jk])
+
+
+def ricci_by_embedding(mat, n):
+    """Ric as two matrix products against the vertex embedding e_a ^ e_i."""
+    B = _vertex_embedding(n)
+    N = mat.shape[0]
+    return (B.reshape(n * n, N) @ mat).reshape(n, n * N) @ B.reshape(n, n * N).T
+
+
+class TestFlatPrimitives:
+    """The flat-index Bianchi and Ricci reads against their index-pair forms,
+    at n = 3 (no quadruples) and throughout 4..20.  bianchi_project's scatter
+    is checked against ufunc.at in TestBianchi."""
+
+    @staticmethod
+    def symmetric(rng, n, *stack):
+        s = rng.standard_normal((*stack, wedge_count(n), wedge_count(n)))
+        return 0.5 * (s + np.swapaxes(s, -1, -2))
+
+    @pytest.mark.parametrize("n", range(3, 21))
+    def test_bianchi_pairings_are_bytes_of_fancy_index(self, n):
+        rng = np.random.default_rng(n)
+        for mat in (self.symmetric(rng, n), self.symmetric(rng, n, 3)):
+            got = curvature_core._bianchi_pairings(mat, n)
+            want = pairings_by_fancy_index(mat, n)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert bianchi_residual(mat[0]) == float(np.sqrt((want[0] ** 2).sum() / 6.0))
+
+    @pytest.mark.parametrize("n", range(3, 21))
+    def test_ricci_matches_vertex_embedding(self, n):
+        mat = self.symmetric(np.random.default_rng(200 + n), n)
+        want = ricci_by_embedding(mat, n)
+        assert np.max(np.abs(ricci(mat) - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def ricci_by_loop(mat, n):

@@ -1,7 +1,9 @@
 """The GEMM sharp kernel against its independent oracle, the Hessian assembly
 against the per-vector definition and the bracket oracle, the flow's reuse of
-Q(W), and the read-only caches the kernels share."""
+Q(W) and its checks of each accepted state, and the read-only caches the
+kernels share."""
 
+from collections import Counter
 from dataclasses import fields
 
 import numpy as np
@@ -10,9 +12,11 @@ from conftest import block_bases, block_diagonal, blocks_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvlab import curvature_core
+from curvlab import curvature_core, potential_flow
 from curvlab.curvature_core import (
+    _bianchi_flat,
     _bianchi_indices,
+    _ricci_gather,
     _sharp_gather,
     _sharp_mat,
     bianchi_project,
@@ -22,6 +26,7 @@ from curvlab.curvature_core import (
     sharp,
     sharp_via_brackets,
 )
+from curvlab.errors import ArgumentError
 from curvlab.lie_basis import (
     _bracket_table,
     _pair_table,
@@ -30,7 +35,12 @@ from curvlab.lie_basis import (
     wedge_count,
 )
 from curvlab.model_spaces import random_weyl, sphere_product, w_cp2
-from curvlab.potential_flow import fixed_point_residual, flow_run, flow_state
+from curvlab.potential_flow import (
+    fixed_point_residual,
+    flow_run,
+    flow_state,
+    flow_step,
+)
 from curvlab.spectral_decomp import hessian_matrix, weyl_basis, x_space_basis
 
 # Inputs have unit Frobenius norm; the routes differ only by rounding.
@@ -246,16 +256,64 @@ class TestFlowReusesQ:
 
     def test_four_sharp_evaluations_per_step(self, monkeypatch):
         start = flow_state(random_weyl(np.random.default_rng(7), 5))
-        calls = []
-        kernel = curvature_core._sharp_mat
+        calls = Counter()
 
-        def counting(rm, sm, n):
-            calls.append(n)
-            return kernel(rm, sm, n)
+        def counting(name, kernel):
+            def count(*args):
+                calls[name] += 1
+                return kernel(*args)
+            return count
 
-        monkeypatch.setattr(curvature_core, "_sharp_mat", counting)
+        for name in ("_sharp_mat", "bianchi_residual", "ricci"):
+            monkeypatch.setattr(curvature_core, name,
+                                counting(name, getattr(curvature_core, name)))
         flow_run(start, steps=6, sample_every=1)
-        assert len(calls) == 4 * 6
+        assert calls["_sharp_mat"] == 4 * 6
+        # each accepted state: the Bianchi identity of W and of Q(W), and
+        # W's Ricci trace; the RK4 stages are not checked
+        calls.clear()
+        state = start
+        for _ in range(6):
+            state = flow_step(state, 1e-2)
+        assert calls == {"_sharp_mat": 4 * 6, "bianchi_residual": 2 * 6, "ricci": 6}
+
+
+def antisymmetric_defect(n):
+    defect = np.zeros((wedge_count(n),) * 2)
+    defect[0, 1], defect[1, 0] = 1e-3, -1e-3
+    return defect
+
+
+def non_bianchi_defect(n):
+    """A symmetric, Ricci-free defect orthogonal to ker(b)."""
+    s = unit_symmetric(np.random.default_rng(8), n, bianchi=False)
+    return 1e-3 * (s - bianchi_project(s).mat)
+
+
+def ricci_defect(n):
+    """A Bianchi defect with a nonzero Ricci trace: a multiple of Id."""
+    return 1e-3 * np.eye(wedge_count(n))
+
+
+class TestFlowChecksEachState:
+    """A Q evaluation that leaves the Weyl space must stop the flow at the
+    next accepted state, whichever of the per-state checks it breaks."""
+
+    @pytest.mark.parametrize(
+        "defect,check",
+        [(antisymmetric_defect, "symmetric"), (non_bianchi_defect, "Bianchi"),
+         (ricci_defect, "Weyl operator")],
+        ids=["antisymmetric", "non-bianchi", "ricci"],
+    )
+    def test_defective_q_raises(self, monkeypatch, defect, check):
+        n = 6
+        state = flow_state(random_weyl(np.random.default_rng(9), n))
+        kernel = potential_flow._q_mat
+        bad = defect(n)
+        monkeypatch.setattr(potential_flow, "_q_mat",
+                            lambda rm, sm, dim: kernel(rm, sm, dim) + bad)
+        with pytest.raises(ArgumentError, match=check):
+            flow_step(state, 1e-2)
 
 
 def weyl_basis_arrays(n):
@@ -271,6 +329,9 @@ class TestReadOnlyCaches:
         [
             lambda: _bianchi_indices(6),
             lambda: _bianchi_indices(3),
+            lambda: _bianchi_flat(6),
+            lambda: _bianchi_flat(3),
+            lambda: _ricci_gather(5),
             lambda: _sharp_gather(5),
             lambda: (x_space_basis(4),),
             lambda: weyl_basis_arrays(6),
@@ -278,7 +339,8 @@ class TestReadOnlyCaches:
             lambda: (_vertex_embedding(5),),
             lambda: _bracket_table(5),
         ],
-        ids=["bianchi-indices", "bianchi-indices-empty", "sharp-gather",
+        ids=["bianchi-indices", "bianchi-indices-empty", "bianchi-flat",
+             "bianchi-flat-empty", "ricci-gather", "sharp-gather",
              "x-space-basis", "weyl-basis", "pair-table",
              "vertex-embedding", "bracket-table"],
     )

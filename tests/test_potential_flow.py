@@ -94,6 +94,15 @@ class TestFlowStep:
         with pytest.raises(ArgumentError):
             flow_run(st, 3, sample_every=-1)
 
+    @pytest.mark.parametrize("dt", [1e-2, None], ids=["fixed", "adaptive"])
+    def test_times_are_floats(self, dt):
+        state = flow_state(random_unit_weyl(np.random.default_rng(2), 5))
+        state = flow_run(state, 5, dt=dt, sample_every=1)
+        assert type(state.t) is float
+        assert len(state.history) == 5
+        assert all(type(v) is float for row in state.history for v in row)
+        assert "np.float64" not in repr(state)
+
     def test_history_and_csv(self):
         state = flow_state(random_unit_weyl(np.random.default_rng(1), 5))
         state = flow_run(state, 50, dt=1e-2, sample_every=10)
