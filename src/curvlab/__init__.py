@@ -2,7 +2,9 @@
 
 Subpackage tour:
 
-- lie_basis: wedge coordinates on so(n), ad matrices, structure constants.
+- lie_basis: wedge coordinates on so(n), kept as two tables (the basis
+  order and the bracket), ad matrices, the dense structure constants for
+  the sharp oracle.
 - curvature_core: the CurvatureOperator container, Bianchi projection,
   Ricci trace, irreducible decomposition, the sharp product and the
   quadratic map Q.

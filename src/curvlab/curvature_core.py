@@ -407,10 +407,11 @@ def sharp(r, s=None) -> SymmetricOperator:
 
 
 def sharp_via_brackets(r, s=None) -> SymmetricOperator:
-    """Reference route for the sharp product from raw structure constants.
+    """Reference route for the sharp product from the dense structure constants.
 
     <(R#S)v, w> = 1/2 sum_{a,b} <[R b_a, S b_b], v> <[b_a, b_b], w>,
-    symmetrized in (R, S).  Slower than sharp() but shares no code with it.
+    symmetrized in (R, S), with the constants spread from the bracket table.
+    Slower than sharp(), and shares only the pair table with it.
     """
     rm, n = _as_mat(r)
     sm = rm if s is None else _as_mat(s)[0]

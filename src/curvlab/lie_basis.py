@@ -7,16 +7,22 @@ bracket of basis bivectors is
 
     [e_i^e_j, e_p^e_q] = d_jp e_i^e_q + d_iq e_j^e_p + d_jq e_p^e_i + d_ip e_q^e_j
 
-and everything here (structure constants, ad matrices, the sp(1)+- bases of
+and everything here (the bracket table, ad matrices, the sp(1)+- bases of
 so(4), the rotation action on bivectors) is derived from that formula.
 
-The pair table _pair_table(n) is the one encoding of the basis order:
-e_{a+1} ^ e_{b+1} = sign[a, b] b_rank[a, b], with sign 0 on the diagonal.
-The vertex embedding, the structure constants, the bracket table behind the
-ad matrices and the Hessian, the sp(1) bases and every index map of
-curvature_core, spectral_decomp and suite read that table.
-wedge_rank, wedge_index, wedge_vectors, so_matrix and so_coords keep their
-own code: they are the oracles the table is tested against.
+The module keeps two tables, one per fact.  The pair table _pair_table(n)
+encodes the basis order: e_{a+1} ^ e_{b+1} = sign[a, b] b_rank[a, b], with
+sign 0 on the diagonal.  It numbers the pairs in np.triu_indices(n, 1)
+order, the order in which adjoint_rotation, cpn, sharp_pure and the
+gathers of curvature_core enumerate the basis.  The bracket table
+_bracket_table(n) encodes the bracket: ad_v[x, y] = sign[x, y] v[take[x, y]].
+The ad matrices, the Hessian, the orbit commutators and structure_constants,
+its dense spread for the sharp oracle, read the bracket table; the sp(1)
+bases and every index map of curvature_core, spectral_decomp and suite read
+the pair table.  wedge_rank, wedge_index, wedge_vectors, so_matrix and
+so_coords keep their own code: they are the oracles the tables are tested
+against, and the commutators of so_matrix basis matrices, read back through
+the inner product, are the oracle of the bracket.
 """
 
 from __future__ import annotations
@@ -134,42 +140,6 @@ def _pair_table(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=None)
-def _vertex_embedding(n: int) -> np.ndarray:
-    """Tensor B with B[a, i, :] the wedge coordinates of e_{a+1} ^ e_{i+1}."""
-    rank, sign = _pair_table(n)
-    B = np.zeros((n, n, wedge_count(n)))
-    a, i = np.indices((n, n))
-    B[a, i, rank] = sign
-    B.setflags(write=False)
-    return B
-
-
-@functools.lru_cache(maxsize=None)
-def structure_constants(n: int) -> np.ndarray:
-    """Structure constants of so(n) in the wedge basis, cached and read-only.
-
-    tensor[a, b, g] = <[b_a, b_b], b_g>, an (N, N, N) array, so tensor[a].T
-    is the matrix of ad_{b_a}.
-    """
-    if n < 3:
-        raise ArgumentError(f"need n >= 3, got {n}")
-    N = wedge_count(n)
-    B = _vertex_embedding(n)
-    # on the grid of basis pairs (b_a, b_b) = (e_I ^ e_J, e_P ^ e_Q), each pass
-    # adds one delta term of the bracket formula; B gives a reversed pair its
-    # sign and e_u ^ e_u its zero
-    i, j = np.triu_indices(n, 1)
-    I, P = np.meshgrid(i, i, indexing="ij")
-    J, Q = np.meshgrid(j, j, indexing="ij")
-    tensor = np.zeros((N, N, N))
-    for x, y, u, v in ((J, P, I, Q), (I, Q, J, P), (J, Q, P, I), (I, P, Q, J)):
-        a, b = np.nonzero(x == y)
-        tensor[a, b] += B[u[a, b], v[a, b]]
-    tensor.setflags(write=False)
-    return tensor
-
-
-@functools.lru_cache(maxsize=None)
 def _bracket_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (N, N) arrays (take, sign): ad_v[x, y] = sign[x, y] * v[take[x, y]].
 
@@ -194,6 +164,24 @@ def _bracket_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     take.setflags(write=False)
     sign.setflags(write=False)
     return take, sign
+
+
+@functools.lru_cache(maxsize=None)
+def structure_constants(n: int) -> np.ndarray:
+    """Structure constants of so(n) in the wedge basis, cached and read-only.
+
+    tensor[a, b, g] = <[b_a, b_b], b_g>, an (N, N, N) array, so tensor[a].T
+    is the matrix of ad_{b_a}.  It is the bracket table spread into a dense
+    array: tensor[take[x, y], y, x] = sign[x, y], and 0 everywhere else.
+    """
+    if n < 3:
+        raise ArgumentError(f"need n >= 3, got {n}")
+    take, sign = _bracket_table(n)
+    x, y = np.nonzero(sign)
+    tensor = np.zeros((wedge_count(n),) * 3)
+    tensor[take[x, y], y, x] = sign[x, y]
+    tensor.setflags(write=False)
+    return tensor
 
 
 def ad_matrix(v: np.ndarray) -> np.ndarray:
@@ -239,10 +227,12 @@ def sp1_basis(n: int) -> types.MappingProxyType:
         "j-": ((1, 3), (2, 4)),
         "k-": ((1, 4), (3, 2)),
     }
-    B = _vertex_embedding(n)
+    rank, sign = _pair_table(n)
     out = {}
-    for name, ((i, j), (p, q)) in terms.items():
-        vec = B[i - 1, j - 1] + B[p - 1, q - 1]
+    for name, pairs in terms.items():
+        a, b = np.subtract(pairs, 1).T
+        vec = np.zeros(wedge_count(n))
+        vec[rank[a, b]] = sign[a, b]
         vec.setflags(write=False)
         out[name] = vec
     return types.MappingProxyType(out)

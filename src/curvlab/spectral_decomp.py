@@ -53,7 +53,6 @@ from .errors import ArgumentError, UnsupportedDimensionError
 from .lie_basis import (
     _bracket_table,
     _pair_table,
-    _vertex_embedding,
     sp1_basis,
     wedge_count,
 )
@@ -529,7 +528,11 @@ def _x_space_rows(k: int) -> np.ndarray:
     The copy of R^k already lies in ker(Phi), so X_k is the null space of
     these rows.
     """
-    embed = _vertex_embedding(k).transpose(0, 2, 1).reshape(k, -1)
+    # row x holds the coordinates of (e_x ^ e_i) (x) e_i at column rank * k + i
+    rank, sign = _pair_table(k)
+    x, i = np.indices((k, k))
+    embed = np.zeros((k, wedge_count(k) * k))
+    embed[x, rank * k + i] = sign
     return np.vstack([triple_wedge_matrix(k), embed])
 
 

@@ -43,7 +43,7 @@ from .curvature_core import (
     tri,
 )
 from .errors import ArgumentError
-from .lie_basis import _vertex_embedding, adjoint_rotation, wedge_count
+from .lie_basis import _pair_table, adjoint_rotation, wedge_count
 from .model_spaces import cpn, sphere_product, theta, theta_threshold
 from .potential_flow import flow_run, flow_state, neighborhood_potential_bound
 from .report import CheckRecord, SuiteReport
@@ -300,13 +300,15 @@ def _check_flow_monotonicity(n, rng, tol):
 def _check_d2_closed_form(n, rng, tol):
     worst = 0.0
     pairs = [(1, 2), (1, 3), (3, 4), (2, min(5, n)), (5, n) if n > 5 else (1, 4)]
+    rank, _ = _pair_table(n)
     for _ in range(6):
         lam = float(rng.uniform(0.5, 2.0))
         phi = float(rng.uniform(0.0, math.pi / 2 - 1e-6))
         mat = r_lambda(lam, n, phi).mat
         for i, j in pairs:
             # the basis bivector e_i ^ e_j, i < j
-            v = _vertex_embedding(n)[i - 1, j - 1]
+            v = np.zeros(wedge_count(n))
+            v[rank[i - 1, j - 1]] = 1.0
             direct = d2(mat, v).norm
             closed = d2_family_norm(lam, n, phi, (i, j))
             worst = max(worst, abs(direct - closed))

@@ -233,7 +233,7 @@ def test_mpmath_imported_only_inside_functions():
 
 def test_only_lie_basis_ranks_wedge_pairs():
     # the wedge-basis order is encoded once, in lie_basis; every other module
-    # reads its pair table or vertex embedding instead of ranking pairs
+    # reads its pair table instead of ranking pairs
     found = set()
     for path in sorted(PACKAGE.glob("*.py")):
         if path.stem == "lie_basis":
@@ -245,6 +245,37 @@ def test_only_lie_basis_ranks_wedge_pairs():
             if name in ("wedge_rank", "wedge_pairs"):
                 found.add(path.stem)
     assert not found, f"modules that rank wedge pairs themselves: {sorted(found)}"
+
+
+def test_lie_basis_keeps_one_table_per_fact():
+    # the basis order is encoded once, in the pair table, and the bracket
+    # once, in the bracket table; the dense vertex embedding is gone, and no
+    # command builds the dense structure constants: only the sharp oracle
+    # reads them
+    tables, embedding, dense_reads = set(), set(), set()
+    for folder in (PACKAGE, ROOT / "tests", ROOT / "demos"):
+        for path in sorted(folder.glob("*.py")):
+            for stmt in _parse(path).body:
+                where = (path.stem, getattr(stmt, "name", type(stmt).__name__))
+                for node in ast.walk(stmt):
+                    name = getattr(node, "attr", None) or getattr(node, "id", None)
+                    if isinstance(node, (ast.alias, ast.FunctionDef, ast.ClassDef)):
+                        name = node.name
+                    ctx = getattr(node, "ctx", None)
+                    if name == "_vertex_embedding":
+                        embedding.add(where)
+                    if name in ("_pair_table", "_bracket_table") and (
+                        isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                        or isinstance(ctx, ast.Store)
+                    ):
+                        tables.add((path.stem, name))
+                    if folder == PACKAGE and name == "structure_constants" and (
+                        isinstance(ctx, ast.Load)
+                    ):
+                        dense_reads.add(where)
+    assert not embedding, f"the vertex embedding is back: {sorted(embedding)}"
+    assert tables == {("lie_basis", "_pair_table"), ("lie_basis", "_bracket_table")}
+    assert dense_reads == {("curvature_core", "sharp_via_brackets")}, dense_reads
 
 
 def test_preconditions_have_one_owner():

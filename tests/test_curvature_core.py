@@ -32,11 +32,11 @@ from curvlab.errors import (
 )
 from curvlab.lie_basis import (
     _pair_table,
-    _vertex_embedding,
     adjoint_rotation,
     sp1_basis,
     wedge_count,
     wedge_rank,
+    wedge_vectors,
 )
 from curvlab.model_spaces import sphere, w_cp2
 from curvlab.potential_flow import fixed_point_residual, flow_state
@@ -173,7 +173,8 @@ def pairings_by_fancy_index(mat, n):
 
 def ricci_by_embedding(mat, n):
     """Ric as two matrix products against the vertex embedding e_a ^ e_i."""
-    B = _vertex_embedding(n)
+    e = np.eye(n)
+    B = np.array([[wedge_vectors(e[a], e[i]) for i in range(n)] for a in range(n)])
     N = mat.shape[0]
     return (B.reshape(n * n, N) @ mat).reshape(n, n * N) @ B.reshape(n, n * N).T
 

@@ -30,7 +30,6 @@ from curvlab.errors import ArgumentError
 from curvlab.lie_basis import (
     _bracket_table,
     _pair_table,
-    _vertex_embedding,
     sp1_basis,
     wedge_count,
 )
@@ -336,13 +335,11 @@ class TestReadOnlyCaches:
             lambda: (x_space_basis(4),),
             lambda: weyl_basis_arrays(6),
             lambda: _pair_table(5),
-            lambda: (_vertex_embedding(5),),
             lambda: _bracket_table(5),
         ],
         ids=["bianchi-indices", "bianchi-indices-empty", "bianchi-flat",
              "bianchi-flat-empty", "ricci-gather", "sharp-gather",
-             "x-space-basis", "weyl-basis", "pair-table",
-             "vertex-embedding", "bracket-table"],
+             "x-space-basis", "weyl-basis", "pair-table", "bracket-table"],
     )
     def test_writes_raise(self, arrays):
         for arr in arrays():

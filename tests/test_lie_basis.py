@@ -7,7 +7,6 @@ from curvlab.errors import ArgumentError
 from curvlab.lie_basis import (
     _bracket_table,
     _pair_table,
-    _vertex_embedding,
     ad_matrix,
     adjoint_rotation,
     dim_from_wedge_count,
@@ -56,14 +55,6 @@ class TestWedgeIndexing:
                 for b in range(a + 1, n):
                     assert rank[a, b] == rank[b, a] == wedge_rank(a + 1, b + 1, n)
                     assert sign[a, b] == 1.0 and sign[b, a] == -1.0
-
-    def test_vertex_embedding_matches_wedge_vectors(self):
-        for n in range(2, 13):
-            e = np.eye(n)
-            B = _vertex_embedding(n)
-            for a in range(n):
-                for i in range(n):
-                    assert np.array_equal(B[a, i], wedge_vectors(e[a], e[i]))
 
     def test_rank_rejects_bad_pairs(self):
         with pytest.raises(ArgumentError):
@@ -116,11 +107,6 @@ class TestBracket:
                 so_matrix(u, n) @ so_matrix(v, n) - so_matrix(v, n) @ so_matrix(u, n)
             )
             assert np.max(np.abs(commutator(u, v) - via_matrices)) < 1e-12
-        # the whole table: tensor[a, b] is the bracket of basis vectors a and b
-        for n in range(3, 13):
-            basis = [so_matrix(row, n) for row in np.eye(wedge_count(n))]
-            want = np.array([[so_coords(x @ y - y @ x) for y in basis] for x in basis])
-            assert np.array_equal(structure_constants(n), want)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(3, 7), st.integers(0, 2**32 - 1))
@@ -189,19 +175,20 @@ class TestStructureConstants:
     def test_cached(self):
         assert structure_constants(6) is structure_constants(6)
 
-    @pytest.mark.parametrize("n", range(3, 13))
+    @pytest.mark.parametrize("n", range(3, 21))
     def test_bracket_table(self, n):
-        # <[b_z, b_y], b_x> = sign[x, y] for z = take[x, y] and 0 otherwise:
-        # the table, spread over z, is the tensor itself, so no (x, y) has a
-        # second nonzero bracket
+        # the table against the matrix model at every n the program reads
+        # it: column b of ad_{b_a} is [E_a, E_b] for the so_matrix basis
+        # matrices E, read back through <A, B> = -1/2 tr(AB) = 1/2 sum A * B.
+        # Every entry is a small integer, so the two agree exactly, and a
+        # pair (x, y) that two basis bivectors bracket into b_x would fail
         take, sign = _bracket_table(n)
         N = wedge_count(n)
-        tensor = structure_constants(n)
-        assert np.all(np.count_nonzero(tensor, axis=0) <= 1)
-        x, y = np.nonzero(sign)
-        dense = np.zeros((N, N, N))
-        dense[take[x, y], y, x] = sign[x, y]
-        assert np.array_equal(dense, tensor)
+        basis = np.array([so_matrix(row, n) for row in np.eye(N)])
+        flat = basis.reshape(N, -1)
+        for v, x in zip(np.eye(N), basis):
+            comm = (x @ basis - basis @ x).reshape(N, -1)
+            assert np.array_equal(ad_matrix(v), 0.5 * flat @ comm.T)
         assert np.all(take[sign == 0] == 0)
         assert not take.flags.writeable and not sign.flags.writeable
 
@@ -247,11 +234,15 @@ class TestSp1Bases:
             "j-": [(1, 3, 1.0), (2, 4, 1.0)],
             "k-": [(1, 4, 1.0), (2, 3, -1.0)],
         }
-        for n in range(4, 13):
+        for n in range(4, 21):
+            e = np.eye(n)
             sp = sp1_basis(n)
             assert list(sp) == list(terms)
             for name, vec in sp.items():
                 assert np.array_equal(vec, wedge(n, *terms[name]))
+                pairs = terms[name]
+                want = sum(c * wedge_vectors(e[i - 1], e[j - 1]) for i, j, c in pairs)
+                assert np.array_equal(vec, want)
                 assert not np.any(np.signbit(vec[vec == 0]))
                 assert not vec.flags.writeable
 

@@ -566,6 +566,15 @@ class TestOrbitTangent:
         assert kept < 2**14
 
 
+def x_embedding(k):
+    """Row m is sum_i (e_m ^ e_i) (x) e_i, with columns (pair rank, i)."""
+    e = np.eye(k)
+    return np.array([
+        np.stack([wedge_vectors(e[m], e[i]) for i in range(k)], axis=1).ravel()
+        for m in range(k)
+    ])
+
+
 class TestDimensionTables:
     @pytest.mark.parametrize("k", range(3, 10))
     def test_x_space(self, k):
@@ -575,14 +584,15 @@ class TestDimensionTables:
         assert basis.shape[0] == x_dim(k) == k * math.comb(k, 2) - math.comb(k, 3) - k
         assert np.max(np.abs(basis @ basis.T - np.eye(x_dim(k)))) < 1e-12
         assert np.max(np.abs(phi @ basis.T)) < 1e-12
-        # orthogonal to the copy of R^k: row m is sum_i (e_m ^ e_i) (x) e_i,
-        # with columns (pair rank, i)
-        e = np.eye(k)
-        embed = np.array([
-            np.stack([wedge_vectors(e[m], e[i]) for i in range(k)], axis=1).ravel()
-            for m in range(k)
-        ])
-        assert np.max(np.abs(embed @ basis.T)) < 1e-12
+        # orthogonal to the copy of R^k
+        assert np.max(np.abs(x_embedding(k) @ basis.T)) < 1e-12
+
+    @pytest.mark.parametrize("k", range(3, 18))
+    def test_x_space_rows(self, k):
+        # Phi stacked on the embedding, at every k that the tables reach
+        rows = spectral_decomp._x_space_rows(k)
+        assert np.array_equal(rows, np.vstack([triple_wedge_matrix(k), x_embedding(k)]))
+        assert rows.flags.c_contiguous
 
     @pytest.mark.parametrize("k", range(3, 10))
     def test_triple_wedge_matches_minors(self, k):
