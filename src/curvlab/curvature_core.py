@@ -260,13 +260,42 @@ def _ricci_gather(n: int):
     return take, sign
 
 
-def ricci(r) -> np.ndarray:
-    """Ricci matrix Ric(v, w) = sum_i <R(v ^ e_i), w ^ e_i>."""
-    mat, n = _as_mat(r)
+def _ricci_mat(mat: np.ndarray, n: int) -> np.ndarray:
+    """ricci of a raw N x N operator matrix, without the input check."""
     take, sign = _ricci_gather(n)
     terms = mat.reshape(-1).take(take)
     terms *= sign
     return terms.sum(axis=-1)
+
+
+def ricci(r) -> np.ndarray:
+    """Ricci matrix Ric(v, w) = sum_i <R(v ^ e_i), w ^ e_i>."""
+    mat, n = _as_mat(r)
+    return _ricci_mat(mat, n)
+
+
+def _drop_ricci(mat: np.ndarray, n: int) -> np.ndarray:
+    """Subtract the scalar and traceless-Ricci parts of mat in place when they
+    are drift, and return it.
+
+    Drift means no Ricci entry above BIANCHI_TOL, the bound of _unit_weyl: a
+    larger Ricci part is left for that check to refuse.  With Ric the Ricci
+    contraction G(R), Ric0 = Ric - scal/n I and Id = G^T(I)/2, the Weyl part
+    R - G^T(Ric0)/(n - 2) - scal/(n(n - 1)) Id of decompose is R - G^T(A),
+    A = (Ric - scal/(2(n - 1)) I)/(n - 2).  The adjoint G^T scatters
+    sign * A[a, b] back onto take[a, b, i]; a diagonal position is reached
+    from (a, a, i) and (i, i, a), so the scatter sums.
+    """
+    ric = _ricci_mat(mat, n)
+    if np.abs(ric).max() > BIANCHI_TOL:
+        return mat
+    take, sign = _ricci_gather(n)
+    diag = ric.ravel()[::n + 1]
+    diag -= diag.sum() / (2 * (n - 1))
+    ric /= n - 2
+    scatter = np.bincount(take.ravel(), (sign * ric[:, :, None]).ravel(), mat.size)
+    mat -= scatter.reshape(mat.shape)
+    return mat
 
 
 @functools.lru_cache(maxsize=None)
@@ -357,7 +386,7 @@ def _sharp_gather(n: int):
 
 
 def _sharp_mat(rm: np.ndarray, sm: np.ndarray, n: int) -> np.ndarray:
-    """R # S by the GEMM route; sm may also be a (c, N, N) stack of operators.
+    """R # S by the GEMM route, for two N x N matrices.
 
     With Y(S)[(p,q),(k,l)] = w_pq S_pkql over the rows p <= q, the product
     B = Y(R)^T Y(S) holds B_ijkl = sum_{p<=q} w_pq^2 R_piqj S_pkql.  Row (q,p)
@@ -378,17 +407,14 @@ def _sharp_mat(rm: np.ndarray, sm: np.ndarray, n: int) -> np.ndarray:
         m = m + m.T
         m *= 0.5
         return m
-    z = np.take(sm.reshape(*sm.shape[:-2], -1), take, axis=-1) * coef
-    b = (y.T @ z).reshape(*z.shape[:-2], -1)[..., read]
-    m = b[..., 0, :, :] + b[..., 1, :, :] - b[..., 2, :, :] - b[..., 3, :, :]
-    return 0.25 * (m + np.swapaxes(m, -1, -2))
+    z = sm.reshape(-1)[take] * coef
+    b = (y.T @ z).reshape(-1)[read]
+    m = b[0] + b[1] - b[2] - b[3]
+    return 0.25 * (m + m.T)
 
 
 def _q_mat(rm: np.ndarray, sm: np.ndarray, n: int) -> np.ndarray:
-    """Q(R, S) = 1/2 (RS + SR) + R # S as a raw matrix (R^2 + R # R if sm is rm).
-
-    sm may also be a (c, N, N) stack, giving Q(R, S_c) for every c.
-    """
+    """Q(R, S) = 1/2 (RS + SR) + R # S as a raw matrix (R^2 + R # R if sm is rm)."""
     out = _sharp_mat(rm, sm, n)
     out += rm @ rm if sm is rm else 0.5 * (rm @ sm + sm @ rm)
     return out

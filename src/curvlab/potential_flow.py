@@ -2,8 +2,9 @@
 operators, and the closed-form neighborhood bound used to separate critical
 values.
 
-The flow integrates W' = Q(W) - <Q(W), W> W with RK4 and renormalizes after
-every step, so trajectories stay on the unit sphere and the potential is
+The flow integrates W' = Q(W) - <Q(W), W> W with RK4, renormalizes after
+every step and removes the rounding drift off the Weyl space, so trajectories
+stay on the unit sphere of Weyl operators and the potential is
 non-decreasing for step sizes below the stability bound.  flow_run keeps
 sampled (t, P, residual) rows as numbers in the state history.
 """
@@ -15,7 +16,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .curvature_core import CurvatureOperator, _pairing, _q_mat, _unit_weyl, q_map
+from .curvature_core import (
+    CurvatureOperator,
+    _drop_ricci,
+    _pairing,
+    _q_mat,
+    _unit_weyl,
+    q_map,
+)
 from .errors import ArgumentError
 
 __all__ = [
@@ -79,7 +87,8 @@ def fixed_point_residual(w) -> float:
 
 
 def flow_step(state: FlowState, dt: float) -> FlowState:
-    """One RK4 step of the sphere-projected potential gradient, renormalized."""
+    """One RK4 step of the sphere-projected potential gradient, renormalized
+    and cleared of Ricci drift."""
     dt = float(dt)
     if dt <= 0:
         raise ArgumentError(f"step size must be positive, got {dt}")
@@ -100,6 +109,10 @@ def flow_step(state: FlowState, dt: float) -> FlowState:
     new *= dt / 6.0
     new += mat
     new /= math.sqrt(_pairing(new, new))
+    # near a product point, rounding drift off the Weyl space grows along the
+    # flow, so each new state loses its scalar and Ricci parts; a Ricci part
+    # beyond drift stays, and the state's own check refuses it
+    _drop_ricci(new, n)
     return _evaluated(CurvatureOperator(new), state.t + dt, state.history)
 
 

@@ -2,8 +2,8 @@
 dimension bookkeeping of the invariant decompositions.
 
 Every subspace and rank here comes from two private helpers: _null_space
-(one full SVD of a matrix or of a stack of them, each checked against the
-expected dimension) and _rank (singular values only).  weyl_basis(n) is the
+(one full SVD of a stack of matrices, each checked against the expected
+dimension) and _rank (singular values only).  weyl_basis(n) is the
 null space of the first Bianchi and zero Ricci constraints, in orthonormal
 coordinates of the symmetric N x N matrices: x_aa = R_aa and
 x_ab = sqrt(2) R_ab for a < b, so that the Frobenius norm of R is the
@@ -46,6 +46,7 @@ from .curvature_core import (
     BIANCHI_TOL,
     _as_mat,
     _bianchi_indices,
+    _ricci_gather,
     _symmetric,
     _unit_weyl,
 )
@@ -69,7 +70,6 @@ __all__ = [
     "eigen_report",
     "orbit_tangent_dim",
     "triple_wedge_matrix",
-    "x_space_basis",
     "DimensionTable",
     "decomposition_dims",
 ]
@@ -90,22 +90,20 @@ def x_dim(k: int) -> int:
 
 
 def _null_space(rows: np.ndarray, expected: int, what) -> np.ndarray:
-    """Orthonormal basis, as rows, of the null space of rows; for a (c, r, k)
-    stack of matrices, the (c, expected, k) stack of their bases.
+    """Orthonormal bases, as rows, of the null spaces of a (c, r, k) stack of
+    matrices: the (c, expected, k) stack of them.
 
     One SVD for the whole stack; each rank counts singular values above
     1e-10 times that matrix's largest.  Raises RuntimeError unless every null
-    space has dimension expected, naming the matrix what, or item i of a
-    stack what(i).
+    space has dimension expected, naming item i of the stack what(i).
     """
     _, s, vt = np.linalg.svd(rows, full_matrices=True)
-    dims = rows.shape[-1] - np.sum(s > 1e-10 * s[..., :1], axis=-1)
+    dims = rows.shape[-1] - np.sum(s > 1e-10 * s[:, :1], axis=-1)
     wrong = np.flatnonzero(dims != expected)
     if wrong.size:
         i = int(wrong[0])
-        name = what(i) if rows.ndim == 3 else what
-        raise RuntimeError(f"{name} has dimension {dims.flat[i]}, not {expected}")
-    return vt[..., rows.shape[-1] - expected:, :]
+        raise RuntimeError(f"{what(i)} has dimension {dims[i]}, not {expected}")
+    return vt[:, rows.shape[-1] - expected:, :]
 
 
 def _rank(mat: np.ndarray, rtol: float) -> int:
@@ -188,7 +186,7 @@ def weyl_basis(n: int) -> WeylBasis:
         raise UnsupportedDimensionError(f"weyl_basis supports {min(BASIS_DIMS)} "
                                         f"<= n <= {max(BASIS_DIMS)}, got {n}")
     N = wedge_count(n)
-    rank, sign = _pair_table(n)
+    take, sign = _ricci_gather(n)
     char = _pair_characters(n)
     iu, ju = np.triu_indices(N)
     coord = np.zeros((N, N), dtype=np.intp)
@@ -198,18 +196,19 @@ def weyl_basis(n: int) -> WeylBasis:
     # first.  All three entries of a Bianchi row lie off the diagonal, so the
     # identity reads (x_ij,kl - x_ik,jl + x_il,jk) / sqrt(2) = 0; the rows
     # omit the factor, as the Ricci rows omit theirs (1 for a = b,
-    # 1/sqrt(2) off it): Ric_ab = sum_c sign(a, c) sign(b, c) R_ac,bc.
+    # 1/sqrt(2) off it): Ric_ab = sum_c sign(a, c) sign(b, c) R_ac,bc, read
+    # from the Ricci table of curvature_core.ricci.
     ij, kl, ik, jl, il, jk = _bianchi_indices(n)
     a, b = np.triu_indices(n)
     entry_coord = np.concatenate([
         np.stack([coord[ij, kl], coord[ik, jl], coord[il, jk]], axis=1).ravel(),
-        coord[rank[a], rank[b]].ravel(),
+        coord.ravel()[take[a, b]].ravel(),
     ])
     entry_row = np.concatenate([
         np.repeat(np.arange(len(ij)), 3), len(ij) + np.repeat(np.arange(len(a)), n)
     ])
     entry_val = np.concatenate([
-        np.tile([1.0, -1.0, 1.0], len(ij)), (sign[a] * sign[b]).ravel()
+        np.tile([1.0, -1.0, 1.0], len(ij)), sign[a, b].ravel()
     ])
     row_char = np.concatenate([char[ij] ^ char[kl], (1 << a) ^ (1 << b)])
     keep = entry_val != 0
@@ -537,19 +536,11 @@ def _x_space_rows(k: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def x_space_basis(k: int) -> np.ndarray:
-    """Orthonormal basis of X_k = ker(Phi) minus the embedded copy of R^k."""
-    basis = _null_space(_x_space_rows(k), x_dim(k), f"X_{k}")
-    basis.setflags(write=False)
-    return basis
-
-
-@functools.lru_cache(maxsize=None)
 def _x_space_dim(k: int) -> int:
     """dim X_k: the columns of _x_space_rows(k) less their rank.
 
-    Singular values only, so no square factor of side k C(k, 2) is formed,
-    as the full SVD behind x_space_basis forms one (2312 x 2312 at k = 17).
+    Singular values only, so no basis of X_k and no square factor of side
+    k C(k, 2) is formed (a full SVD would form one, 2312 x 2312 at k = 17).
     RuntimeError unless the dimension is x_dim(k).
     """
     rows = _x_space_rows(k)
@@ -561,13 +552,17 @@ def _x_space_dim(k: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _x4_split_dims() -> tuple[int, int]:
-    """Dimensions of X_4 intersected with sp(1)+- (x) R^4."""
-    x4 = x_space_basis(4)
+    """Dimensions of X_4 intersected with sp(1)+- (x) R^4.
+
+    The 12 rows of sub are orthonormal, so the intersection is the kernel of
+    the X_4 constraints _x_space_rows(4) on their span: 12 less one rank.
+    """
+    rows = _x_space_rows(4)
     sp = sp1_basis(4)
     out = []
     for sign in "+-":
         sub = np.kron(np.stack([sp[x + sign] for x in "ijk"]) / np.sqrt(2), np.eye(4))
-        out.append(len(x4) + len(sub) - _rank(np.vstack([x4, sub]), 1e-10))
+        out.append(len(sub) - _rank(rows @ sub.T, 1e-10))
     return tuple(out)
 
 

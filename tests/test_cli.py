@@ -14,6 +14,7 @@ from click.testing import CliRunner
 
 import curvlab
 from curvlab.cli import main
+from curvlab.model_spaces import theta_threshold
 
 
 @pytest.fixture
@@ -357,6 +358,18 @@ class TestFlow:
         assert result.exit_code == 0
         rows = list(csv.reader(io.StringIO(result.stdout)))
         assert abs(float(rows[-1][1]) - want) <= 1e-11
+
+    def test_long_flow_reaches_the_product_point(self, runner):
+        # seed 0 at n = 11 ends at the S^6 x S^5 point, near which rounding
+        # drift off the Weyl space grows along the flow; each step removes
+        # it, so the run neither stops nor ends off the critical point
+        args = ["flow", "--dim", "11", "--steps", "2000", "--seed", "0"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        rows = list(csv.reader(io.StringIO(result.stdout)))
+        assert abs(float(rows[-1][1]) - theta_threshold(11)) <= 1e-12
+        final = dict(item.split("=") for item in result.stderr.split()[1:])
+        assert float(final["residual"]) <= 1e-12
 
     @pytest.mark.parametrize("dt", ["0", "-1"])
     def test_step_not_above_zero_is_usage_error(self, runner, dt):

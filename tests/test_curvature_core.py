@@ -10,6 +10,7 @@ from curvlab.curvature_core import (
     CurvatureOperator,
     SymmetricOperator,
     _bianchi_indices,
+    _drop_ricci,
     alternative,
     bianchi_project,
     bianchi_residual,
@@ -538,6 +539,28 @@ class TestDecompose:
         assert abs(d1.scal - d0.scal) < 1e-9
         assert abs(d1.weyl_norm - d0.weyl_norm) < 1e-9
         assert np.max(np.abs(d1.ricci0 - g.T @ d0.ricci0 @ g)) < 1e-9
+
+    @pytest.mark.parametrize("n", range(4, 21))
+    def test_drop_ricci_leaves_the_weyl_part(self, n, rng):
+        # the flow's projection reads the Ricci table and scatters back
+        # through it; on an operator small enough to pass its drift check it
+        # returns what decompose keeps, up to rounding
+        r = random_curvature(rng, n)
+        r = r * (1e-12 / np.linalg.norm(r))
+        want = decompose(r).weyl.mat
+        got = _drop_ricci(r.copy(), n)
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(r)
+        assert np.max(np.abs(ricci(got))) <= 1e-15 * np.linalg.norm(r)
+
+    @pytest.mark.parametrize("n", [4, 11])
+    def test_drop_ricci_leaves_more_than_drift(self, n):
+        # Ric(Id) = (n - 1) I: at 1e-12 Id every Ricci entry lies below
+        # BIANCHI_TOL and the scalar part is removed; at 1e-10 Id one does
+        # not, and the operator is left for the unit-Weyl check to refuse
+        small = _drop_ricci(1e-12 * np.eye(wedge_count(n)), n)
+        assert np.max(np.abs(small)) <= 1e-26
+        large = 1e-10 * np.eye(wedge_count(n))
+        assert np.array_equal(_drop_ricci(large.copy(), n), large)
 
 
 # --- the unit-Weyl precondition, at every entry point that needs it ---------

@@ -40,7 +40,7 @@ from curvlab.potential_flow import (
     flow_state,
     flow_step,
 )
-from curvlab.spectral_decomp import hessian_matrix, weyl_basis, x_space_basis
+from curvlab.spectral_decomp import hessian_matrix, weyl_basis
 
 # Inputs have unit Frobenius norm; the routes differ only by rounding.
 TOL = 1e-13
@@ -120,16 +120,6 @@ class TestSharpOracle:
                           (_sharp_mat(rf, sf, n), _sharp_mat(r, s, n))):
             assert want.flags.c_contiguous and got.flags.c_contiguous
             assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("n", [3, 6, 11, 16])
-    def test_stack_argument(self, n, rng):
-        r = unit_symmetric(rng, n, True)
-        stack = np.array([unit_symmetric(rng, n, b) for b in (True, False, True)])
-        batched = _sharp_mat(r, stack, n)
-        assert batched.shape == stack.shape
-        for out, s in zip(batched, stack):
-            assert gap(out, _sharp_mat(r, s, n)) < TOL
-            assert gap(out, sharp_via_brackets(r, s).mat) < TOL
 
 
 class TestHessianAssembly:
@@ -332,14 +322,13 @@ class TestReadOnlyCaches:
             lambda: _bianchi_flat(3),
             lambda: _ricci_gather(5),
             lambda: _sharp_gather(5),
-            lambda: (x_space_basis(4),),
             lambda: weyl_basis_arrays(6),
             lambda: _pair_table(5),
             lambda: _bracket_table(5),
         ],
         ids=["bianchi-indices", "bianchi-indices-empty", "bianchi-flat",
              "bianchi-flat-empty", "ricci-gather", "sharp-gather",
-             "x-space-basis", "weyl-basis", "pair-table", "bracket-table"],
+             "weyl-basis", "pair-table", "bracket-table"],
     )
     def test_writes_raise(self, arrays):
         for arr in arrays():

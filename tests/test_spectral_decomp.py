@@ -44,7 +44,6 @@ from curvlab.spectral_decomp import (
     weyl_basis,
     weyl_dim,
     x_dim,
-    x_space_basis,
 )
 
 LADDER = (1.0, 0.5, 1.0 / 3.0, 0.0, -1.0 / 6.0, -0.5, -1.0)
@@ -199,14 +198,14 @@ class TestWeylBasis:
         assert sorted(shapes) == sorted([(495, 1, 3), (66, 1, 10), (1, 12, 66)])
 
     def test_null_space_stack_matches_per_matrix(self, rng):
-        # rank-3 matrices of 4 rows: the stack's bases are those of its
-        # matrices, bit for bit
+        # rank-3 matrices of 4 rows: the stack's bases are the last six right
+        # singular vectors of each matrix's own SVD, bit for bit
         stack = rng.standard_normal((6, 4, 9))
         stack[:, 3] = stack[:, 0] - 2.0 * stack[:, 1]
         got = _null_space(stack, 6, lambda i: f"matrix {i}")
         assert got.shape == (6, 6, 9)
         for m, basis in zip(stack, got):
-            assert np.array_equal(basis, _null_space(m, 6, "matrix"))
+            assert np.array_equal(basis, np.linalg.svd(m)[2][3:])
 
     def test_null_space_stack_names_the_wrong_item(self, rng):
         stack = rng.standard_normal((6, 4, 9))
@@ -580,7 +579,11 @@ class TestDimensionTables:
     def test_x_space(self, k):
         phi = triple_wedge_matrix(k)
         assert np.linalg.matrix_rank(phi) == math.comb(k, 3)
-        basis = x_space_basis(k)
+        # the null space of Phi stacked on the embedding, from its own SVD
+        rows = spectral_decomp._x_space_rows(k)
+        _, s, vt = np.linalg.svd(rows)
+        rank = int(np.sum(s > 1e-10 * s[0]))
+        basis = vt[rank:]
         assert basis.shape[0] == x_dim(k) == k * math.comb(k, 2) - math.comb(k, 3) - k
         assert np.max(np.abs(basis @ basis.T - np.eye(x_dim(k)))) < 1e-12
         assert np.max(np.abs(phi @ basis.T)) < 1e-12
@@ -611,10 +614,6 @@ class TestDimensionTables:
     def test_tables_read_x_space_ranks(self, monkeypatch):
         # the table needs only dim X_k, which singular values give; a basis of
         # X_17 (n = 20, k = 3) would need the full SVD of a 697 x 2312 matrix
-        def refuse(k):
-            raise AssertionError("decomposition_dims built an X_k basis")
-
-        monkeypatch.setattr(spectral_decomp, "x_space_basis", refuse)
         table = decomposition_dims(20, 3)
         assert table.blocks["x_second_vectors"] == x_dim(17) * 3
         for k in range(3, 10):
@@ -625,10 +624,10 @@ class TestDimensionTables:
 
     def test_null_space_checks_its_dimension(self):
         # ker Phi on Lambda^2(R^4) (x) R^4 has dimension 24 - 4 = 20
-        phi = triple_wedge_matrix(4)
-        assert len(_null_space(phi, 20, "ker Phi")) == 20
+        phi = triple_wedge_matrix(4)[None]
+        assert _null_space(phi, 20, lambda i: "ker Phi").shape == (1, 20, 24)
         with pytest.raises(RuntimeError, match="ker Phi has dimension 20, not 21"):
-            _null_space(phi, 21, "ker Phi")
+            _null_space(phi, 21, lambda i: "ker Phi")
 
     def test_x_dim_values(self):
         assert [x_dim(k) for k in (3, 4, 5, 6, 7)] == [5, 16, 35, 64, 105]
@@ -654,6 +653,26 @@ class TestDimensionTables:
             == 8 * l
         )
         assert decomposition_dims(11, 5).pin_blocks is None
+
+    def test_x4_split_fails_on_a_flipped_phi_sign(self, monkeypatch):
+        # one wrong sign in the triple wedge map moves the X_4 split off
+        # (8, 8), and the refined table refuses it (dim X_4 is cached first,
+        # from the true map)
+        decomposition_dims(8, 4)
+        phi = triple_wedge_matrix(4)
+
+        def flipped(k):
+            out = phi.copy()
+            out[0, np.flatnonzero(out[0])[0]] *= -1.0
+            return out
+
+        monkeypatch.setattr(spectral_decomp, "triple_wedge_matrix", flipped)
+        spectral_decomp._x4_split_dims.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match=r"X_4 split is \(7, 7\)"):
+                decomposition_dims(8, 4)
+        finally:
+            spectral_decomp._x4_split_dims.cache_clear()
 
     def test_x4_split_is_computed_once(self, monkeypatch):
         decomposition_dims(10, 4)
