@@ -6,12 +6,13 @@ Subpackage tour:
   order and the bracket), ad matrices, the dense structure constants for
   the sharp oracle.
 - curvature_core: the CurvatureOperator container, Bianchi projection,
-  Ricci trace, irreducible decomposition, the sharp product and the
-  quadratic map Q.
+  Ricci trace and its adjoint (the one route to the scalar and Ricci parts
+  of the irreducible decomposition), the sharp product and the quadratic
+  map Q.
 - model_spaces: curvature operators of spheres, sphere products, complex
   projective spaces, and the one-parameter families built from them.
-- symmetry_op: the second symmetry derivative of a curvature operator and
-  the closed forms / lower bounds attached to it.
+- symmetry_op: the second symmetry derivative of a curvature operator, a
+  CurvatureOperator, and the closed forms / lower bounds attached to it.
 - spectral_decomp: Weyl bases, the Hessian-type operator at a critical
   point, eigenvalue clustering, orbit tangent dimensions.
 - potential_flow: the normalized gradient flow of the cubic potential and

@@ -3,10 +3,12 @@
 A curvature operator is a symmetric N x N matrix (N = n(n-1)/2) in the wedge
 basis that satisfies the first Bianchi identity.  This module provides the
 validated containers (in memory only: no file serialization), the Bianchi
-projection onto that subspace, the Ricci trace, the O(n)-irreducible
-decomposition, the wedge product of symmetric matrices, the sharp product
-(GEMM route, bracket route, and the fast diagonal path), and the quadratic map
-Q with its potential and trilinear form.
+projection onto that subspace, the Ricci trace and its adjoint, the
+O(n)-irreducible decomposition, the sharp product (GEMM route, bracket route,
+and the fast diagonal path), and the quadratic map Q with its potential and
+trilinear form.  The scalar and Ricci parts have one route, the adjoint of the
+Ricci contraction read through the Ricci table; the wedge product of symmetric
+matrices is its test oracle, as the bracket route is the sharp product's.
 
 The GEMM route expands R and S to 4-tensors and forms
 
@@ -199,15 +201,13 @@ def _bianchi_flat(n: int):
 
 
 def _bianchi_pairings(mat: np.ndarray, n: int) -> np.ndarray:
-    """<R, G_q> for every quadruple generator G_q of the image of b.
-
-    mat may be one N x N matrix or a (c, N, N) stack of them.
-    """
+    """<R, G_q> of an N x N matrix for every quadruple generator G_q of the
+    image of b."""
     a, b, c = _bianchi_flat(n)[:3]
-    flat = mat.reshape(mat.shape[:-2] + (-1,))
-    pair = flat.take(a, axis=-1)
-    pair -= flat.take(b, axis=-1)
-    pair += flat.take(c, axis=-1)
+    flat = mat.reshape(-1)
+    pair = flat.take(a)
+    pair -= flat.take(b)
+    pair += flat.take(c)
     pair *= 2.0
     return pair
 
@@ -274,27 +274,35 @@ def ricci(r) -> np.ndarray:
     return _ricci_mat(mat, n)
 
 
+def _ricci_adjoint(a: np.ndarray, n: int) -> np.ndarray:
+    """G^T(A) as an N x N matrix, G the Ricci contraction and A an n x n matrix.
+
+    G^T scatters sign * A[a, b] back onto take[a, b, i]; a diagonal position
+    is reached from (a, a, i) and (i, i, a), so the scatter sums.  For
+    symmetric A it is the Kulkarni-Nomizu product 2 A ^ id, so G^T(I) = 2 Id.
+    """
+    take, sign = _ricci_gather(n)
+    N = wedge_count(n)
+    out = np.bincount(take.ravel(), (sign * a[:, :, None]).ravel(), N * N)
+    return out.reshape(N, N)
+
+
 def _drop_ricci(mat: np.ndarray, n: int) -> np.ndarray:
     """Subtract the scalar and traceless-Ricci parts of mat in place when they
     are drift, and return it.
 
     Drift means no Ricci entry above BIANCHI_TOL, the bound of _unit_weyl: a
-    larger Ricci part is left for that check to refuse.  With Ric the Ricci
-    contraction G(R), Ric0 = Ric - scal/n I and Id = G^T(I)/2, the Weyl part
-    R - G^T(Ric0)/(n - 2) - scal/(n(n - 1)) Id of decompose is R - G^T(A),
-    A = (Ric - scal/(2(n - 1)) I)/(n - 2).  The adjoint G^T scatters
-    sign * A[a, b] back onto take[a, b, i]; a diagonal position is reached
-    from (a, a, i) and (i, i, a), so the scatter sums.
+    larger Ricci part is left for that check to refuse.  With Ric = G(R),
+    the Weyl part R - G^T(Ric0)/(n - 2) - scal/(n(n - 1)) Id of decompose is
+    R - G^T(A), A = (Ric - scal/(2(n - 1)) I)/(n - 2), one scatter.
     """
     ric = _ricci_mat(mat, n)
     if np.abs(ric).max() > BIANCHI_TOL:
         return mat
-    take, sign = _ricci_gather(n)
     diag = ric.ravel()[::n + 1]
     diag -= diag.sum() / (2 * (n - 1))
     ric /= n - 2
-    scatter = np.bincount(take.ravel(), (sign * ric[:, :, None]).ravel(), mat.size)
-    mat -= scatter.reshape(mat.shape)
+    mat -= _ricci_adjoint(ric, n)
     return mat
 
 
@@ -311,7 +319,10 @@ def _wedge_gather(n: int) -> np.ndarray:
 
 
 def wedge_product(a: np.ndarray, b: np.ndarray) -> SymmetricOperator:
-    """Operator A ^ B on the wedge space: (A^B)(v^w) = 1/2 (Av^Bw + Bv^Aw)."""
+    """Operator A ^ B on the wedge space: (A^B)(v^w) = 1/2 (Av^Bw + Bv^Aw).
+
+    The test oracle for _ricci_adjoint: the program forms no wedge products.
+    """
     a = _symmetric(a, "wedge_product factor")
     b = _symmetric(b, "wedge_product factor")
     if a.shape != b.shape:
@@ -326,7 +337,8 @@ def decompose(r) -> DecompositionReport:
     """Split R into scalar, traceless-Ricci and Weyl parts.
 
     R = scal/(n(n-1)) Id + 2/(n-2) (Ric0 ^ id) + W, the three parts pairwise
-    orthogonal.  Needs n >= 4; below that the Weyl space is trivial and the
+    orthogonal.  The Ricci part is G^T(Ric0)/(n - 2), one scatter through the
+    Ricci table.  Needs n >= 4; below that the Weyl space is trivial and the
     formula degenerates.
     """
     mat, n = _as_mat(r)
@@ -334,10 +346,10 @@ def decompose(r) -> DecompositionReport:
         raise UnsupportedDimensionError(f"decomposition needs n >= 4, got {n}")
     N = mat.shape[0]
     scal = 2.0 * float(np.trace(mat))
-    ric = ricci(mat)
-    ric0 = ric - (scal / n) * np.eye(n)
+    ric0 = _ricci_mat(mat, n) - (scal / n) * np.eye(n)
     scalar_part = (scal / (n * (n - 1))) * np.eye(N)
-    ricci_part = (2.0 / (n - 2)) * wedge_product(ric0, np.eye(n)).mat
+    ricci_part = _ricci_adjoint(ric0, n)
+    ricci_part /= n - 2
     weyl_mat = mat - scalar_part - ricci_part
     return DecompositionReport(
         dim=n,

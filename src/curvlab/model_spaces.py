@@ -14,12 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature_core import (
-    CurvatureOperator,
-    bianchi_project,
-    decompose,
-    wedge_product,
-)
+from .curvature_core import CurvatureOperator, bianchi_project, decompose
 from .errors import ArgumentError, UnsupportedDimensionError
 from .lie_basis import adjoint_rotation, sp1_basis, wedge_count
 
@@ -54,15 +49,14 @@ def sphere_product(k: int, l: int) -> CurvatureOperator:
     """Curvature operator of S^k x S^l with both factors round and Einstein.
 
     P ^ P + (k-1)/(l-1) P' ^ P', where P projects onto R^k and P' onto R^l:
-    1 on so(k), (k-1)/(l-1) on so(l), 0 on the mixed block.  Einstein with
-    constant k-1.
+    diagonal in the wedge basis, 1 on the pairs inside R^k, (k-1)/(l-1) on
+    those inside R^l, 0 on the mixed pairs.  Einstein with constant k-1.
     """
     if k < 2 or l < 2:
         raise ArgumentError(f"both factors need dimension >= 2, got ({k}, {l})")
-    p = np.diag(np.repeat([1.0, 0.0], [k, l]))
-    q = np.eye(k + l) - p
-    mat = wedge_product(p, p).mat + (k - 1) / (l - 1) * wedge_product(q, q).mat
-    return CurvatureOperator(mat)
+    i, j = np.triu_indices(k + l, 1)
+    diag = np.where(j < k, 1.0, np.where(i >= k, (k - 1) / (l - 1), 0.0))
+    return CurvatureOperator(np.diag(diag))
 
 
 def cpn(n_half: int) -> CurvatureOperator:

@@ -2,10 +2,12 @@
 
 For a curvature operator R and a bivector v, the operator D^2_v R =
 [R, ad_{Rv}] measures the failure of R to be locally symmetric in the
-direction v.  This module evaluates it, the closed forms for the one-parameter
-family lambda/(n-1) Id + cos(phi) W_CP2, and the scalar lower-bound function
-G(lambda, psi, phi) together with the sine-power integrals and sphere volumes
-that feed its integral prefactor.
+direction v.  This module evaluates it as a CurvatureOperator, so the
+container's constructor checks its symmetry and Bianchi identity.  It also
+holds the closed forms for the one-parameter family lambda/(n-1) Id +
+cos(phi) W_CP2, and the scalar lower-bound function G(lambda, psi, phi)
+together with the sine-power integrals and sphere volumes that feed its
+integral prefactor.
 
 All scalar helpers accept a `lib` argument (math by default) so they can run
 under mpmath when extra precision is needed.
@@ -14,35 +16,20 @@ under mpmath when extra precision is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature_core import BIANCHI_TOL, _as_mat, bianchi_residual
+from .curvature_core import CurvatureOperator, _as_mat
 from .errors import ArgumentError
 from .lie_basis import ad_matrix, wedge_count
 
 __all__ = [
-    "SymmetryEvaluation",
     "d2",
     "d2_family_norm",
     "g_lower_bound",
     "sin_power_integral",
     "sphere_volume",
 ]
-
-
-@dataclass(frozen=True)
-class SymmetryEvaluation:
-    """Value of a second symmetry derivative in one direction."""
-
-    direction: np.ndarray
-    operator: np.ndarray
-    norm: float
-
-    def __post_init__(self):
-        if bianchi_residual(self.operator) >= BIANCHI_TOL:
-            raise ArgumentError("symmetry derivative must satisfy the Bianchi identity")
 
 
 def _direction(v, n: int) -> np.ndarray:
@@ -52,13 +39,11 @@ def _direction(v, n: int) -> np.ndarray:
     return v
 
 
-def d2(r, v) -> SymmetryEvaluation:
+def d2(r, v) -> CurvatureOperator:
     """D^2_v R = [R, ad_{Rv}], the second symmetry derivative of R at v."""
     mat, n = _as_mat(r)
-    v = _direction(v, n)
-    ad = ad_matrix(mat @ v)
-    op = mat @ ad - ad @ mat
-    return SymmetryEvaluation(v, op, float(np.linalg.norm(op)))
+    ad = ad_matrix(mat @ _direction(v, n))
+    return CurvatureOperator(mat @ ad - ad @ mat)
 
 
 def d2_family_norm(lam: float, n: int, phi: float, pair) -> float:

@@ -191,14 +191,14 @@ def test_criterion_06_d2_tables():
         for i, j in pair_classes:
             v = np.zeros(wedge_count(n))
             v[[p for p, pair in enumerate(wedge_pairs(n)) if pair == (i, j)][0]] = 1.0
-            worst = max(worst, abs(d2(mat, v).norm - d2_family_norm(lam, n, phi, (i, j))))
+            worst = max(worst, abs(d2(mat, v).norm() - d2_family_norm(lam, n, phi, (i, j))))
     worst_sym = 0.0
     for k, l in ((2, 3), (3, 4), (5, 6)):
         mat = sphere_product(k, l).mat
         for idx in range(wedge_count(k + l)):
             v = np.zeros(wedge_count(k + l))
             v[idx] = 1.0
-            worst_sym = max(worst_sym, d2(mat, v).norm)
+            worst_sym = max(worst_sym, d2(mat, v).norm())
     ok = worst < 1e-10 and worst_sym < 1e-10
     _line(
         6,

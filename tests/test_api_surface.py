@@ -23,6 +23,7 @@ ORACLE = "oracle"
 KEPT = {
     # independent second routes that the tests check the kernels against
     "sharp_via_brackets": ORACLE,
+    "wedge_product": ORACLE,
     "so_matrix": ORACLE,
     "so_coords": ORACLE,
     "wedge_vectors": ORACLE,
@@ -276,6 +277,33 @@ def test_lie_basis_keeps_one_table_per_fact():
     assert not embedding, f"the vertex embedding is back: {sorted(embedding)}"
     assert tables == {("lie_basis", "_pair_table"), ("lie_basis", "_bracket_table")}
     assert dense_reads == {("curvature_core", "sharp_via_brackets")}, dense_reads
+
+
+def test_one_route_to_the_ricci_part():
+    # decompose and the flow's drift projection both scatter through the
+    # Ricci table: the package neither imports nor calls the wedge product,
+    # which only the tests read as its oracle; and d2 returns the one
+    # Bianchi-checked container, so its former record class is named nowhere
+    wedge_reads, evaluation = set(), set()
+    for folder in (PACKAGE, ROOT / "tests", ROOT / "demos"):
+        for path in sorted(folder.glob("*.py")):
+            for stmt in _parse(path).body:
+                where = (path.stem, getattr(stmt, "name", type(stmt).__name__))
+                for node in ast.walk(stmt):
+                    name = getattr(node, "attr", None) or getattr(node, "id", None)
+                    if isinstance(node, (ast.alias, ast.FunctionDef, ast.ClassDef)):
+                        name = node.name
+                    elif isinstance(node, ast.Constant) and folder == PACKAGE:
+                        name = node.value
+                    if name == "SymmetryEvaluation":
+                        evaluation.add(where)
+                    if folder == PACKAGE and name == "wedge_product" and (
+                        isinstance(node, ast.alias)
+                        or isinstance(getattr(node, "ctx", None), ast.Load)
+                    ):
+                        wedge_reads.add(where)
+    assert not wedge_reads, f"the package takes wedge products: {sorted(wedge_reads)}"
+    assert not evaluation, f"SymmetryEvaluation is back: {sorted(evaluation)}"
 
 
 def test_preconditions_have_one_owner():

@@ -169,7 +169,7 @@ class TestBianchi:
 def pairings_by_fancy_index(mat, n):
     """<R, G_q> for every quadruple, read through 2-D fancy indices."""
     ij, kl, ik, jl, il, jk = _bianchi_indices(n)
-    return 2.0 * (mat[..., ij, kl] - mat[..., ik, jl] + mat[..., il, jk])
+    return 2.0 * (mat[ij, kl] - mat[ik, jl] + mat[il, jk])
 
 
 def ricci_by_embedding(mat, n):
@@ -186,19 +186,18 @@ class TestFlatPrimitives:
     is checked against ufunc.at in TestBianchi."""
 
     @staticmethod
-    def symmetric(rng, n, *stack):
-        s = rng.standard_normal((*stack, wedge_count(n), wedge_count(n)))
-        return 0.5 * (s + np.swapaxes(s, -1, -2))
+    def symmetric(rng, n):
+        s = rng.standard_normal((wedge_count(n), wedge_count(n)))
+        return 0.5 * (s + s.T)
 
     @pytest.mark.parametrize("n", range(3, 21))
     def test_bianchi_pairings_are_bytes_of_fancy_index(self, n):
-        rng = np.random.default_rng(n)
-        for mat in (self.symmetric(rng, n), self.symmetric(rng, n, 3)):
-            got = curvature_core._bianchi_pairings(mat, n)
-            want = pairings_by_fancy_index(mat, n)
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-        assert bianchi_residual(mat[0]) == float(np.sqrt((want[0] ** 2).sum() / 6.0))
+        mat = self.symmetric(np.random.default_rng(n), n)
+        got = curvature_core._bianchi_pairings(mat, n)
+        want = pairings_by_fancy_index(mat, n)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert bianchi_residual(mat) == float(np.sqrt((want ** 2).sum() / 6.0))
 
     @pytest.mark.parametrize("n", range(3, 21))
     def test_ricci_matches_vertex_embedding(self, n):
@@ -494,6 +493,16 @@ class TestAngleRotateNorm:
         assert abs(np.sqrt(total) - 2 * np.linalg.norm(r)) < 1e-10
 
 
+def parts_by_wedge(r, n):
+    """(Ricci part, Weyl part) of r from the Kulkarni-Nomizu product, the
+    oracle for the Ricci-table scatter of decompose and _drop_ricci."""
+    scal = 2.0 * np.trace(r)
+    ric0 = ricci(r) - (scal / n) * np.eye(n)
+    ricci_part = 2.0 / (n - 2) * wedge_product(ric0, np.eye(n)).mat
+    scalar_part = scal / (n * (n - 1)) * np.eye(wedge_count(n))
+    return ricci_part, r - scalar_part - ricci_part
+
+
 class TestDecompose:
     def test_identity(self):
         d = decompose(sphere(5))
@@ -541,13 +550,23 @@ class TestDecompose:
         assert np.max(np.abs(d1.ricci0 - g.T @ d0.ricci0 @ g)) < 1e-9
 
     @pytest.mark.parametrize("n", range(4, 21))
+    def test_parts_match_the_wedge_oracle(self, n):
+        # decompose scatters Ric0 back through the Ricci table; the oracle
+        # forms 2/(n-2) Ric0 ^ id entry by entry
+        r = random_curvature(np.random.default_rng(300 + n), n)
+        ricci_part, weyl = parts_by_wedge(r, n)
+        d = decompose(r)
+        for got, want in ((d.ricci_part, ricci_part), (d.weyl.mat, weyl)):
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("n", range(4, 21))
     def test_drop_ricci_leaves_the_weyl_part(self, n, rng):
         # the flow's projection reads the Ricci table and scatters back
         # through it; on an operator small enough to pass its drift check it
-        # returns what decompose keeps, up to rounding
+        # returns the Weyl part of the wedge oracle, up to rounding
         r = random_curvature(rng, n)
         r = r * (1e-12 / np.linalg.norm(r))
-        want = decompose(r).weyl.mat
+        want = parts_by_wedge(r, n)[1]
         got = _drop_ricci(r.copy(), n)
         assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(r)
         assert np.max(np.abs(ricci(got))) <= 1e-15 * np.linalg.norm(r)

@@ -11,6 +11,7 @@ from curvlab.curvature_core import (
     q_map,
     ricci,
     sharp,
+    wedge_product,
 )
 from curvlab.errors import ArgumentError, UnsupportedDimensionError
 from curvlab.lie_basis import sp1_basis, wedge_count, wedge_pairs, wedge_vectors
@@ -76,6 +77,17 @@ class TestSphereProduct:
                 for i, j in wedge_pairs(k + l)
             ]
             assert np.array_equal(sphere_product(k, l).mat, np.diag(want))
+
+    def test_bytes_of_the_wedge_formula(self):
+        # the diagonal written from the index pairs is the product formula
+        # P ^ P + (k-1)/(l-1) P' ^ P' to the byte, zeros' signs included
+        for k in range(2, 11):
+            for l in range(k, 21 - k):
+                p = np.diag(np.repeat([1.0, 0.0], [k, l]))
+                q = np.eye(k + l) - p
+                want = wedge_product(p, p).mat
+                want = want + (k - 1) / (l - 1) * wedge_product(q, q).mat
+                assert sphere_product(k, l).mat.tobytes() == want.tobytes()
 
     def test_rejects_thin_factors(self):
         with pytest.raises(ArgumentError):

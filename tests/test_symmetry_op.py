@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from curvlab.curvature_core import bianchi_project
+from curvlab import symmetry_op
+from curvlab.curvature_core import CurvatureOperator, bianchi_project
 from curvlab.errors import ArgumentError
 from curvlab.lie_basis import (
     ad_matrix,
@@ -56,21 +57,41 @@ class TestD2:
         for r in range(wedge_count(n)):
             v = np.zeros(wedge_count(n))
             v[r] = 1.0
-            assert d2(ident, v).norm == 0.0
+            assert d2(ident, v).norm() == 0.0
 
     def test_output_invariants(self, rng):
         n = 5
         r = random_curvature(rng, n)
         ev = d2(r, rng.standard_normal(wedge_count(n)))
-        assert np.max(np.abs(ev.operator - ev.operator.T)) < 1e-12
-        assert abs(ev.norm - np.linalg.norm(ev.operator)) < 1e-12
+        assert isinstance(ev, CurvatureOperator)
+        assert np.max(np.abs(ev.mat - ev.mat.T)) < 1e-12
+        assert abs(ev.norm() - np.linalg.norm(ev.mat)) < 1e-12
+
+    @pytest.mark.parametrize("n", range(5, 21))
+    def test_norm_is_the_frobenius_norm_to_the_bit(self, n):
+        # the container's norm reads the same sum of squares as
+        # np.linalg.norm of the commutator, so every quoted value stays
+        rng = np.random.default_rng(400 + n)
+        r = random_curvature(rng, n)
+        v = rng.standard_normal(wedge_count(n))
+        ad = ad_matrix(r @ v)
+        assert d2(r, v).norm() == float(np.linalg.norm(r @ ad - ad @ r))
+
+    def test_rejects_output_off_the_bianchi_space(self, rng, monkeypatch):
+        # [R, X] is symmetric for any antisymmetric X, but only an ad matrix
+        # keeps it on the Bianchi space
+        n = 5
+        x = rng.standard_normal((wedge_count(n),) * 2)
+        monkeypatch.setattr(symmetry_op, "ad_matrix", lambda _: x - x.T)
+        with pytest.raises(ArgumentError, match="Bianchi"):
+            d2(random_curvature(rng, n), rng.standard_normal(wedge_count(n)))
 
     def test_linear_in_direction(self, rng):
         n = 5
         r = random_curvature(rng, n)
         u, v = rng.standard_normal((2, wedge_count(n)))
-        lhs = d2(r, 2.0 * u - 3.0 * v).operator
-        rhs = 2.0 * d2(r, u).operator - 3.0 * d2(r, v).operator
+        lhs = d2(r, 2.0 * u - 3.0 * v).mat
+        rhs = 2.0 * d2(r, u).mat - 3.0 * d2(r, v).mat
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_equivariance(self, rng):
@@ -80,8 +101,8 @@ class TestD2:
                 v = rng.standard_normal(wedge_count(n))
                 g = random_orthogonal(rng, n)
                 o = adjoint_rotation(g)
-                lhs = d2(rotate_operator(g, r), v).operator
-                rhs = o.T @ d2(r, o @ v).operator @ o
+                lhs = d2(rotate_operator(g, r), v).mat
+                rhs = o.T @ d2(r, o @ v).mat @ o
                 assert np.max(np.abs(lhs - rhs)) < 1e-9
 
     def test_symmetric_spaces_have_vanishing_d2(self):
@@ -89,11 +110,11 @@ class TestD2:
             n = k + l
             r = sphere_product(k, l)
             for i, j in ((1, 2), (1, k + 1), (k, n), (k + 1, n)):
-                assert d2(r, basis_vec(i, j, n)).norm < 1e-10
+                assert d2(r, basis_vec(i, j, n)).norm() < 1e-10
 
     def test_crit_cp2_mixed_so4_value(self):
         # the value quoted for n = 11: sqrt(2) |1/2 - 3 lam_bar/sqrt(6)| = 0.35 sqrt(2)
-        got = d2(r_lambda(LAMBDA_CRIT, 11), basis_vec(1, 3, 11)).norm
+        got = d2(r_lambda(LAMBDA_CRIT, 11), basis_vec(1, 3, 11)).norm()
         assert abs(got - math.sqrt(2) * 0.35) < 1e-12
         assert abs(got - 0.4950) < 1e-4
 
@@ -106,8 +127,8 @@ class TestD2:
         # operator only couples the first four coordinates to the rest
         n = 7
         r = r_lambda(1.1, n)
-        assert d2(r, basis_vec(5, 6, n)).norm == 0.0
-        op = d2(r, basis_vec(1, 5, n)).operator
+        assert d2(r, basis_vec(5, 6, n)).norm() == 0.0
+        op = d2(r, basis_vec(1, 5, n)).mat
         dead = [wedge_rank(i, j, n) for i in range(5, n) for j in range(i + 1, n + 1)]
         assert np.max(np.abs(op[np.ix_(dead, dead)])) < 1e-12
 
@@ -120,7 +141,7 @@ class TestAntisymmetrizationIdentity:
             r = random_curvature(rng, n)
             u = random_simple_unit_bivector(rng, n)
             x = so_matrix(r @ u, n)
-            dd = d2(r, u).operator
+            dd = d2(r, u).mat
 
             def rm(a, b, c, d):
                 return wedge_vectors(a, b) @ r @ wedge_vectors(c, d)
@@ -161,7 +182,7 @@ class TestAntisymmetrizationIdentity:
         for n in (4, 6):
             r = random_curvature(rng, n)
             v = rng.standard_normal(wedge_count(n))
-            assert bianchi_residual(d2(r, v).operator) < 1e-10
+            assert bianchi_residual(d2(r, v)) < 1e-10
 
 
 class TestFamilyNorms:
@@ -175,7 +196,7 @@ class TestFamilyNorms:
             for phi in (0.0, 0.3, 1.0):
                 r = r_lambda(lam, n, phi)
                 for i, j in pairs:
-                    got = d2(r, basis_vec(i, j, n)).norm
+                    got = d2(r, basis_vec(i, j, n)).norm()
                     want = d2_family_norm(lam, n, phi, (i, j))
                     assert abs(got - want) < 1e-10
 
