@@ -22,7 +22,8 @@ from curvlab.model_spaces import (
 # the round sphere is the identity on the wedge space: pure scalar curvature
 round_sphere = sphere(6)
 d = decompose(round_sphere)
-print("S^6 parts:", d.scalar_part_norm, d.ricci_part_norm, d.weyl_norm)
+print("S^6 parts:", np.linalg.norm(d.scalar_part), np.linalg.norm(d.ricci_part),
+      d.weyl.norm())
 
 # a product of spheres is Einstein exactly when k-1 == l-1; its Weyl part
 # never vanishes, and its normalized potential has the closed form theta

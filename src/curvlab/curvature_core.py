@@ -108,7 +108,7 @@ class CurvatureOperator(SymmetricOperator):
     def __init__(self, mat: np.ndarray):
         super().__init__(mat)
         res = bianchi_residual(self)
-        if res >= BIANCHI_TOL:
+        if not res < BIANCHI_TOL:
             raise ArgumentError(
                 f"matrix violates the first Bianchi identity (residual {res:.3e})"
             )
@@ -118,15 +118,11 @@ class CurvatureOperator(SymmetricOperator):
 class DecompositionReport:
     """Irreducible parts of a curvature operator under O(n)."""
 
-    dim: int
     scal: float
     ricci0: np.ndarray
     scalar_part: np.ndarray
     ricci_part: np.ndarray
     weyl: CurvatureOperator
-    scalar_part_norm: float
-    ricci_part_norm: float
-    weyl_norm: float
 
 
 def _symmetric(x, name: str, stack: bool = False) -> np.ndarray:
@@ -140,7 +136,7 @@ def _symmetric(x, name: str, stack: bool = False) -> np.ndarray:
     # Python wrapper, which on these small matrices costs more than the
     # reduction itself
     skew = mat - mat.swapaxes(-1, -2)
-    if skew.max(initial=0.0) >= SYMMETRY_TOL:
+    if not skew.max(initial=0.0) < SYMMETRY_TOL:
         raise ArgumentError(f"{name} must be symmetric")
     return mat
 
@@ -159,9 +155,9 @@ def _unit_weyl(x, name: str) -> CurvatureOperator:
     lie below BIANCHI_TOL.
     """
     op = x if isinstance(x, CurvatureOperator) else CurvatureOperator(x)
-    if abs(op.norm() - 1.0) > BIANCHI_TOL:
+    if not abs(op.norm() - 1.0) <= BIANCHI_TOL:
         raise ArgumentError(f"{name} must have unit norm")
-    if np.abs(ricci(op)).max() > BIANCHI_TOL:
+    if not np.abs(ricci(op)).max() <= BIANCHI_TOL:
         raise ArgumentError(f"{name} must be a Weyl operator")
     return op
 
@@ -169,32 +165,20 @@ def _unit_weyl(x, name: str) -> CurvatureOperator:
 # --- first Bianchi identity ------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _bianchi_indices(n: int):
-    """Pair-rank arrays (ij, kl, ik, jl, il, jk) over all quadruples i<j<k<l.
+def _bianchi_flat(n: int):
+    """Read-only flat positions in an N x N matrix of the three Bianchi planes,
+    (ij*N+kl, ik*N+jl, il*N+jk) over all quadruples i<j<k<l, followed by
+    their transposes (kl*N+ij, jl*N+ik, jk*N+il).
 
     Below n = 4 there are no quadruples, and the six arrays are empty.
     """
     rank, _ = _pair_table(n)
-    quads = np.array(list(itertools.combinations(range(n), 4)), dtype=np.intp)
-    quads = quads.reshape(-1, 4)
-    out = tuple(
-        rank[quads[:, a], quads[:, b]]
-        for a, b in ((0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2))
-    )
-    for arr in out:
-        arr.setflags(write=False)
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def _bianchi_flat(n: int):
-    """Read-only flat positions in an N x N matrix of the three Bianchi planes,
-    (ij*N+kl, ik*N+jl, il*N+jk) over all quadruples i<j<k<l, followed by
-    their transposes (kl*N+ij, jl*N+ik, jk*N+il)."""
-    ij, kl, ik, jl, il, jk = _bianchi_indices(n)
     N = wedge_count(n)
-    out = tuple(a * N + b for a, b in ((ij, kl), (ik, jl), (il, jk),
-                                       (kl, ij), (jl, ik), (jk, il)))
+    quads = np.array(list(itertools.combinations(range(n), 4)), dtype=np.intp)
+    i, j, k, l = quads.reshape(-1, 4).T
+    planes = ((rank[i, j], rank[k, l]), (rank[i, k], rank[j, l]),
+              (rank[i, l], rank[j, k]))
+    out = tuple(a * N + b for a, b in planes) + tuple(b * N + a for a, b in planes)
     for arr in out:
         arr.setflags(write=False)
     return out
@@ -350,18 +334,8 @@ def decompose(r) -> DecompositionReport:
     scalar_part = (scal / (n * (n - 1))) * np.eye(N)
     ricci_part = _ricci_adjoint(ric0, n)
     ricci_part /= n - 2
-    weyl_mat = mat - scalar_part - ricci_part
-    return DecompositionReport(
-        dim=n,
-        scal=scal,
-        ricci0=ric0,
-        scalar_part=scalar_part,
-        ricci_part=ricci_part,
-        weyl=CurvatureOperator(weyl_mat),
-        scalar_part_norm=float(np.linalg.norm(scalar_part)),
-        ricci_part_norm=float(np.linalg.norm(ricci_part)),
-        weyl_norm=float(np.linalg.norm(weyl_mat)),
-    )
+    weyl = CurvatureOperator(mat - scalar_part - ricci_part)
+    return DecompositionReport(scal, ric0, scalar_part, ricci_part, weyl)
 
 
 # --- sharp product ----------------------------------------------------------
@@ -479,7 +453,7 @@ def sharp_pure(r) -> CurvatureOperator:
     """
     mat, n = _as_mat(r)
     off = mat - np.diag(np.diag(mat))
-    if np.max(np.abs(off), initial=0.0) >= 1e-12:
+    if not np.max(np.abs(off), initial=0.0) < 1e-12:
         raise PreconditionError("sharp_pure needs a diagonal operator matrix")
     tilde = alternative(mat)
     sq = tilde @ tilde
@@ -519,7 +493,7 @@ def potential_normalized(r) -> float:
     """P(R / ||R||); rejects operators with norm below 1e-14."""
     mat, _ = _as_mat(r)
     norm = np.linalg.norm(mat)
-    if norm <= 1e-14:
+    if not norm > 1e-14:
         raise DegenerateInputError("potential_normalized needs a nonzero operator")
     return potential(mat / norm)
 

@@ -116,7 +116,7 @@ def so_coords(mat: np.ndarray) -> np.ndarray:
     """Wedge coordinates of an antisymmetric matrix (inverse of so_matrix)."""
     mat = np.asarray(mat, dtype=float)
     n = mat.shape[0]
-    if mat.shape != (n, n) or np.max(np.abs(mat + mat.T)) > 1e-10:
+    if mat.shape != (n, n) or not np.max(np.abs(mat + mat.T)) <= 1e-10:
         raise ArgumentError("expected an antisymmetric square matrix")
     iu, ju = np.triu_indices(n, k=1)
     return mat[iu, ju].copy()
@@ -248,7 +248,7 @@ def adjoint_rotation(g: np.ndarray) -> np.ndarray:
     n = g.shape[0]
     if g.shape != (n, n):
         raise ArgumentError("rotation must be a square matrix")
-    if np.max(np.abs(g.T @ g - np.eye(n))) > 1e-10:
+    if not np.max(np.abs(g.T @ g - np.eye(n))) <= 1e-10:
         raise ArgumentError("rotation is not orthogonal within tolerance")
     i, j = np.triu_indices(n, 1)
     return g[np.ix_(i, i)] * g[np.ix_(j, j)] - g[np.ix_(i, j)] * g[np.ix_(j, i)]

@@ -90,8 +90,8 @@ def flow_step(state: FlowState, dt: float) -> FlowState:
     """One RK4 step of the sphere-projected potential gradient, renormalized
     and cleared of Ricci drift."""
     dt = float(dt)
-    if dt <= 0:
-        raise ArgumentError(f"step size must be positive, got {dt}")
+    if not 0.0 < dt < math.inf:
+        raise ArgumentError(f"step size must be finite and positive, got {dt}")
     mat, n = state.w.mat, state.w.dim
     # the stages are unvalidated intermediates; the new state is checked once
     k1 = _tangent(state.q, mat)

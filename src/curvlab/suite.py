@@ -7,7 +7,11 @@ basis range BASIS_DIMS) or, for the basis-free rows, _DIMS = 4..20, the
 suite's one ceiling; run_suite accepts exactly their union.  A check is a
 pure function of (dimension, seeded generator, tolerance) that returns only
 the fields that vary between records (expected, computed, status, detail);
-_record_for adds the name, the tag and the tolerance.
+_record_for adds the name, the tag and the tolerance.  A sampled family is a
+draw, draw(n, rng) -> the residuals of one sample, and _sampled(count, draw)
+builds its check.  Every record whose expected value is 0 reduces all its
+residuals through _residual, whose np.max keeps a NaN, so a NaN residual
+fails its record instead of reading as 0.
 Checks draw randomness only from a generator seeded by crc32(check name) xor
 suite seed, so the suite is deterministic under any execution order.
 
@@ -77,103 +81,98 @@ def _random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def _residual(tol, worst, detail="") -> dict:
-    """Fields of a record whose computed value is a residual expected to be 0."""
+def _residual(tol, values, detail="") -> dict:
+    """Fields of a record whose computed value is the largest of its residuals,
+    each expected to be 0.  np.max keeps a NaN, and a NaN is not <= tol, so a
+    NaN residual fails the record."""
+    worst = float(np.max(values))
     status = "pass" if worst <= tol else "fail"
-    return dict(expected=0.0, computed=float(worst), status=status, detail=detail)
+    return dict(expected=0.0, computed=worst, status=status, detail=detail)
 
 
-# --- checks, one function per family ----------------------------------------
-
-def _check_bianchi_idempotence(n, rng, tol):
-    worst = 0.0
-    for _ in range(_SAMPLES):
-        once = random_curvature(rng, n)
-        twice = bianchi_project(once).mat
-        worst = max(worst, float(np.max(np.abs(twice - once))), bianchi_residual(once))
-    return _residual(tol, worst)
+def _sampled(count, draw):
+    """The check of a sampled family: count draws from the record's generator,
+    in order, their residuals reduced together by _residual."""
+    return lambda n, rng, tol: _residual(
+        tol, [value for _ in range(count) for value in draw(n, rng)]
+    )
 
 
-def _check_decomposition_orthogonality(n, rng, tol):
-    worst = 0.0
-    for _ in range(_SAMPLES):
-        r = random_curvature(rng, n)
-        d = decompose(r)
-        parts = (d.scalar_part, d.ricci_part, d.weyl.mat)
-        worst = max(worst, float(np.max(np.abs(sum(parts) - r))))
-        for i in range(3):
-            for j in range(i + 1, 3):
-                na, nb = np.linalg.norm(parts[i]), np.linalg.norm(parts[j])
-                if na > 1e-12 and nb > 1e-12:
-                    inner = abs(float(np.sum(parts[i] * parts[j]))) / (na * nb)
-                    worst = max(worst, inner)
-    return _residual(tol, worst)
+# --- draws of the sampled families, then one check function per family ------
+
+def _draw_bianchi_idempotence(n, rng):
+    once = random_curvature(rng, n)
+    return np.max(np.abs(bianchi_project(once).mat - once)), bianchi_residual(once)
 
 
-def _check_bw_identity(n, rng, tol):
-    worst = 0.0
+def _draw_decomposition_orthogonality(n, rng):
+    r = random_curvature(rng, n)
+    d = decompose(r)
+    parts = (d.scalar_part, d.ricci_part, d.weyl.mat)
+    out = [np.max(np.abs(sum(parts) - r))]
+    for a, b in itertools.combinations(parts, 2):
+        na, nb = np.linalg.norm(a), np.linalg.norm(b)
+        if na > 1e-12 and nb > 1e-12:
+            out.append(abs(float(np.sum(a * b))) / (na * nb))
+    return out
+
+
+def _draw_bw_identity(n, rng):
     eye = np.eye(wedge_count(n))
-    for _ in range(_SAMPLES):
-        r = random_curvature(rng, n)
-        d = decompose(r)
-        lhs = r + sharp(r, eye).mat
-        rhs = (n - 1) * d.scalar_part + 0.5 * (n - 2) * d.ricci_part
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        w = d.weyl.mat
-        worst = max(worst, float(np.max(np.abs(w + sharp(w, eye).mat))))
-    return _residual(tol, worst)
+    r = random_curvature(rng, n)
+    d = decompose(r)
+    lhs = r + sharp(r, eye).mat
+    rhs = (n - 1) * d.scalar_part + 0.5 * (n - 2) * d.ricci_part
+    w = d.weyl.mat
+    return np.max(np.abs(lhs - rhs)), np.max(np.abs(w + sharp(w, eye).mat))
 
 
-def _check_sharp_routes(n, rng, tol):
-    worst = 0.0
-    for _ in range(_SAMPLES):
-        mat = np.diag(rng.standard_normal(wedge_count(n)))
-        worst = max(
-            worst, float(np.max(np.abs(sharp_pure(mat).mat - sharp(mat).mat)))
-        )
-    return _residual(tol, worst)
+def _draw_sharp_routes(n, rng):
+    mat = np.diag(rng.standard_normal(wedge_count(n)))
+    return (np.max(np.abs(sharp_pure(mat).mat - sharp(mat).mat)),)
 
 
-def _check_equivariance(kernel, n, rng, tol):
+def _draw_equivariance(kernel, n, rng):
     """kernel(R) commutes with conjugation by the adjoint action of O(n)."""
-    worst = 0.0
-    for _ in range(_SAMPLES // 2):
-        r = random_curvature(rng, n)
-        ad = adjoint_rotation(_random_orthogonal(rng, n))
-        lhs = kernel(ad.T @ r @ ad).mat
-        worst = max(worst, float(np.max(np.abs(lhs - ad.T @ kernel(r).mat @ ad))))
-    return _residual(tol, worst)
+    r = random_curvature(rng, n)
+    ad = adjoint_rotation(_random_orthogonal(rng, n))
+    lhs = kernel(ad.T @ r @ ad).mat
+    return (np.max(np.abs(lhs - ad.T @ kernel(r).mat @ ad)),)
 
 
-def _check_d2_equivariance(n, rng, tol):
-    worst = 0.0
-    for _ in range(_SAMPLES // 2):
-        r = random_curvature(rng, n)
-        g = _random_orthogonal(rng, n)
-        ad = adjoint_rotation(g)
-        v = rng.standard_normal(wedge_count(n))
-        lhs = d2(ad.T @ r @ ad, v).mat
-        rhs = ad.T @ d2(r, ad @ v).mat @ ad
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return _residual(tol, worst)
+def _draw_d2_equivariance(n, rng):
+    r = random_curvature(rng, n)
+    ad = adjoint_rotation(_random_orthogonal(rng, n))
+    v = rng.standard_normal(wedge_count(n))
+    lhs = d2(ad.T @ r @ ad, v).mat
+    return (np.max(np.abs(lhs - ad.T @ d2(r, ad @ v).mat @ ad)),)
 
 
-def _check_tri_symmetry(n, rng, tol):
-    worst = 0.0
-    for _ in range(_SAMPLES // 2):
-        ops = [random_curvature(rng, n) for _ in range(3)]
-        vals = [tri(*order) for order in itertools.permutations(ops)]
-        worst = max(worst, max(vals) - min(vals))
-    return _residual(tol, worst)
+def _draw_tri_symmetry(n, rng):
+    ops = [random_curvature(rng, n) for _ in range(3)]
+    return (np.ptp([tri(*order) for order in itertools.permutations(ops)]),)
+
+
+def _draw_d2_closed_form(n, rng):
+    lam = float(rng.uniform(0.5, 2.0))
+    phi = float(rng.uniform(0.0, math.pi / 2 - 1e-6))
+    mat = r_lambda(lam, n, phi).mat
+    rank, _ = _pair_table(n)
+    out = []
+    for i, j in ((1, 2), (1, 3), (3, 4), (2, min(5, n)), (5, n) if n > 5 else (1, 4)):
+        # the basis bivector e_i ^ e_j, i < j
+        v = np.zeros(wedge_count(n))
+        v[rank[i - 1, j - 1]] = 1.0
+        out.append(abs(d2(mat, v).norm() - d2_family_norm(lam, n, phi, (i, j))))
+    return out
 
 
 def _check_product_potential(n, rng, tol):
-    worst = 0.0
-    for k in range(2, n // 2 + 1):
-        l = n - k
-        weyl = decompose(sphere_product(k, l)).weyl.mat
-        worst = max(worst, abs(potential_normalized(weyl) - theta(k, l)))
-    return _residual(tol, worst)
+    return _residual(tol, [
+        abs(potential_normalized(decompose(sphere_product(k, n - k)).weyl.mat)
+            - theta(k, n - k))
+        for k in range(2, n // 2 + 1)
+    ])
 
 
 def _check_cpn_spectrum(n, rng, tol):
@@ -189,8 +188,7 @@ def _check_cpn_spectrum(n, rng, tol):
             expected=str(want), computed=str(rep.clusters), status="fail",
             detail="multiplicity pattern mismatch",
         )
-    worst = max(abs(got[0] - exp[0]) for got, exp in zip(rep.clusters, want))
-    return _residual(tol, worst)
+    return _residual(tol, [abs(c[0] - w[0]) for c, w in zip(rep.clusters, want)])
 
 
 def _check_weyl_dimension(n, rng, tol):
@@ -214,8 +212,6 @@ def _ladder_multiplicities(n):
 def _check_hessian_clusters(n, rng, tol):
     rep = eigen_report(hessian_matrix(w_cp2(n)))
     scale = math.sqrt(1.5)
-    want = [scale * v for v in _LADDER]
-    worst = max(abs(c[0] - w) for c, w in zip(rep.clusters, want))
     # a wrong number of clusters fails as a wrong list of multiplicities
     mults, closed = [c[1] for c in rep.clusters], _ladder_multiplicities(n)
     problems = []
@@ -225,9 +221,9 @@ def _check_hessian_clusters(n, rng, tol):
     orbit = orbit_tangent_dim(w_cp2(n))
     if half != orbit:
         problems.append(f"1/2-eigenspace {half} != orbit dimension {orbit}")
-    detail = "; ".join(problems) or f"multiplicities {mults}"
-    status = "pass" if worst <= tol and not problems else "fail"
-    return dict(expected=0.0, computed=float(worst), status=status, detail=detail)
+    residuals = [abs(c[0] - scale * v) for c, v in zip(rep.clusters, _LADDER)]
+    fields = _residual(tol, residuals, "; ".join(problems) or f"multiplicities {mults}")
+    return {**fields, "status": "fail"} if problems else fields
 
 
 def _check_shi_table(n, rng, tol):
@@ -251,7 +247,7 @@ def _check_neighborhood_bound(n, rng, tol):
     gamma, quoted = _NEIGHBORHOOD_QUOTES[n]
     bound = neighborhood_potential_bound(gamma)
     ceiling = math.sqrt(2.0 / 3.0) * theta_threshold(n)
-    if bound >= ceiling:
+    if not bound < ceiling:
         return dict(
             expected=f"< {ceiling}", computed=bound, status="fail",
             detail="strict separation from the product threshold lost",
@@ -275,8 +271,8 @@ def _check_certificate_identity(n, rng, tol):
         bracket = g**2 / 13 - g * cc * r / 14 + cc**2 * r**2 / 60
         direct = certificate_prefactor(n, lib=mpmath) * bracket * r**2
         rel = float(abs(c.lhs_bound - direct) / direct)
-    rel = max(rel, abs(c.r - 2.0 * G / C) / (2.0 * G / C))
-    return _residual(tol, rel, detail=f"verdict {c.verdict}")
+    return _residual(tol, [rel, abs(c.r - 2.0 * G / C) / (2.0 * G / C)],
+                     detail=f"verdict {c.verdict}")
 
 
 def _check_certificate_quoted(n, rng, tol):
@@ -291,58 +287,36 @@ def _check_flow_monotonicity(n, rng, tol):
     state = flow_state(random_weyl(rng, n))
     state = flow_run(state, steps=60, sample_every=1)
     values = [row[1] for row in state.history]
-    worst = max(
-        (prev - curr for prev, curr in zip(values, values[1:])), default=0.0
-    )
-    return _residual(tol, max(worst, 0.0))
-
-
-def _check_d2_closed_form(n, rng, tol):
-    worst = 0.0
-    pairs = [(1, 2), (1, 3), (3, 4), (2, min(5, n)), (5, n) if n > 5 else (1, 4)]
-    rank, _ = _pair_table(n)
-    for _ in range(6):
-        lam = float(rng.uniform(0.5, 2.0))
-        phi = float(rng.uniform(0.0, math.pi / 2 - 1e-6))
-        mat = r_lambda(lam, n, phi).mat
-        for i, j in pairs:
-            # the basis bivector e_i ^ e_j, i < j
-            v = np.zeros(wedge_count(n))
-            v[rank[i - 1, j - 1]] = 1.0
-            direct = d2(mat, v).norm()
-            closed = d2_family_norm(lam, n, phi, (i, j))
-            worst = max(worst, abs(direct - closed))
-    return _residual(tol, worst)
+    # the largest drop of P between samples, or 0 when P never drops
+    return _residual(tol, [0.0, *(a - b for a, b in zip(values, values[1:]))])
 
 
 def _check_symmetric_space(n, rng, tol):
-    k = n // 2
-    mat = sphere_product(k, n - k).mat
-    worst = 0.0
-    for idx in range(wedge_count(n)):
-        v = np.zeros(wedge_count(n))
-        v[idx] = 1.0
-        worst = max(worst, d2(mat, v).norm())
-    return _residual(tol, worst)
+    mat = sphere_product(n // 2, n - n // 2).mat
+    return _residual(tol, [d2(mat, v).norm() for v in np.eye(wedge_count(n))])
 
 
 _REGISTRY = (
     # family, tag, default tolerance, dims, check(n, rng, tol)
     ("bianchi-idempotence", "bianchi-idempotence", 1e-12, _DIMS,
-     _check_bianchi_idempotence),
+     _sampled(_SAMPLES, _draw_bianchi_idempotence)),
     ("decomposition-orthogonality", "decomposition-orthogonality", 1e-9, _DIMS,
-     _check_decomposition_orthogonality),
-    ("bw-identity", "bw-identity", 1e-9, _DIMS, _check_bw_identity),
-    ("sharp-routes", "sharp-routes", 1e-10, _DIMS, _check_sharp_routes),
+     _sampled(_SAMPLES, _draw_decomposition_orthogonality)),
+    ("bw-identity", "bw-identity", 1e-9, _DIMS, _sampled(_SAMPLES, _draw_bw_identity)),
+    ("sharp-routes", "sharp-routes", 1e-10, _DIMS,
+     _sampled(_SAMPLES, _draw_sharp_routes)),
     ("q-equivariance", "q-equivariance", 1e-9, _DIMS,
-     functools.partial(_check_equivariance, q_map)),
+     _sampled(_SAMPLES // 2, functools.partial(_draw_equivariance, q_map))),
     ("sharp-equivariance", "sharp-equivariance", 1e-9, _DIMS,
-     functools.partial(_check_equivariance, sharp)),
-    ("d2-equivariance", "d2-equivariance", 1e-9, _DIMS, _check_d2_equivariance),
-    ("tri-symmetry", "tri-symmetry", 1e-9, _DIMS, _check_tri_symmetry),
+     _sampled(_SAMPLES // 2, functools.partial(_draw_equivariance, sharp))),
+    ("d2-equivariance", "d2-equivariance", 1e-9, _DIMS,
+     _sampled(_SAMPLES // 2, _draw_d2_equivariance)),
+    ("tri-symmetry", "tri-symmetry", 1e-9, _DIMS,
+     _sampled(_SAMPLES // 2, _draw_tri_symmetry)),
     ("product-potential", "product-potential", 1e-10, _DIMS,
      _check_product_potential),
-    ("d2-closed-form", "d2-closed-form", 1e-10, _DIMS[1:], _check_d2_closed_form),
+    ("d2-closed-form", "d2-closed-form", 1e-10, _DIMS[1:],
+     _sampled(6, _draw_d2_closed_form)),
     ("symmetric-space-flatness", "symmetric-space-flatness", 1e-10, _DIMS,
      _check_symmetric_space),
     ("cpn-spectrum", "cpn-spectrum", 1e-10, (4, 6, 8), _check_cpn_spectrum),

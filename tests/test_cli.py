@@ -376,3 +376,10 @@ class TestFlow:
         # refused by the option itself, so even a run of no steps fails
         args = ["flow", "--dim", "5", "--steps", "0", "--dt", dt]
         assert runner.invoke(main, args).exit_code == 2
+
+    @pytest.mark.parametrize("dt", ["nan", "inf"])
+    def test_step_not_finite_is_refused(self, runner, dt):
+        args = ["flow", "--dim", "5", "--steps", "3", "--dt", dt]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "finite and positive" in result.stderr

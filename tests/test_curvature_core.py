@@ -1,4 +1,6 @@
+import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from curvlab import curvature_core
 from curvlab.curvature_core import (
     CurvatureOperator,
     SymmetricOperator,
-    _bianchi_indices,
+    _bianchi_flat,
     _drop_ricci,
     alternative,
     bianchi_project,
@@ -34,6 +36,7 @@ from curvlab.errors import (
 from curvlab.lie_basis import (
     _pair_table,
     adjoint_rotation,
+    dim_from_wedge_count,
     sp1_basis,
     wedge_count,
     wedge_rank,
@@ -44,6 +47,17 @@ from curvlab.potential_flow import fixed_point_residual, flow_state
 from curvlab.spectral_decomp import hessian_matrix
 
 from conftest import random_orthogonal, rotate_operator
+
+
+@functools.lru_cache(maxsize=None)
+def bianchi_ranks(n):
+    """Wedge ranks (ij, kl, ik, jl, il, jk) over all quadruples i<j<k<l,
+    from wedge_rank one pair at a time."""
+    quads = list(itertools.combinations(range(1, n + 1), 4))
+    return tuple(
+        np.array([wedge_rank(q[a], q[b], n) for q in quads], dtype=np.intp)
+        for a, b in ((0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2))
+    )
 
 
 def random_curvature(rng, n):
@@ -93,6 +107,60 @@ class TestContainers:
             CurvatureOperator(g)
 
 
+def unchecked(mat):
+    """A SymmetricOperator holding mat without the container's checks, as a
+    corrupted operator would reach a kernel."""
+    op = object.__new__(SymmetricOperator)
+    op._mat, op.dim, op.N = mat, dim_from_wedge_count(len(mat)), len(mat)
+    return op
+
+
+class TestRefusesNaN:
+    """Every tolerance check is written so that a NaN fails it."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_symmetric_check(self, bad):
+        with pytest.raises(ArgumentError, match="must be symmetric"):
+            CurvatureOperator(np.full((10, 10), bad))
+        mat = sphere(5).mat.copy()
+        mat[1, 2] = mat[2, 1] = bad
+        with pytest.raises(ArgumentError, match="must be symmetric"):
+            SymmetricOperator(mat)
+
+    def test_bianchi_check(self, monkeypatch):
+        monkeypatch.setattr(curvature_core, "bianchi_residual", lambda mat: math.nan)
+        with pytest.raises(ArgumentError, match="first Bianchi identity"):
+            CurvatureOperator(np.eye(10))
+
+    def test_unit_weyl_refuses_a_nan_entry(self):
+        mat = w_cp2(5).mat.copy()
+        mat[0, 0] = np.nan
+        with pytest.raises(ArgumentError):
+            curvature_core._unit_weyl(mat, "state")
+
+    def test_unit_weyl_norm_check(self, monkeypatch):
+        monkeypatch.setattr(CurvatureOperator, "norm", lambda self: math.nan)
+        with pytest.raises(ArgumentError, match="unit norm"):
+            curvature_core._unit_weyl(w_cp2(5), "state")
+
+    def test_unit_weyl_ricci_check(self, monkeypatch):
+        monkeypatch.setattr(curvature_core, "ricci", lambda op: np.full((5, 5), np.nan))
+        with pytest.raises(ArgumentError, match="Weyl operator"):
+            curvature_core._unit_weyl(w_cp2(5), "state")
+
+    def test_sharp_pure_diagonal_check(self):
+        mat = np.eye(10)
+        mat[0, 1] = mat[1, 0] = np.nan
+        with pytest.raises(PreconditionError, match="diagonal"):
+            sharp_pure(unchecked(mat))
+
+    def test_potential_normalized_zero_norm_check(self):
+        mat = np.eye(10)
+        mat[0, 0] = np.nan
+        with pytest.raises(DegenerateInputError):
+            potential_normalized(unchecked(mat))
+
+
 class TestBianchi:
     def test_identity_fixed(self):
         for n in (4, 5, 6):
@@ -128,11 +196,13 @@ class TestBianchi:
 
     def test_indices_match_wedge_rank(self):
         # below n = 4 there are no quadruples and every array is empty
-        sel = ((0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2))
         for n in range(3, 11):
-            quads = list(itertools.combinations(range(1, n + 1), 4))
-            for arr, (a, b) in zip(_bianchi_indices(n), sel):
-                assert arr.tolist() == [wedge_rank(q[a], q[b], n) for q in quads]
+            ij, kl, ik, jl, il, jk = bianchi_ranks(n)
+            N = wedge_count(n)
+            want = [a * N + b for a, b in ((ij, kl), (ik, jl), (il, jk),
+                                           (kl, ij), (jl, ik), (jk, il))]
+            for got, positions in zip(_bianchi_flat(n), want, strict=True):
+                assert got.tolist() == positions.tolist()
 
     def test_projection_is_orthogonal(self, rng):
         n = 5
@@ -146,7 +216,7 @@ class TestBianchi:
         # indexing, which equals ufunc.at only while no entry repeats
         rng = np.random.default_rng(0)
         for n in range(3, 21):
-            ij, kl, ik, jl, il, jk = _bianchi_indices(n)
+            ij, kl, ik, jl, il, jk = bianchi_ranks(n)
             N = wedge_count(n)
             flat = np.concatenate(
                 [a * N + b for a, b in ((ij, kl), (kl, ij), (ik, jl),
@@ -168,7 +238,7 @@ class TestBianchi:
 
 def pairings_by_fancy_index(mat, n):
     """<R, G_q> for every quadruple, read through 2-D fancy indices."""
-    ij, kl, ik, jl, il, jk = _bianchi_indices(n)
+    ij, kl, ik, jl, il, jk = bianchi_ranks(n)
     return 2.0 * (mat[ij, kl] - mat[ik, jl] + mat[il, jk])
 
 
@@ -508,7 +578,7 @@ class TestDecompose:
         d = decompose(sphere(5))
         assert abs(d.scal - 20) < 1e-12
         assert np.max(np.abs(d.ricci0)) < 1e-12
-        assert d.weyl_norm < 1e-12
+        assert d.weyl.norm() < 1e-12
         # at angle zero to the identity: cos = tr R / (||R|| sqrt N) = 1
         mat = sphere(5).mat
         assert abs(np.trace(mat) / (np.linalg.norm(mat) * np.sqrt(10)) - 1.0) < 1e-15
@@ -529,9 +599,9 @@ class TestDecompose:
         r = random_curvature(rng, 6)
         d = decompose(r)
         assert abs(
-            d.scalar_part_norm**2
-            + d.ricci_part_norm**2
-            + d.weyl_norm**2
+            np.linalg.norm(d.scalar_part) ** 2
+            + np.linalg.norm(d.ricci_part) ** 2
+            + d.weyl.norm() ** 2
             - np.linalg.norm(r) ** 2
         ) < 1e-9
 
@@ -546,7 +616,7 @@ class TestDecompose:
         d1 = decompose(rotate_operator(g, r))
         d0 = decompose(r)
         assert abs(d1.scal - d0.scal) < 1e-9
-        assert abs(d1.weyl_norm - d0.weyl_norm) < 1e-9
+        assert abs(d1.weyl.norm() - d0.weyl.norm()) < 1e-9
         assert np.max(np.abs(d1.ricci0 - g.T @ d0.ricci0 @ g)) < 1e-9
 
     @pytest.mark.parametrize("n", range(4, 21))

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from curvlab import curvature_core, potential_flow
 from curvlab.curvature_core import (
     _bianchi_flat,
-    _bianchi_indices,
     _ricci_gather,
     _sharp_gather,
     _sharp_mat,
@@ -316,8 +315,6 @@ class TestReadOnlyCaches:
     @pytest.mark.parametrize(
         "arrays",
         [
-            lambda: _bianchi_indices(6),
-            lambda: _bianchi_indices(3),
             lambda: _bianchi_flat(6),
             lambda: _bianchi_flat(3),
             lambda: _ricci_gather(5),
@@ -326,8 +323,7 @@ class TestReadOnlyCaches:
             lambda: _pair_table(5),
             lambda: _bracket_table(5),
         ],
-        ids=["bianchi-indices", "bianchi-indices-empty", "bianchi-flat",
-             "bianchi-flat-empty", "ricci-gather", "sharp-gather",
+        ids=["bianchi-flat", "bianchi-flat-empty", "ricci-gather", "sharp-gather",
              "weyl-basis", "pair-table", "bracket-table"],
     )
     def test_writes_raise(self, arrays):

@@ -252,6 +252,12 @@ class TestSp1Bases:
 
 
 class TestAdjointRotation:
+    def test_refuses_nan(self):
+        with pytest.raises(ArgumentError, match="not orthogonal"):
+            adjoint_rotation(np.full((4, 4), np.nan))
+        with pytest.raises(ArgumentError, match="antisymmetric"):
+            so_coords(np.full((4, 4), np.nan))
+
     def test_entry_formula(self, rng):
         g = random_orthogonal(rng, 5)
         out = adjoint_rotation(g)

@@ -60,7 +60,7 @@ class TestSphereProduct:
             n = k + l
             d = decompose(sphere_product(k, l))
             want = k * l / 2 * (k - 1) / (l - 1) * (n - 2) / (n - 1)
-            assert abs(d.weyl_norm**2 - want) < 1e-10
+            assert abs(d.weyl.norm() ** 2 - want) < 1e-10
 
     def test_vanishing_square_plus_sharp_combination(self):
         # R^2 + R# = (k-1) R for sphere products

@@ -52,6 +52,11 @@ class TestFlowStep:
         with pytest.raises(ArgumentError):
             flow_step(st, -1e-3)
 
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_rejects_a_step_that_is_not_finite(self, dt):
+        with pytest.raises(ArgumentError, match="finite and positive"):
+            flow_step(flow_state(w_cp2(5)), dt)
+
     def test_cp2_is_fixed(self):
         st = flow_state(w_cp2(5))
         assert np.max(np.abs(flow_step(st, 1e-3).w.mat - st.w.mat)) < 1e-12
@@ -59,7 +64,7 @@ class TestFlowStep:
     @pytest.mark.parametrize("k,l", [(2, 3), (4, 6)])
     def test_product_weyl_is_fixed(self, k, l):
         report = decompose(sphere_product(k, l))
-        w = report.weyl.mat / report.weyl_norm
+        w = report.weyl.mat / report.weyl.norm()
         assert fixed_point_residual(w) < 1e-12
         st = flow_state(w)
         assert np.max(np.abs(flow_step(st, 1e-3).w.mat - st.w.mat)) < 1e-12

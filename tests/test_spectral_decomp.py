@@ -58,7 +58,7 @@ def random_unit_weyl(rng, n):
 
 def unit_product_weyl(k, l):
     report = decompose(sphere_product(k, l))
-    return report.weyl.mat / report.weyl_norm
+    return report.weyl.mat / report.weyl.norm()
 
 
 # The Weyl basis as a dense stack, for the properties of the whole basis.
@@ -146,6 +146,14 @@ class TestWeylBasis:
             spectral_decomp, "_class_dims", lambda n: {**table(n), 4: 3}
         )
         with pytest.raises(RuntimeError, match="has dimension 2, not 3"):
+            weyl_basis.__wrapped__(6)
+
+    def test_nan_class_vectors_fail_the_residual_check(self, monkeypatch):
+        def nan_space(rows, expected, what):
+            return np.full((len(rows), expected, rows.shape[-1]), np.nan)
+
+        monkeypatch.setattr(spectral_decomp, "_null_space", nan_space)
+        with pytest.raises(RuntimeError, match="violates its constraints"):
             weyl_basis.__wrapped__(6)
 
     @pytest.mark.parametrize("n", DENSE_DIMS)
@@ -420,7 +428,7 @@ class TestEigenReport:
         m = np.diag([1.0, 1.0, 2.0])
         rep = eigen_report(m)
         assert rep.clusters == ((2.0, 1), (1.0, 2))
-        assert rep.size == 3
+        assert sum(m for _, m in rep.clusters) == 3
         _assert_matches_general_solver(rep, m)
         assert rep.multiplicity_of(1.0) == 2
         assert rep.multiplicity_of(3.0) == 0
@@ -483,7 +491,7 @@ class TestEigenReport:
         assert len({stack.shape[1:] for stack in h.stacks}) == len(h.stacks)
         assert sorted(shapes) == sorted(stack.shape for stack in h.stacks)
         assert len(shapes) == 6
-        assert rep.size == weyl_dim(12)
+        assert sum(m for _, m in rep.clusters) == weyl_dim(12)
 
     def test_rejects_one_asymmetric_block_among_its_shape(self):
         h = hessian_matrix(w_cp2(12))

@@ -1,12 +1,15 @@
 """Tests for the verification suite runner."""
 
 import json
+import math
 from collections.abc import Container
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from curvlab import suite
+from curvlab import curvature_core, suite
 from curvlab.cli import main
 from curvlab.errors import ArgumentError, UnsupportedDimensionError
 from curvlab.report import canonical_json
@@ -138,13 +141,72 @@ class TestHessianClusters:
         def merged(h):
             rep = report(h)
             (top, a), (_, b), *rest = rep.clusters
-            return SpectralReport(((top, a + b), *rest), rep.size)
+            return SpectralReport(((top, a + b), *rest))
 
         monkeypatch.setattr(suite, "eigen_report", merged)
         record = suite._check_hessian_clusters(10, None, 1e-8)
         assert record["status"] == "fail"
         assert record["detail"].startswith("multiplicities [27, 78, 483, 156, 24, 2] "
                                            "!= closed form")
+
+
+def checked(family, n):
+    """The fields one registry row's check returns at n, at its default
+    tolerance and with a generator seeded 0."""
+    _, _, tol, _, check = next(row for row in suite._REGISTRY if row[0] == family)
+    return check(n, np.random.default_rng(0), tol)
+
+
+class TestNaNResiduals:
+    """A NaN residual fails its record: the reduction keeps it, where a
+    Python max would drop every NaN after the first value."""
+
+    @staticmethod
+    def assert_nan_fails(fields):
+        assert fields["status"] == "fail"
+        assert math.isnan(fields["computed"])
+
+    def test_second_residual_of_a_draw(self, monkeypatch):
+        monkeypatch.setattr(suite, "bianchi_residual", lambda mat: math.nan)
+        self.assert_nan_fails(checked("bianchi-idempotence", 6))
+
+    def test_list_shaped_family(self, monkeypatch):
+        theta = suite.theta
+        monkeypatch.setattr(
+            suite, "theta", lambda k, l: math.nan if k == 3 else theta(k, l)
+        )
+        self.assert_nan_fails(checked("product-potential", 8))
+
+    def test_cluster_mean(self, monkeypatch):
+        report = suite.eigen_report
+
+        def planted(h):
+            rep = report(h)
+            clusters = list(rep.clusters)
+            clusters[2] = (math.nan, clusters[2][1])
+            return replace(rep, clusters=tuple(clusters))
+
+        monkeypatch.setattr(suite, "eigen_report", planted)
+        self.assert_nan_fails(suite._check_hessian_clusters(10, None, 1e-8))
+
+    def test_nan_bound_fails_the_separation(self, monkeypatch):
+        monkeypatch.setattr(suite, "neighborhood_potential_bound", lambda g: math.nan)
+        assert checked("neighborhood-bound", 11)["status"] == "fail"
+
+    def test_nan_in_the_sharp_kernel_passes_no_record(self, monkeypatch):
+        kernel = curvature_core._sharp_mat
+
+        def planted(rm, sm, n):
+            out = kernel(rm, sm, n).copy()
+            out[0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(curvature_core, "_sharp_mat", planted)
+        status = {r.name: r.status for r in run_suite(dims=[6]).records}
+        for family in ("bw-identity", "sharp-routes", "q-equivariance",
+                       "sharp-equivariance", "tri-symmetry", "product-potential",
+                       "flow-monotonicity"):
+            assert status[f"{family}[n=6]"] != "pass", family
 
 
 class TestCheckTable:
