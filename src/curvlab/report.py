@@ -4,7 +4,8 @@ of every Markdown and CSV table the commands print.
 A report is a flat list of check records, each tagged with the catalogue
 result it reproduces (or "plumbing" for pure software invariants).  The JSON
 rendering is canonical: keys sorted, two-space indent, no timestamps unless
-asked for, so identical seed and configuration produce byte-identical files.
+asked for, so identical seed and configuration produce byte-identical files;
+non-finite floats are written as the strings "nan", "inf" and "-inf".
 
 A table is Markdown (header, `| --- |` rule, one line per row) or RFC 4180
 CSV with CRLF line ends; floats are written with repr, so they read back.
@@ -15,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import asdict, dataclass
 
 from .errors import ArgumentError
@@ -84,9 +86,24 @@ class SuiteReport:
         return payload
 
 
+def _finite(value):
+    """value with every non-finite float, at any depth, as "nan", "inf" or "-inf"."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return value
+
+
 def canonical_json(payload: dict) -> str:
-    """Stable JSON: sorted keys, fixed indent, trailing newline."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Stable RFC 8259 JSON: sorted keys, fixed indent, trailing newline.
+
+    A NaN or infinite float is written as the string "nan", "inf" or "-inf",
+    since JSON has no token for it.
+    """
+    return json.dumps(_finite(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _cell(value) -> str:

@@ -11,14 +11,17 @@ Euclidean norm of x.  It is graded by the sign flips of the n coordinates:
 the entry R_ab,cd has the character bit(a)^bit(b)^bit(c)^bit(d), every
 constraint row lies in one character, and so the basis is one small null
 space per character class, of dimension N - n, n - 3 or 2 for 0, 2 or 4 set
-bits.  The classes of one constraint shape are solved as one stack, and
-the WeylBasis holds those stacks: three at n = 12 for 562 classes.  It is
-built for n in BASIS_DIMS (5..20).  hessian_matrix represents
-W -> Q(W0, W) on that basis as diagonal blocks: Q(W0, .) couples two
-classes only through the characters of W0's nonzero entries.  Each block
-is V G V^T in the coordinates of its own classes: G pairs the coordinate
-matrices, each of its entries a few entries of W0 read through the so(n)
-bracket table, and V holds the class vectors.
+bits.  The classes of one constraint shape are solved as one stack, in one
+batched SVD, or in one SVD of one matrix where every class of the stack
+carries it: the C(n, 4) quadruple classes all carry the Bianchi row
+(1, -1, 1).  The WeylBasis holds those stacks, each a C-contiguous array
+of its own: three at n = 12 for 562 classes.  It is built for n in
+BASIS_DIMS (5..20).  hessian_matrix represents W -> Q(W0, W) on that
+basis as diagonal blocks: Q(W0, .) couples two classes only through the
+characters of W0's nonzero entries.  Each block is V G V^T in the
+coordinates of its own classes: G pairs the coordinate matrices, each of
+its entries a few entries of W0 read through the so(n) bracket table, and
+V holds the class vectors.
 Q(W0, b), N x N basis matrices and eigenpairs of W0 are never formed, so the
 cost grows with the sum over blocks of their squared coordinate counts, not
 with the O(n^6) sharp kernel or with rank(W0).  The blocks come back as
@@ -94,8 +97,10 @@ def _null_space(rows: np.ndarray, expected: int, what) -> np.ndarray:
     matrices: the (c, expected, k) stack of them.
 
     One SVD for the whole stack; each rank counts singular values above
-    1e-10 times that matrix's largest.  Raises RuntimeError unless every null
-    space has dimension expected, naming item i of the stack what(i).
+    1e-10 times that matrix's largest.  The result is a C-contiguous copy,
+    so it holds no (c, k, k) right factor alive.  Raises RuntimeError unless
+    every null space has dimension expected, naming item i of the stack
+    what(i).
     """
     _, s, vt = np.linalg.svd(rows, full_matrices=True)
     dims = rows.shape[-1] - np.sum(s > 1e-10 * s[:, :1], axis=-1)
@@ -103,7 +108,7 @@ def _null_space(rows: np.ndarray, expected: int, what) -> np.ndarray:
     if wrong.size:
         i = int(wrong[0])
         raise RuntimeError(f"{what(i)} has dimension {dims[i]}, not {expected}")
-    return vt[:, rows.shape[-1] - expected:, :]
+    return vt[:, rows.shape[-1] - expected:, :].copy()
 
 
 def _rank(mat: np.ndarray, rtol: float) -> int:
@@ -178,9 +183,13 @@ def weyl_basis(n: int) -> WeylBasis:
     Each row lies in one character (bit(i)^bit(j)^bit(k)^bit(l) and
     bit(a)^bit(b)), so the constraint matrix is block-diagonal by
     character, and each class is the null space of its own rows.  The
-    classes of one constraint shape share one batched SVD, sign fix and
-    residual check.  Deterministic: each vector's sign makes its
-    largest-magnitude entry positive.
+    classes of one constraint shape (grouped by _group_rows) share one
+    batched SVD, sign fix and residual check; where they all carry the same
+    constraint matrix, as the C(n, 4) quadruple classes do, the SVD, sign
+    fix and check run on that one matrix and its vectors are repeated over
+    the classes.  Deterministic: each vector's sign makes its
+    largest-magnitude entry positive.  Every array is C-contiguous and owns
+    its memory.
     """
     if n not in BASIS_DIMS:
         raise UnsupportedDimensionError(f"weyl_basis supports {min(BASIS_DIMS)} "
@@ -223,9 +232,7 @@ def weyl_basis(n: int) -> WeylBasis:
     # the classes of one shape (rows, coordinates, Weyl dimension) form one
     # stack, in which a class sits at its slot; a constraint entry lands at
     # its row's and its coordinate's places within their class
-    shapes, shape = np.unique(
-        np.stack([nrow, ncoord, dims], axis=1), axis=0, return_inverse=True
-    )
+    shapes, shape = _group_rows(np.stack([nrow, ncoord, dims], axis=1))
     slot = _offsets(np.ones_like(shape), shape)
     row_at = _offsets(np.ones_like(row_class), row_class)
     coord_at = _offsets(np.ones_like(coord_class), coord_class)
@@ -236,6 +243,10 @@ def weyl_basis(n: int) -> WeylBasis:
         constraints = np.zeros((len(members), r, k))
         constraints[slot[entry_class[here]], row_at[entry_row[here]],
                     coord_at[entry_coord[here]]] = entry_val[here]
+        # classes that all carry one constraint matrix (every quadruple's is
+        # its Bianchi row (1, -1, 1)) share one solve, repeated below
+        if np.all(constraints == constraints[:1]):
+            constraints = constraints[:1]
         vectors = _null_space(constraints, dim,
                               lambda i: f"Weyl class {chars[members[i]]:#b} at n={n}")
         lead = np.take_along_axis(
@@ -247,6 +258,8 @@ def weyl_basis(n: int) -> WeylBasis:
         if not residual[worst] < BIANCHI_TOL:
             raise RuntimeError(f"Weyl class {chars[members[worst]]:#b} violates its "
                                f"constraints at n={n} (residual {residual[worst]:.3e})")
+        if len(vectors) < len(members):
+            vectors = np.repeat(vectors, len(members), axis=0)
         vectors.setflags(write=False)
         stacks.append(vectors)
     # each class's coordinates, ascending, class after class
@@ -280,6 +293,20 @@ def _block_keys(keys: np.ndarray, mat: np.ndarray, n: int) -> np.ndarray:
     return keys
 
 
+def _group_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(table, axis=0, return_inverse=True) for a nonempty 2-D table
+    of small nonnegative integers: its distinct rows, ascending, and each
+    row's place among them.
+
+    Each row is one integer key (np.ravel_multi_index, first column most
+    significant), so the rows sort as one 1-D array, in the same order.
+    """
+    bounds = tuple(table.max(axis=0) + 1)
+    keys, inverse = np.unique(np.ravel_multi_index(table.T, bounds), return_inverse=True)
+    rows = np.stack(np.unravel_index(keys, bounds), axis=1).astype(table.dtype)
+    return rows, inverse
+
+
 def _offsets(sizes: np.ndarray, group: np.ndarray) -> np.ndarray:
     """Start of each item within its group, when the items of a group lie
     one after another in index order, each taking its size."""
@@ -298,14 +325,21 @@ def _coordinate_pairing(mat, a, b, take, sign) -> np.ndarray:
 
     E_t's entries (a, b), (b, a) against E_t''s (c, d), (d, c) give four
     delta terms, d_bc W0[d, a], d_ad W0[c, b], d_bd W0[c, a] and
-    d_ac W0[d, b], and two bracket terms that each occur twice.  Each term is
+    d_ac W0[d, b], and two bracket terms that each occur twice,
+    - sign[b, c] sign[d, a] W0[take[b, c], take[d, a]] and
+    - sign[b, d] sign[c, a] W0[take[b, d], take[c, a]].  Each term is
     gathered only where its delta holds or both its signs are nonzero (the
-    bracket table has 2(n - 2) nonzeros per row), and the terms are added in
-    that order, so G holds the values of the sum of the dense terms.
+    bracket table has 2(n - 2) nonzeros per row), through flat indices
+    row * N + column into W0, sign and take, each formed once per term; the
+    terms are added in that order, so G holds, bit for bit, the values of
+    the sum of the dense terms.
     """
-    k = a.shape[1]
+    k, N = a.shape[1], len(mat)
     g = np.zeros((len(a), k, k))
     out = g.reshape(-1)
+    # every gather reads a flat N * N table at row * N + column
+    mat, take, sign = mat.ravel(), take.ravel(), sign.ravel()
+    bracket = sign != 0
 
     def pairs(mask):
         # the flat positions in g where mask holds, and there the positions
@@ -316,13 +350,13 @@ def _coordinate_pairing(mat, a, b, take, sign) -> np.ndarray:
 
     for x, y, u, w in ((b, a, b, a), (a, b, a, b), (b, b, a, a), (a, a, b, b)):
         at, t, s = pairs(x[:, :, None] == y[:, None, :])
-        out[at] += mat[u.ravel()[s], w.ravel()[t]]
-    bracket = sign != 0
+        out[at] += mat.take(u.ravel().take(s) * N + w.ravel().take(t))
     for x, y, u, w in ((b, a, b, a), (b, b, a, a)):
-        at, t, s = pairs(bracket[x[:, :, None], y[:, None, :]]
-                         & bracket[u[:, None, :], w[:, :, None]])
-        xy, uw = (x.ravel()[t], y.ravel()[s]), (u.ravel()[s], w.ravel()[t])
-        out[at] -= sign[xy] * sign[uw] * mat[take[xy], take[uw]]
+        at, t, s = pairs(bracket.take(x[:, :, None] * N + y[:, None, :])
+                         & bracket.take(u[:, None, :] * N + w[:, :, None]))
+        xy = x.ravel().take(t) * N + y.ravel().take(s)
+        uw = u.ravel().take(s) * N + w.ravel().take(t)
+        out[at] -= sign.take(xy) * sign.take(uw) * mat.take(take.take(xy) * N + take.take(uw))
     return g
 
 
@@ -380,38 +414,49 @@ def hessian_matrix(w0) -> HessianBlocks:
     # a block sits at its slot; in its block, a class's vectors start at row
     # vec_at and its coordinates at column coord_at
     sizes = [np.bincount(block, count).astype(np.intp) for count in (nvec, ncoord)]
-    shapes, shape = np.unique(np.stack(sizes, axis=1), axis=0, return_inverse=True)
+    shapes, shape = _group_rows(np.stack(sizes, axis=1))
     slot = _offsets(np.ones_like(shape), shape)
     vec_at, coord_at = _offsets(nvec, block), _offsets(ncoord, block)
+    # a stack of c blocks of shape (m, k) pairs a (c, k) array of their
+    # coordinates and holds their vectors in a (c, m, k) array; the
+    # coordinate arrays of all stacks lie one after another in one flat
+    # buffer, stack s from coord_start[s]
+    count = np.bincount(shape)
+    m, k = shapes.T
+    coord_end = np.cumsum(count * k)
+    coord_start = coord_end - count * k
     # every coordinate t = (rows[t], cols[t]) of every class, with its stack,
-    # slot and column
+    # slot and column, and its place in the coordinate buffer
     first = np.cumsum(ncoord) - ncoord
     cls = np.repeat(np.arange(len(ncoord)), ncoord)
     t_stack, t_slot = shape[block[cls]], slot[block[cls]]
     t_col = coord_at[cls] + np.arange(len(cls)) - first[cls]
+    t_at = coord_start[t_stack] + t_slot * k[t_stack] + t_col
     # every entry of every class vector, classes in stack-then-slot order as
-    # the stacks hold them; E_t holds (A, B) and (B, A), and a diagonal t
-    # (A, A) twice, so each is weighted by 1/sqrt(2), or 1/2 on the diagonal
+    # the basis stacks hold them, with its stack and its place in that
+    # stack's flat (c, m, k) array; E_t holds (A, B) and (B, A), and a
+    # diagonal t (A, A) twice, so each is weighted by 1/sqrt(2), or 1/2 on
+    # the diagonal
     by_stack = np.lexsort((basis.slot, basis.stack))
     size = (nvec * ncoord)[by_stack]
     owner = np.repeat(by_stack, size)
     at = np.arange(len(owner)) - np.repeat(np.cumsum(size) - size, size)
     e_row = vec_at[owner] + at // ncoord[owner]
     e_coord = first[owner] + at % ncoord[owner]
+    e_stack = t_stack[e_coord]
+    e_at = (t_slot[e_coord] * m[e_stack] + e_row) * k[e_stack] + t_col[e_coord]
     weight = np.where(rows == cols, 0.5, np.sqrt(0.5))
     values = np.concatenate([v.ravel() for v in basis.stacks]) * weight[e_coord]
+    a_all, b_all = np.empty_like(rows), np.empty_like(cols)
+    a_all[t_at], b_all[t_at] = rows, cols
     stacks = []
-    for s, (m, k) in enumerate(shapes.tolist()):
-        here = t_stack == s
-        a = np.zeros((np.count_nonzero(shape == s), k), dtype=np.intp)
-        b = np.zeros_like(a)
-        a[t_slot[here], t_col[here]] = rows[here]
-        b[t_slot[here], t_col[here]] = cols[here]
+    for s, (lo, hi) in enumerate(zip(coord_start, coord_end)):
+        a, b = a_all[lo:hi].reshape(-1, k[s]), b_all[lo:hi].reshape(-1, k[s])
         g = _coordinate_pairing(mat, a, b, take, sign)
-        v = np.zeros((len(a), m, k))
-        here = t_stack[e_coord] == s
-        t = e_coord[here]
-        v[t_slot[t], e_row[here], t_col[t]] = values[here]
+        v = np.zeros(count[s] * m[s] * k[s])
+        here = e_stack == s
+        v[e_at[here]] = values[here]
+        v = v.reshape(-1, m[s], k[s])
         # g and v go before the symmetrization, which then needs one copy of h
         h = v @ g
         del g

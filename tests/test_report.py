@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from curvlab.report import (
     render_table,
 )
 from curvlab.spectral_decomp import eigen_report
+from curvlab.suite import run_suite
 
 
 def _record(name="alpha", status="pass", computed=1e-12):
@@ -71,6 +73,29 @@ class TestJson:
         text = canonical_json(_report().to_json_dict())
         again = json.loads(text)
         assert canonical_json(again) == text
+
+    def test_non_finite_values_are_strings(self):
+        # a failing record with a NaN residual under an infinite tolerance
+        # renders JSON that a strict RFC 8259 parser reads
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        record = CheckRecord(
+            name="alpha", tag="plumbing", expected=-math.inf, computed=math.nan,
+            tolerance=math.inf, status="fail",
+        )
+        text = render_report(_report((record,)), "json")
+        (check,) = json.loads(text, parse_constant=refuse)["checks"]
+        assert (check["expected"], check["computed"], check["tolerance"]) == ("-inf", "nan", "inf")
+        assert canonical_json({"x": [np.float64("nan"), (1.5, -math.inf)]}) == (
+            '{\n  "x": [\n    "nan",\n    [\n      1.5,\n      "-inf"\n    ]\n  ]\n}\n'
+        )
+
+    def test_verify_seed_0_keeps_its_bytes(self):
+        # every value of verify --seed 0 is finite, so its JSON is byte for
+        # byte what plain json.dumps writes
+        payload = run_suite(seed=0).to_json_dict()
+        assert canonical_json(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def test_canonical_form(self):
         text = canonical_json({"b": 1.5, "a": [1, 2]})

@@ -34,6 +34,7 @@ from curvlab.model_spaces import random_weyl, sphere, sphere_product, theta, w_c
 from curvlab.spectral_decomp import (
     BASIS_DIMS,
     HessianBlocks,
+    _group_rows,
     _null_space,
     _orbit_commutators,
     decomposition_dims,
@@ -193,7 +194,8 @@ class TestWeylBasis:
 
     def test_one_svd_per_class_shape(self, monkeypatch):
         # n = 12 has three class shapes (rows, coordinates): 495 of (1, 3),
-        # 66 of (1, 10) and one of (12, 66)
+        # 66 of (1, 10) and one of (12, 66).  The 495 quadruple classes all
+        # carry the Bianchi row (1, -1, 1), so one SVD of it serves them
         shapes = []
         svd = np.linalg.svd
 
@@ -203,7 +205,20 @@ class TestWeylBasis:
 
         monkeypatch.setattr(np.linalg, "svd", recording)
         weyl_basis.__wrapped__(12)
-        assert sorted(shapes) == sorted([(495, 1, 3), (66, 1, 10), (1, 12, 66)])
+        assert sorted(shapes) == sorted([(1, 1, 3), (66, 1, 10), (1, 12, 66)])
+
+    @pytest.mark.parametrize("n", BASIS_DIMS)
+    def test_arrays_own_their_memory(self, n):
+        # every array is C-contiguous and, if a view at all, a view of no
+        # larger array: no class stack keeps its SVD's right factor alive
+        wb = weyl_basis(n)
+        names = ("characters", "rows", "cols", "ncoord", "stack", "slot")
+        for arr in (*(getattr(wb, name) for name in names), *wb.stacks):
+            assert arr.flags.c_contiguous
+            root = arr
+            while isinstance(root.base, np.ndarray):
+                root = root.base
+            assert root.nbytes == arr.nbytes
 
     def test_null_space_stack_matches_per_matrix(self, rng):
         # rank-3 matrices of 4 rows: the stack's bases are the last six right
@@ -355,7 +370,7 @@ class TestHessian:
         # (0.8 MiB with the pair-table and Bianchi index caches cold, 0.7 MiB
         # warm; one SVD per class peaked at 1.9 MiB), and, with the basis
         # cached, the Hessian at W_CP2 gathered in class coordinates
-        # (1.1 MiB with the bracket table cold, most of it the index arrays
+        # (1.3 MiB with the bracket table cold, most of it the index arrays
         # that place each class's vector entries in its block).  The dense
         # route peaked at 159 and 96 MiB, the sharp kernel on 16-vector
         # chunks at 10.8 MiB and the pairing through W_CP2's three
@@ -395,6 +410,42 @@ class TestHessian:
         assert stack.shape == (1, weyl_dim(10), weyl_dim(10))
         assert peak < 32 * 2**20
 
+    @pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+    def test_pairing_is_the_sum_of_its_terms(self, monkeypatch, n):
+        # every G that hessian_matrix pairs holds, bit for bit, the six
+        # terms of _coordinate_pairing's docstring added entry by entry in
+        # their order: at W_CP2, at a sphere product and at a random unit
+        # Weyl point, whose one block holds every coordinate
+        calls = []
+        pairing = spectral_decomp._coordinate_pairing
+
+        def recording(mat, a, b, take, sign):
+            g = pairing(mat, a, b, take, sign)
+            calls.append((mat, a, b, take, sign, g))
+            return g
+
+        monkeypatch.setattr(spectral_decomp, "_coordinate_pairing", recording)
+        rng = np.random.default_rng(n)
+        for w0 in (w_cp2(n), unit_product_weyl(3, n - 3), random_unit_weyl(rng, n)):
+            calls.clear()
+            hessian_matrix(w0)
+            assert calls
+            for mat, a, b, take, sign, g in calls:
+                # t = (A, B) runs along the rows of G, t' = (C, D) along its columns
+                A, B = a[:, :, None], b[:, :, None]
+                C, D = a[:, None, :], b[:, None, :]
+                want = np.zeros(g.shape)
+                want = want + (B == C) * mat[D, A]
+                want = want + (A == D) * mat[C, B]
+                want = want + (B == D) * mat[C, A]
+                want = want + (A == C) * mat[D, B]
+                want = want - sign[B, C] * sign[D, A] * mat[take[B, C], take[D, A]]
+                want = want - sign[B, D] * sign[C, A] * mat[take[B, D], take[C, A]]
+                assert g.tobytes() == want.tobytes()
+        # the random point couples every coordinate in one block
+        N = wedge_count(n)
+        assert [a.shape for _, a, *_ in calls] == [(1, N * (N + 1) // 2)]
+
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_trace_vanishes(self, rng, n):
         w = random_unit_weyl(rng, n)
@@ -421,6 +472,27 @@ def _assert_matches_general_solver(rep, m):
         assert np.max(np.abs(vals[lo:lo + mult] - mean)) < 1e-10
         lo += mult
     assert lo == len(vals)
+
+
+class TestGroupRows:
+    @pytest.mark.parametrize("shape", [(200, 3), (50, 2), (1, 4), (30, 1), (1, 1)])
+    def test_matches_unique_rows(self, shape):
+        # small nonnegative integers, with repeated rows wherever there is room
+        rng = np.random.default_rng(shape[0] * 10 + shape[1])
+        table = rng.integers(0, 4, size=shape)
+        rows, inverse = _group_rows(table)
+        want_rows, want_inverse = np.unique(table, axis=0, return_inverse=True)
+        assert rows.dtype == table.dtype
+        assert np.array_equal(rows, want_rows)
+        assert np.array_equal(inverse, want_inverse.ravel())
+        assert np.array_equal(rows[inverse], table)
+
+    def test_wide_columns(self):
+        # columns with very different ranges sort by the first, then the next
+        table = np.array([[3, 1000, 0], [0, 7, 9], [3, 2, 0], [0, 7, 9], [3, 1000, 0]])
+        rows, inverse = _group_rows(table)
+        assert rows.tolist() == [[0, 7, 9], [3, 2, 0], [3, 1000, 0]]
+        assert inverse.tolist() == [2, 0, 1, 0, 2]
 
 
 class TestEigenReport:
