@@ -86,7 +86,8 @@ class TestJson:
         )
         text = render_report(_report((record,)), "json")
         (check,) = json.loads(text, parse_constant=refuse)["checks"]
-        assert (check["expected"], check["computed"], check["tolerance"]) == ("-inf", "nan", "inf")
+        got = (check["expected"], check["computed"], check["tolerance"])
+        assert got == ("-inf", "nan", "inf")
         assert canonical_json({"x": [np.float64("nan"), (1.5, -math.inf)]}) == (
             '{\n  "x": [\n    "nan",\n    [\n      1.5,\n      "-inf"\n    ]\n  ]\n}\n'
         )
