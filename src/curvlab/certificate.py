@@ -5,26 +5,28 @@ stays below alpha0 = beta_n + epsilon forces, at points of near-maximal
 potential, an averaged derivative mass (lhs) that must exceed the potential
 gap on the right-hand side (rhs).  Every quantity is assembled from scratch:
 
-    lambda0 = balanced-product potential threshold for n,
+    lambda0 = theta_threshold(n), the balanced-product potential threshold,
     kappa0  = sqrt((7n-4)/(4(n-1)))  (norm ceiling at the critical angle),
     G       = derivative-mass lower bound at (lambda0, pi/4, phi0),
     C       = third-derivative ceiling (2 kappa0 - lambda0)^(5/2) C3(n),
     r       = 2G/C  (the radius where the integrand factor vanishes),
     lhs     = prefactor (G^2/13 - G C r/14 + C^2 r^2/60) r^2
             = 4 prefactor G^4 / (1365 C^2)  (the bracket is G^2/1365 at r),
-    rhs(e)  = 8 sqrt(2(n-1)/n) (cot(beta_n) - cot(beta_n + e)),
+    rhs(e)  = 8 s (cot(beta_n) - cot(beta_n + e))
+            = 8 s (1 + c^2) t / (1 + c t),
 
-with prefactor = 4 vol(S^(n-2)) Sn(n-2, pi/4) / vol(B_1^n).  The rewritten
-rhs form is exact at e = 0 because sqrt(2(n-1)/n) cot(beta_n) = sqrt(3/2)
-identically.  Quoted constants are catalogued for n = 11; the recomputed
-chain disagrees with some of them, and the certificate's job is to surface
-those gaps as flags plus an honest margin, never to hide them.
+with prefactor = 4 vol(S^(n-2)) Sn(n-2, pi/4) / vol(B_1^n), s = sqrt(2(n-1)/n),
+c = cot(beta_n) = sqrt(3n/(4n-4)), 1 + c^2 = (7n-4)/(4n-4) and t = tan(e).
+The second rhs form subtracts nothing, so float64 holds it, and its inverse
+in t gives the angle margin.  Quoted constants are catalogued for n = 11; the
+recomputed chain disagrees with some of them, and the certificate's job is to
+surface those gaps as flags plus an honest margin, never to hide them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ArgumentError
 from .model_spaces import theta_threshold
@@ -37,7 +39,6 @@ __all__ = [
     "QUOTED_CONSTANTS",
     "CERT_EPSILON",
     "GAMMA0",
-    "lambda0",
     "kappa0",
     "beta_angle",
     "ball_volume",
@@ -59,12 +60,6 @@ GAMMA0 = 1e-6
 
 _MODES = ("recomputed", "quoted")
 _MODE_ALIASES = {"paper-constants": "quoted"}
-_DPS = 60
-
-
-def lambda0(n: int) -> float:
-    """Einstein-constant floor entering the chain: the theta threshold."""
-    return theta_threshold(n)
 
 
 def kappa0(n: int) -> float:
@@ -74,11 +69,19 @@ def kappa0(n: int) -> float:
     return math.sqrt((7.0 * n - 4.0) / (4.0 * (n - 1.0)))
 
 
-def beta_angle(n: int, lib=math):
+def beta_angle(n: int) -> float:
     """Angle between the distinguished critical operator and the identity."""
     if n < 5:
         raise ArgumentError(f"need n >= 5, got {n}")
-    return lib.acos(lib.sqrt(3.0 * n / (7.0 * n - 4.0)))
+    return math.acos(math.sqrt(3.0 * n / (7.0 * n - 4.0)))
+
+
+def _cot_beta(n: int) -> tuple[float, float]:
+    """c = cot(beta_n) = sqrt(3n/(4n-4)) and the rhs slope 8 s (1 + c^2)."""
+    if n < 5:
+        raise ArgumentError(f"need n >= 5, got {n}")
+    c = math.sqrt(3.0 * n / (4.0 * n - 4.0))
+    return c, 8.0 * math.sqrt(2.0 * (n - 1) / n) * (1.0 + c * c)
 
 
 def ball_volume(n: int, lib=math):
@@ -98,21 +101,18 @@ def certificate_prefactor(n: int, lib=math):
     )
 
 
-def rhs_bound(n: int, eps: float, prefactor: float = 8.0) -> float:
-    """prefactor (sqrt(3/2) - sqrt(2(n-1)/n) cot(beta_n + eps)).
+def rhs_bound(n: int, eps: float) -> float:
+    """8 s (cot(beta_n) - cot(beta_n + eps)) = 8 s (1 + c^2) t / (1 + c t).
 
-    Evaluated in high precision through the cancellation-free rewriting
-    prefactor sqrt(2(n-1)/n) (cot(beta_n) - cot(beta_n + eps)), which is
-    exactly zero at eps = 0.
+    With s = sqrt(2(n-1)/n), c = cot(beta_n) and t = tan(eps), the second
+    form subtracts nothing, so float64 holds it to a few ulps at every eps
+    and it is exactly zero at eps = 0.
     """
     if eps < 0:
         raise ArgumentError(f"angle margin must be nonnegative, got {eps}")
-    import mpmath  # loaded on first use: only the certificate chain needs it
-
-    with mpmath.workdps(_DPS):
-        beta = beta_angle(n, lib=mpmath)
-        scale = mpmath.sqrt(mpmath.mpf(2) * (n - 1) / n)
-        return float(prefactor * scale * (mpmath.cot(beta) - mpmath.cot(beta + eps)))
+    c, slope = _cot_beta(n)
+    t = math.tan(eps)
+    return slope * t / (1.0 + c * t)
 
 
 def lhs_bound(n: int, G: float, C: float) -> float:
@@ -126,16 +126,16 @@ def lhs_bound(n: int, G: float, C: float) -> float:
 
 
 def alpha0_margin(n: int, lhs: float) -> float:
-    """Largest eps with rhs_bound(n, eps) <= lhs (prefactor 8), by exact inversion of cot."""
+    """Largest eps with rhs_bound(n, eps) <= lhs: atan(lhs / (8 s (1 + c^2) - c lhs)).
+
+    The exact inverse of rhs_bound's closed form while the margin is below
+    pi/2, that is for lhs < 8 s (1 + c^2) / c (21.7 at n = 11); the chain's
+    lhs stays below 1e-13.
+    """
     if lhs <= 0:
         return 0.0
-    import mpmath
-
-    with mpmath.workdps(_DPS):
-        beta = beta_angle(n, lib=mpmath)
-        scale = 8.0 * mpmath.sqrt(mpmath.mpf(2) * (n - 1) / n)
-        target = mpmath.cot(beta) - mpmath.mpf(lhs) / scale
-        return float(mpmath.atan(1 / target) - beta)
+    c, slope = _cot_beta(n)
+    return math.atan(lhs / (slope - c * lhs))
 
 
 @dataclass(frozen=True)
@@ -163,13 +163,12 @@ class Certificate:
     flags: tuple
 
     def __post_init__(self):
-        for name in (
-            "lambda0", "kappa0", "phi0", "alpha0", "beta", "G_recomputed",
-            "C_recomputed", "r", "prefactor", "lhs_bound", "rhs_bound",
-            "rhs_bound_no_prefactor", "alpha0_margin",
-        ):
-            if not math.isfinite(getattr(self, name)):
-                raise ArgumentError(f"certificate field {name} must be finite")
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.type == "float | None" and value is None:
+                continue
+            if field.type.startswith("float") and not math.isfinite(value):
+                raise ArgumentError(f"certificate field {field.name} must be finite")
 
 
 def alpha0_certificate(n: int, mode: str = "recomputed") -> Certificate:
@@ -187,7 +186,7 @@ def alpha0_certificate(n: int, mode: str = "recomputed") -> Certificate:
     if n not in CERTIFIED_DIMS:
         raise ArgumentError(f"certificate supports n in {set(CERTIFIED_DIMS)}, got {n}")
     flags = []
-    lam0 = lambda0(n)
+    lam0 = theta_threshold(n)
     kap0 = kappa0(n)
     beta = beta_angle(n)
     g_rec = float(g_lower_bound(lam0, math.pi / 4.0, GAMMA0, n))
@@ -207,7 +206,7 @@ def alpha0_certificate(n: int, mode: str = "recomputed") -> Certificate:
     pref = certificate_prefactor(n)
     lhs = lhs_bound(n, G, C)
     rhs = rhs_bound(n, CERT_EPSILON)
-    rhs_bare = rhs_bound(n, CERT_EPSILON, prefactor=1.0)
+    rhs_bare = rhs / 8.0  # exact: 8 is a power of two
     margin = alpha0_margin(n, lhs)
 
     if quoted:

@@ -349,8 +349,8 @@ def _sharp_gather(n: int):
     (0 where p = k or q = l), times sqrt(2) where p < q.  So
     mat.ravel()[take] * coef is the matrix Y[(p,q),(k,l)] = w_pq R_pkql with
     w_pq^2 = 2 for p < q and 1 for p = q.  read[:, ij, kl] holds the flat
-    positions of B_ikjl, B_jlik, B_iljk and B_jkil in the n^2 x n^2 product
-    B, for the wedge rows i<j and k<l.
+    positions of B_ikjl and B_iljk in the n^2 x n^2 product B, for the wedge
+    rows i<j and k<l.
     """
     N = wedge_count(n)
     rank, sgn = _pair_table(n)
@@ -360,12 +360,7 @@ def _sharp_gather(n: int):
     coef = (weight * sgn[p, :, None] * sgn[q, None, :]).reshape(len(p), -1)
     iu, ju = np.triu_indices(n, 1)
     i, j, k, l = iu[:, None], ju[:, None], iu[None, :], ju[None, :]
-    read = np.stack([
-        (i * n + k) * n * n + j * n + l,
-        (j * n + l) * n * n + i * n + k,
-        (i * n + l) * n * n + j * n + k,
-        (j * n + k) * n * n + i * n + l,
-    ])
+    read = np.stack([(i * n + k) * n * n + j * n + l, (i * n + l) * n * n + j * n + k])
     for arr in (take, coef, read):
         arr.setflags(write=False)
     return take, coef, read
@@ -380,23 +375,25 @@ def _sharp_mat(rm: np.ndarray, sm: np.ndarray, n: int) -> np.ndarray:
     R_qipj = R_pjqi, and that swap maps the read planes at (ij, kl) onto those
     at (kl, ij).  So the wedge entry (ij, kl) of R # S is the (ij, kl)
     symmetrization of 1/2 (B_ikjl + B_jlik - B_iljk - B_jkil), and the weight
-    w_pq^2 = 2 stands in for the rows p > q.  When sm is rm, B is symmetric,
-    so B_jlik = B_ikjl and B_jkil = B_iljk, and two of the four planes suffice.
+    w_pq^2 = 2 stands in for the rows p > q.  Plane B_jlik of B is plane
+    B_ikjl of B^T, and B_jkil is B_iljk of B^T, so the sum is the two planes
+    B_ikjl - B_iljk of B + B^T.  When sm is rm, B is symmetric and B + B^T
+    is 2B, so B itself is read at twice the weight.
     """
     take, coef, read = _sharp_gather(n)
     y = rm.reshape(-1)[take]
     y *= coef
     if sm is rm:
-        b = (y.T @ y).reshape(-1)
-        m = b[read[0]]
-        m -= b[read[2]]
-        m = m + m.T
-        m *= 0.5
-        return m
-    z = sm.reshape(-1)[take] * coef
-    b = (y.T @ z).reshape(-1)[read]
-    m = b[0] + b[1] - b[2] - b[3]
-    return 0.25 * (m + m.T)
+        b = y.T @ y
+    else:
+        b = y.T @ (sm.reshape(-1)[take] * coef)
+        b = b + b.T
+    b = b.reshape(-1)
+    m = b[read[0]]
+    m -= b[read[1]]
+    m = m + m.T
+    m *= 0.5 if sm is rm else 0.25
+    return m
 
 
 def _q_mat(rm: np.ndarray, sm: np.ndarray, n: int) -> np.ndarray:

@@ -211,8 +211,9 @@ def test_svd_only_in_its_two_helpers():
 
 
 def test_mpmath_imported_only_inside_functions():
-    # mpmath loads on first use by the certificate chain: importing it at
-    # module level would charge every command its 23-36 ms and 3.7 MiB
+    # mpmath loads on first use by verify's certificate-identity oracle:
+    # importing it at module level would charge every command its 23-43 ms
+    # and 3.7 MiB
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         pending = list(_parse(path).body)

@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 
 import mpmath
 import pytest
@@ -17,7 +17,6 @@ from curvlab.certificate import (
     beta_angle,
     certificate_prefactor,
     kappa0,
-    lambda0,
     lhs_bound,
     rhs_bound,
 )
@@ -26,13 +25,37 @@ from curvlab.model_spaces import theta_threshold
 from curvlab.shi_bounds import shi_constants
 from curvlab.symmetry_op import g_lower_bound
 
+# log-spaced angles and left-hand sides spanning every value the chain meets
+EPSILONS = [10.0 ** (k / 20.0) for k in range(-400, -59)]
+LHS_VALUES = [10.0 ** (k / 20.0) for k in range(-400, -259)]
+
+
+def oracle_rhs(n, eps):
+    """8 sqrt(2(n-1)/n) (cot(beta_n) - cot(beta_n + eps)), subtracted at 60 digits."""
+    with mpmath.workdps(60):
+        beta = mpmath.acos(mpmath.sqrt(mpmath.mpf(3 * n) / (7 * n - 4)))
+        scale = 8 * mpmath.sqrt(mpmath.mpf(2) * (n - 1) / n)
+        return float(scale * (mpmath.cot(beta) - mpmath.cot(beta + eps)))
+
+
+def oracle_margin(n, lhs):
+    """atan(1 / (cot(beta_n) - lhs / (8 sqrt(2(n-1)/n)))) - beta_n at 60 digits."""
+    with mpmath.workdps(60):
+        beta = mpmath.acos(mpmath.sqrt(mpmath.mpf(3 * n) / (7 * n - 4)))
+        scale = 8 * mpmath.sqrt(mpmath.mpf(2) * (n - 1) / n)
+        return float(mpmath.atan(1 / (mpmath.cot(beta) - mpmath.mpf(lhs) / scale)) - beta)
+
+
+def ulps(got, want):
+    return abs(got - want) / math.ulp(want)
+
 
 class TestIngredients:
     def test_lambda0_is_theta_threshold(self):
-        assert lambda0(11) == pytest.approx(math.sqrt(40.0 / 27.0), rel=1e-15)
-        assert lambda0(10) == pytest.approx(1.2, rel=1e-15)
-        for n in range(5, 13):
-            assert lambda0(n) == theta_threshold(n)
+        assert theta_threshold(11) == pytest.approx(math.sqrt(40.0 / 27.0), rel=1e-15)
+        assert theta_threshold(10) == pytest.approx(1.2, rel=1e-15)
+        for n in (10, 11):
+            assert alpha0_certificate(n).lambda0 == theta_threshold(n)
 
     def test_kappa0_values(self):
         assert kappa0(11) == pytest.approx(math.sqrt(73.0 / 40.0), rel=1e-15)
@@ -81,7 +104,7 @@ class TestRhsBound:
         assert rhs_bound(11, CERT_EPSILON) == pytest.approx(
             1.9981935523685548e-14, rel=1e-9
         )
-        bare = rhs_bound(11, CERT_EPSILON, prefactor=1.0)
+        bare = rhs_bound(11, CERT_EPSILON) / 8.0
         assert bare == pytest.approx(2.4977419404606935e-15, rel=1e-9)
         # the catalogued rhs value matches the prefactor-free evaluation
         assert abs(bare - 2.6e-15) <= 0.05 * 2.6e-15
@@ -99,6 +122,12 @@ class TestRhsBound:
     def test_rejects_negative(self):
         with pytest.raises(ArgumentError):
             rhs_bound(11, -1e-16)
+
+    @pytest.mark.parametrize("n", [10, 11])
+    def test_closed_form_matches_the_cot_difference(self, n):
+        # the subtraction-free form against the cancelling one at 60 digits
+        assert max(ulps(rhs_bound(n, e), oracle_rhs(n, e)) for e in EPSILONS) <= 4
+        assert rhs_bound(n, CERT_EPSILON) == oracle_rhs(n, CERT_EPSILON)
 
 
 class TestLhsBound:
@@ -124,9 +153,16 @@ class TestLhsBound:
 
 class TestMargin:
     def test_inverts_rhs(self):
-        for lhs in (1e-18, 1e-16, 1e-14):
+        # 15 lies past 8 sqrt(3/2), where atan(1/(cot(beta) - ...)) - beta
+        # would take the wrong branch
+        for lhs in (1e-18, 1e-16, 1e-14, 15.0):
             eps = alpha0_margin(11, lhs)
             assert rhs_bound(11, eps) == pytest.approx(lhs, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [10, 11])
+    def test_closed_form_matches_atan_minus_beta(self, n):
+        worst = max(ulps(alpha0_margin(n, x), oracle_margin(n, x)) for x in LHS_VALUES)
+        assert worst <= 4
 
     def test_nonpositive_lhs(self):
         assert alpha0_margin(11, 0.0) == 0.0
@@ -138,11 +174,12 @@ class TestCertificate:
         c = alpha0_certificate(11, "recomputed")
         assert c.mode == "recomputed"
         assert c.G_recomputed == pytest.approx(
-            g_lower_bound(lambda0(11), math.pi / 4.0, GAMMA0, 11), rel=1e-15
+            g_lower_bound(theta_threshold(11), math.pi / 4.0, GAMMA0, 11), rel=1e-15
         )
         assert c.G_recomputed == pytest.approx(0.25549732962239474, rel=1e-12)
         assert c.C_recomputed == pytest.approx(
-            (2.0 * kappa0(11) - lambda0(11)) ** 2.5 * shi_constants(11).C3, rel=1e-14
+            (2.0 * kappa0(11) - theta_threshold(11)) ** 2.5 * shi_constants(11).C3,
+            rel=1e-14,
         )
         assert c.C_recomputed == pytest.approx(1035845.4758890548, rel=1e-12)
         assert c.r == pytest.approx(2.0 * c.G_recomputed / c.C_recomputed, rel=1e-15)
@@ -181,6 +218,9 @@ class TestCertificate:
         b = alpha0_certificate(11, "quoted")
         assert a.rhs_bound == b.rhs_bound
         assert a.rhs_bound_no_prefactor == b.rhs_bound_no_prefactor
+        for n in (10, 11):
+            c = alpha0_certificate(n)
+            assert c.rhs_bound_no_prefactor * 8 == c.rhs_bound
 
     def test_alpha0_composition(self):
         c = alpha0_certificate(11)
@@ -200,3 +240,19 @@ class TestCertificate:
             alpha0_certificate(9)
         with pytest.raises(ArgumentError):
             alpha0_certificate(11, "exact")
+
+
+FLOAT_FIELDS = [f.name for f in fields(alpha0_certificate(11, "quoted"))
+                if f.type.startswith("float")]
+
+
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_non_finite_field_is_refused(name):
+    c = alpha0_certificate(11, "quoted")
+    with pytest.raises(ArgumentError, match=name):
+        replace(c, **{name: math.nan})
+
+
+def test_every_float_field_is_checked():
+    # the 19 fields less n, mode, verdict and flags
+    assert len(FLOAT_FIELDS) == 15

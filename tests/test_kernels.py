@@ -104,7 +104,8 @@ class TestSharpOracle:
 
     @pytest.mark.parametrize("n", range(3, 21))
     def test_self_read_matches_polarized_read(self, n, rng):
-        # sm is rm reads two planes of the symmetric B; a copy reads all four
+        # sm is rm reads two planes of the symmetric B at twice the weight; a
+        # copy reads the same two planes of the symmetrized B + B^T
         r = unit_symmetric(rng, n, True)
         assert gap(_sharp_mat(r, r, n), _sharp_mat(r, r.copy(), n)) < TOL
 
