@@ -22,14 +22,12 @@ Subpackage tour:
 - certificate: the end-to-end numerical certificate comparing the gradient
   term with the pinching defect.
 - report / suite / cli: machine-readable reports and the curvlab command.
+
+Every bad argument raises curvlab.ArgumentError, a ValueError; the curvlab
+command turns it into exit code 2.  Internal faults raise RuntimeError.
 """
 
-from .errors import (
-    ArgumentError,
-    DegenerateInputError,
-    PreconditionError,
-    UnsupportedDimensionError,
-)
+from .errors import ArgumentError
 
 __version__ = "0.1.0"
 
@@ -48,9 +46,6 @@ from . import (  # noqa: E402  (errors must exist before the submodules load)
 
 __all__ = [
     "ArgumentError",
-    "DegenerateInputError",
-    "PreconditionError",
-    "UnsupportedDimensionError",
     "__version__",
     "certificate",
     "curvature_core",

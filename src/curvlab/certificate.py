@@ -86,7 +86,7 @@ def _cot_beta(n: int) -> tuple[float, float]:
 
 def ball_volume(n: int, lib=math):
     """Volume of the unit n-ball: pi^(n/2) / Gamma(n/2 + 1)."""
-    if n < 0 or int(n) != n:
+    if not (0 <= n < math.inf and n % 1 == 0):
         raise ArgumentError(f"ball dimension must be a nonnegative integer, got {n}")
     return lib.pi ** (n / 2.0) / lib.gamma(n / 2.0 + 1.0)
 
@@ -108,8 +108,8 @@ def rhs_bound(n: int, eps: float) -> float:
     form subtracts nothing, so float64 holds it to a few ulps at every eps
     and it is exactly zero at eps = 0.
     """
-    if eps < 0:
-        raise ArgumentError(f"angle margin must be nonnegative, got {eps}")
+    if not 0 <= eps < math.inf:
+        raise ArgumentError(f"angle margin must be nonnegative and finite, got {eps}")
     c, slope = _cot_beta(n)
     t = math.tan(eps)
     return slope * t / (1.0 + c * t)
@@ -132,6 +132,8 @@ def alpha0_margin(n: int, lhs: float) -> float:
     pi/2, that is for lhs < 8 s (1 + c^2) / c (21.7 at n = 11); the chain's
     lhs stays below 1e-13.
     """
+    if not math.isfinite(lhs):
+        raise ArgumentError(f"lhs must be finite, got {lhs}")
     if lhs <= 0:
         return 0.0
     c, slope = _cot_beta(n)

@@ -1,11 +1,12 @@
 """The curvlab command: verify, certify, tables, flow.
 
-Exit codes: 0 success (flags allowed), 1 check failures, 2 usage errors,
-3 I/O errors.
+Exit codes: 0 success (flags allowed), 1 check failures, 2 usage errors
+(every ArgumentError among them), 3 I/O errors.
 """
 
 from __future__ import annotations
 
+import functools
 import sys
 from dataclasses import asdict
 
@@ -53,6 +54,17 @@ def _write_output(text: str, out) -> None:
         sys.exit(3)
 
 
+def _usage_errors(command):
+    """command, reporting an ArgumentError as a usage error (exit code 2)."""
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except ArgumentError as exc:
+            raise click.UsageError(str(exc))
+    return run
+
+
 @click.group()
 @click.version_option(version=__version__, prog_name="curvlab")
 def main():
@@ -76,18 +88,16 @@ def main():
     type=click.Choice(["json", "markdown", "csv"]),
 )
 @click.option("--include-runtime", is_flag=True, help="Add runtime to the JSON.")
+@_usage_errors
 def verify(dims, seed, tols, out, fmt, include_runtime):
     """Run the verification suite and emit its report."""
     if include_runtime and fmt != "json":
         raise click.UsageError("--include-runtime applies only to --format json")
-    try:
-        report = run_suite(
-            dims=dims or DEFAULT_DIMS,
-            seed=seed,
-            tolerances=_parse_tolerances(tols),
-        )
-    except ArgumentError as exc:
-        raise click.UsageError(str(exc))
+    report = run_suite(
+        dims=dims or DEFAULT_DIMS,
+        seed=seed,
+        tolerances=_parse_tolerances(tols),
+    )
     _write_output(render_report(report, fmt, include_runtime=include_runtime), out)
     counts = report.counts
     click.echo(
@@ -119,12 +129,10 @@ def _certificate_markdown(cert) -> str:
     "--format", "fmt", default="json", show_default=True,
     type=click.Choice(["json", "markdown"]),
 )
+@_usage_errors
 def certify(dim, mode, out, fmt):
     """Emit the full angle-margin certificate chain for one dimension."""
-    try:
-        cert = alpha0_certificate(dim, mode)
-    except ArgumentError as exc:
-        raise click.UsageError(str(exc))
+    cert = alpha0_certificate(dim, mode)
     if fmt == "json":
         text = canonical_json(asdict(cert))
     else:
@@ -163,6 +171,7 @@ def _shi_table(dims) -> tuple:
     type=click.Choice(["markdown", "csv"]),
 )
 @click.option("--out", type=click.Path(dir_okay=False))
+@_usage_errors
 def tables(which, dims, split, fmt, out):
     """Reproduce a catalogued table: derivative bounds, Hessian clusters,
     or decomposition dimensions."""
@@ -171,26 +180,23 @@ def tables(which, dims, split, fmt, out):
     if which != "shi" and len(dims) != 1:
         raise click.UsageError(f"{which} table needs exactly one --dim")
     title = ""
-    try:
-        if which == "shi":
-            columns, rows = _shi_table(dims)
-        elif which == "hessian":
-            rep = eigen_report(hessian_matrix(w_cp2(dims[0])))
-            # the zero cluster's mean is rounding noise of either sign; rounding
-            # keeps the table's bytes independent of the summation order
-            columns = ("mean", "multiplicity")
-            rows = [(round(mean, 12) + 0.0, mult) for mean, mult in rep.clusters]
-        else:
-            n = dims[0]
-            table = decomposition_dims(n, split if split is not None else n // 2)
-            columns, rows = ("block", "dimension"), table.blocks.items()
-            if fmt == "markdown":
-                title = (
-                    f"# Weyl blocks (n={n}, split {table.k}+{table.l}, "
-                    f"total {table.weyl_total})\n\n"
-                )
-    except ArgumentError as exc:
-        raise click.UsageError(str(exc))
+    if which == "shi":
+        columns, rows = _shi_table(dims)
+    elif which == "hessian":
+        rep = eigen_report(hessian_matrix(w_cp2(dims[0])))
+        # the zero cluster's mean is rounding noise of either sign; rounding
+        # keeps the table's bytes independent of the summation order
+        columns = ("mean", "multiplicity")
+        rows = [(round(mean, 12) + 0.0, mult) for mean, mult in rep.clusters]
+    else:
+        n = dims[0]
+        table = decomposition_dims(n, split if split is not None else n // 2)
+        columns, rows = ("block", "dimension"), table.blocks.items()
+        if fmt == "markdown":
+            title = (
+                f"# Weyl blocks (n={n}, split {table.k}+{table.l}, "
+                f"total {table.weyl_total})\n\n"
+            )
     _write_output(title + render_table(columns, rows, fmt), out)
 
 
@@ -211,17 +217,15 @@ def tables(which, dims, split, fmt, out):
     help="random unit Weyl operator, or the Weyl part of a sphere product.",
 )
 @click.option("--out", type=click.Path(dir_okay=False), help="Trajectory CSV.")
+@_usage_errors
 def flow(dim, steps, dt, seed, sample_every, start, out):
     """Run the projected potential flow and dump the sampled trajectory."""
-    try:
-        if start == "product":
-            w = decompose(sphere_product(dim // 2, dim - dim // 2)).weyl.mat
-            w = w / np.linalg.norm(w)
-        else:
-            w = random_weyl(np.random.default_rng(seed), dim)
-        state = flow_run(flow_state(w), steps=steps, dt=dt, sample_every=sample_every)
-    except ArgumentError as exc:
-        raise click.UsageError(str(exc))
+    if start == "product":
+        w = decompose(sphere_product(dim // 2, dim - dim // 2)).weyl.mat
+        w = w / np.linalg.norm(w)
+    else:
+        w = random_weyl(np.random.default_rng(seed), dim)
+    state = flow_run(flow_state(w), steps=steps, dt=dt, sample_every=sample_every)
     _write_output(render_table(("t", "P", "residual"), state.history, "csv"), out)
     click.echo(
         f"final: t={state.t:.4f} P={state.potential:.12f} "

@@ -38,12 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ArgumentError,
-    DegenerateInputError,
-    PreconditionError,
-    UnsupportedDimensionError,
-)
+from .errors import ArgumentError
 from .lie_basis import (
     _pair_table,
     dim_from_wedge_count,
@@ -91,9 +86,13 @@ class SymmetricOperator:
         return self._mat
 
     def __array__(self, dtype=None, copy=None):
-        if dtype is not None and dtype != self._mat.dtype:
-            return self._mat.astype(dtype)
-        return self._mat
+        # numpy 2 protocol: copy=True asks for a copy, copy=False forbids one,
+        # copy=None (np.asarray) copies only for a dtype change
+        if dtype is None or dtype == self._mat.dtype:
+            return self._mat.copy() if copy else self._mat
+        if copy is False:
+            raise ArgumentError(f"a {dtype} view of the operator needs a copy")
+        return self._mat.astype(dtype)
 
     def norm(self) -> float:
         return math.sqrt(_pairing(self._mat, self._mat))
@@ -131,6 +130,9 @@ def _symmetric(x, name: str, stack: bool = False) -> np.ndarray:
     mat = np.asarray(x, dtype=float)
     if mat.ndim != 2 + stack or mat.shape[-1] != mat.shape[-2]:
         raise ArgumentError(f"{name} must be a square matrix")
+    # refused before the subtraction, where inf - inf would warn
+    if not np.isfinite(mat).all():
+        raise ArgumentError(f"{name} must be symmetric with finite entries")
     # skew is exactly antisymmetric (b - a == -(a - b) in floating point), so
     # its largest entry is its largest magnitude.  ndarray.max skips np.max's
     # Python wrapper, which on these small matrices costs more than the
@@ -327,7 +329,7 @@ def decompose(r) -> DecompositionReport:
     """
     mat, n = _as_mat(r)
     if n < 4:
-        raise UnsupportedDimensionError(f"decomposition needs n >= 4, got {n}")
+        raise ArgumentError(f"decomposition needs n >= 4, got {n}")
     N = mat.shape[0]
     scal = 2.0 * float(np.trace(mat))
     ric0 = _ricci_mat(mat, n) - (scal / n) * np.eye(n)
@@ -451,7 +453,7 @@ def sharp_pure(r) -> CurvatureOperator:
     mat, n = _as_mat(r)
     off = mat - np.diag(np.diag(mat))
     if not np.max(np.abs(off), initial=0.0) < 1e-12:
-        raise PreconditionError("sharp_pure needs a diagonal operator matrix")
+        raise ArgumentError("sharp_pure needs a diagonal operator matrix")
     tilde = alternative(mat)
     sq = tilde @ tilde
     return CurvatureOperator(np.diag(sq[np.triu_indices(n, 1)]))
@@ -491,7 +493,7 @@ def potential_normalized(r) -> float:
     mat, _ = _as_mat(r)
     norm = np.linalg.norm(mat)
     if not norm > 1e-14:
-        raise DegenerateInputError("potential_normalized needs a nonzero operator")
+        raise ArgumentError("potential_normalized needs a nonzero operator")
     return potential(mat / norm)
 
 

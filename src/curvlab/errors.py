@@ -1,21 +1,11 @@
-"""Error taxonomy shared by every curvlab module.
+"""The one error class curvlab raises for a bad argument.
 
-All errors derive from ValueError so callers that only care about "bad input"
-can catch one type, while tests can pin the precise failure mode.
+Every public function that refuses its input raises ArgumentError, a
+ValueError, with a message naming the violated precondition; the curvlab
+command turns it into a usage error (exit code 2).  Internal faults, such as
+a basis of the wrong dimension, raise RuntimeError instead.
 """
 
 
 class ArgumentError(ValueError):
     """An argument violates a documented precondition."""
-
-
-class UnsupportedDimensionError(ArgumentError):
-    """The requested dimension is outside the supported range."""
-
-
-class PreconditionError(ArgumentError):
-    """Input data fails a structural precondition (e.g. not diagonal)."""
-
-
-class DegenerateInputError(ArgumentError):
-    """Input is too close to zero for the operation to be meaningful."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature_core import CurvatureOperator, bianchi_project, decompose
-from .errors import ArgumentError, UnsupportedDimensionError
+from .errors import ArgumentError
 from .lie_basis import adjoint_rotation, sp1_basis, wedge_count
 
 __all__ = [
@@ -41,7 +41,7 @@ LAMBDA_CRIT = math.sqrt(1.5)
 def sphere(n: int) -> CurvatureOperator:
     """Curvature operator of the round unit sphere: the identity."""
     if n < 3:
-        raise UnsupportedDimensionError(f"need n >= 3, got {n}")
+        raise ArgumentError(f"need n >= 3, got {n}")
     return CurvatureOperator(np.eye(wedge_count(n)))
 
 
@@ -84,7 +84,7 @@ def w_cp2(n: int) -> CurvatureOperator:
     generator x/sqrt(2); an eigenvector of Q with Q(W) = sqrt(3/2) W.
     """
     if n < 4:
-        raise UnsupportedDimensionError(f"need n >= 4, got {n}")
+        raise ArgumentError(f"need n >= 4, got {n}")
     sp = sp1_basis(n)
     proj = {x: 0.5 * np.outer(sp[x + "-"], sp[x + "-"]) for x in "ijk"}
     mat = (2.0 * proj["i"] - proj["j"] - proj["k"]) / math.sqrt(6.0)
@@ -118,7 +118,7 @@ def theta_threshold(n: int) -> float:
     Coincides with theta(ceil(n/2), floor(n/2)) for both parities.
     """
     if n < 4:
-        raise UnsupportedDimensionError(f"need n >= 4, got {n}")
+        raise ArgumentError(f"need n >= 4, got {n}")
     if n % 2 == 0:
         return math.sqrt(2.0 * (n - 1) * (n - 2)) / n
     return math.sqrt(2.0 * (n - 1) * (n - 3) / ((n + 1) * (n - 2)))
@@ -146,7 +146,7 @@ def intermediate_range(n: int) -> Interval:
     sphere-product threshold overtakes the CP^2 one.
     """
     if n < 5:
-        raise UnsupportedDimensionError(f"need n >= 5, got {n}")
+        raise ArgumentError(f"need n >= 5, got {n}")
     return Interval(theta_threshold(n), LAMBDA_CRIT)
 
 

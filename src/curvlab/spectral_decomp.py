@@ -53,7 +53,7 @@ from .curvature_core import (
     _symmetric,
     _unit_weyl,
 )
-from .errors import ArgumentError, UnsupportedDimensionError
+from .errors import ArgumentError
 from .lie_basis import (
     _bracket_table,
     _pair_table,
@@ -81,7 +81,7 @@ __all__ = [
 def weyl_dim(n: int) -> int:
     """Dimension of the Weyl space: (n-3)/2 * C(n+2, 3)."""
     if n < 3:
-        raise UnsupportedDimensionError(f"need n >= 3, got {n}")
+        raise ArgumentError(f"need n >= 3, got {n}")
     return (n - 3) * math.comb(n + 2, 3) // 2
 
 
@@ -192,8 +192,8 @@ def weyl_basis(n: int) -> WeylBasis:
     its memory.
     """
     if n not in BASIS_DIMS:
-        raise UnsupportedDimensionError(f"weyl_basis supports {min(BASIS_DIMS)} "
-                                        f"<= n <= {max(BASIS_DIMS)}, got {n}")
+        raise ArgumentError(f"weyl_basis supports {min(BASIS_DIMS)} "
+                            f"<= n <= {max(BASIS_DIMS)}, got {n}")
     N = wedge_count(n)
     take, sign = _ricci_gather(n)
     char = _pair_characters(n)

@@ -91,12 +91,14 @@ def g_lower_bound(
     variant for comparison.  The value goes negative for large phi; it is
     returned unclamped.
     """
-    if not lam > 0:
-        raise ArgumentError(f"lambda must be positive, got {lam}")
-    if phi < 0:
-        raise ArgumentError(f"phi must be nonnegative, got {phi}")
+    if not 0 < lam < math.inf:
+        raise ArgumentError(f"lambda must be positive and finite, got {lam}")
+    if not 0 <= phi < math.inf:
+        raise ArgumentError(f"phi must be nonnegative and finite, got {phi}")
     if not 0 < psi <= lib.pi / 4:
         raise ArgumentError(f"psi must lie in (0, pi/4], got {psi}")
+    if n < 5:
+        raise ArgumentError(f"the family needs n >= 5, got {n}")
     lam_bar = lam / (n - 1)
     cphi, sphi = lib.cos(phi), lib.sin(phi)
     cpsi, spsi = lib.cos(psi), lib.sin(psi)
@@ -111,7 +113,7 @@ def g_lower_bound(
 
 def sin_power_integral(m: int, psi, lib=math):
     """Integral of sin^m over [0, psi], by the exact reduction formula."""
-    if m < 0 or int(m) != m:
+    if not (0 <= m < math.inf and m % 1 == 0):
         raise ArgumentError(f"power must be a nonnegative integer, got {m}")
     if not 0 <= psi <= lib.pi:
         raise ArgumentError(f"psi must lie in [0, pi], got {psi}")
@@ -119,13 +121,13 @@ def sin_power_integral(m: int, psi, lib=math):
     prev, cur = psi, 1 - cos_psi  # S_0, S_1
     if m == 0:
         return prev
-    for k in range(2, m + 1):
+    for k in range(2, int(m) + 1):
         prev, cur = cur, ((k - 1) * prev - cos_psi * sin_psi ** (k - 1)) / k
     return cur
 
 
 def sphere_volume(m: int, lib=math):
     """Volume of the round unit m-sphere: 2 pi^((m+1)/2) / Gamma((m+1)/2)."""
-    if m < 0 or int(m) != m:
+    if not (0 <= m < math.inf and m % 1 == 0):
         raise ArgumentError(f"sphere dimension must be a nonnegative integer, got {m}")
     return 2 * lib.pi ** ((m + 1) / 2) / lib.gamma((m + 1) / 2)

@@ -1,8 +1,30 @@
+import sys
+
 import numpy as np
 import pytest
 
 from curvlab.lie_basis import adjoint_rotation, wedge_count
 from curvlab.spectral_decomp import weyl_basis
+
+
+#: mpmath's global precision when nothing has changed it
+MPMATH_DEFAULT_DPS = 15
+
+
+def _mpmath_dps() -> int:
+    """mpmath's global precision, read without importing mpmath."""
+    mpmath = sys.modules.get("mpmath")
+    return MPMATH_DEFAULT_DPS if mpmath is None else mpmath.mp.dps
+
+
+@pytest.fixture(autouse=True)
+def mpmath_precision_kept():
+    # a test that changes the global precision changes every later test's
+    # mpmath arithmetic; mpmath.workdps restores it
+    before = _mpmath_dps()
+    yield
+    after = _mpmath_dps()
+    assert after == before, f"the test left mpmath.mp.dps at {after}, not {before}"
 
 
 @pytest.fixture

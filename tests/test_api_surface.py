@@ -355,3 +355,31 @@ def test_registry_rows_hold_their_dims_as_data():
         node.lineno for node in ast.walk(registry) if isinstance(node, ast.Lambda)
     ]
     assert not lambdas, f"lambda in _REGISTRY at suite.py lines {lambdas}"
+
+
+def _exception_names(node):
+    """The dotted names an except clause or a raise statement names."""
+    if isinstance(node, ast.Tuple):
+        return [name for elt in node.elts for name in _exception_names(elt)]
+    if isinstance(node, ast.Call):
+        node = node.func
+    return [ast.unparse(node)] if node is not None else ["<re-raise>"]
+
+
+def test_one_error_class_with_one_handler():
+    # every bad argument raises ArgumentError and every internal fault
+    # RuntimeError; the command alone turns ArgumentError into a usage error,
+    # in one place
+    errors = _parse(PACKAGE / "errors.py")
+    classes = [node.name for node in ast.walk(errors) if isinstance(node, ast.ClassDef)]
+    assert classes == ["ArgumentError"]
+    raised, handlers = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Raise):
+                raised.update(_exception_names(node.exc))
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                if "ArgumentError" in _exception_names(node.type):
+                    handlers.append(f"{path.name}:{node.lineno}")
+    assert raised <= {"ArgumentError", "RuntimeError", "click.UsageError"}, raised
+    assert len(handlers) == 1 and handlers[0].startswith("cli.py:"), handlers

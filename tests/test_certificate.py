@@ -23,7 +23,7 @@ from curvlab.certificate import (
 from curvlab.errors import ArgumentError
 from curvlab.model_spaces import theta_threshold
 from curvlab.shi_bounds import shi_constants
-from curvlab.symmetry_op import g_lower_bound
+from curvlab.symmetry_op import g_lower_bound, sin_power_integral, sphere_volume
 
 # log-spaced angles and left-hand sides spanning every value the chain meets
 EPSILONS = [10.0 ** (k / 20.0) for k in range(-400, -59)]
@@ -256,3 +256,23 @@ def test_non_finite_field_is_refused(name):
 def test_every_float_field_is_checked():
     # the 19 fields less n, mode, verdict and flags
     assert len(FLOAT_FIELDS) == 15
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("call", [
+    lambda x: g_lower_bound(1.0, math.pi / 4, x, 11),
+    lambda x: g_lower_bound(x, math.pi / 4, 0.1, 11),
+    lambda x: rhs_bound(11, x),
+    lambda x: alpha0_margin(11, x),
+    lambda x: sphere_volume(x),
+    lambda x: ball_volume(x),
+    lambda x: sin_power_integral(x, 0.5),
+], ids=["g-phi", "g-lambda", "rhs", "margin", "sphere", "ball", "sin-power"])
+def test_non_finite_argument_is_refused(call, bad):
+    # each check is written so that NaN and +-inf fail it: `x < 0` lets NaN
+    # through, and int(x) raises OverflowError or a bare ValueError
+    with pytest.raises(ArgumentError, match="finite|integer"):
+        call(bad)

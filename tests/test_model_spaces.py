@@ -13,7 +13,7 @@ from curvlab.curvature_core import (
     sharp,
     wedge_product,
 )
-from curvlab.errors import ArgumentError, UnsupportedDimensionError
+from curvlab.errors import ArgumentError
 from curvlab.lie_basis import sp1_basis, wedge_count, wedge_pairs, wedge_vectors
 from curvlab.model_spaces import (
     LAMBDA_CRIT,
@@ -287,5 +287,5 @@ class TestIntermediateRange:
         assert not intermediate_range(5).empty
 
     def test_rejects_small_dimension(self):
-        with pytest.raises(UnsupportedDimensionError):
+        with pytest.raises(ArgumentError, match="need n >= 5, got 4"):
             intermediate_range(4)

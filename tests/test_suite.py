@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 from curvlab import curvature_core, suite
 from curvlab.cli import main
-from curvlab.errors import ArgumentError, UnsupportedDimensionError
+from curvlab.errors import ArgumentError
 from curvlab.report import canonical_json
 from curvlab.spectral_decomp import BASIS_DIMS, SpectralReport, weyl_basis
 from curvlab.suite import DEFAULT_TOLERANCES, run_suite
@@ -255,7 +255,7 @@ class TestCheckTable:
         rows = {row[0]: row[3] for row in suite._REGISTRY}
         assert rows["weyl-dimension"] is BASIS_DIMS
         assert set(rows["hessian-clusters"]) <= set(BASIS_DIMS)
-        with pytest.raises(UnsupportedDimensionError):
+        with pytest.raises(ArgumentError, match="weyl_basis supports .* got 21"):
             weyl_basis(21)
 
     def test_tags_that_differ_from_the_family(self):

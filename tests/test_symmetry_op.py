@@ -245,12 +245,12 @@ class TestGLowerBound:
         assert g_lower_bound(1.2, math.pi / 4, math.pi / 2, 11) < 0
 
     def test_mpmath_backend_agrees(self):
-        mpmath.mp.dps = 40
         a = g_lower_bound(math.sqrt(1.5), math.pi / 4, 0.01, 11)
-        b = g_lower_bound(
-            mpmath.sqrt(mpmath.mpf(3) / 2), mpmath.pi / 4, mpmath.mpf("0.01"), 11,
-            lib=mpmath,
-        )
+        with mpmath.workdps(40):
+            b = g_lower_bound(
+                mpmath.sqrt(mpmath.mpf(3) / 2), mpmath.pi / 4, mpmath.mpf("0.01"), 11,
+                lib=mpmath,
+            )
         assert abs(a - float(b)) < 1e-13
 
     def test_validation(self):
@@ -260,12 +260,16 @@ class TestGLowerBound:
             g_lower_bound(1.0, 1.0, 0.0, 11)  # psi beyond pi/4
         with pytest.raises(ArgumentError):
             g_lower_bound(1.0, math.pi / 4, -0.1, 11)
+        with pytest.raises(ArgumentError, match="n >= 5, got 1"):
+            g_lower_bound(1.0, math.pi / 4, 0.1, 1)
 
 
 class TestScalarHelpers:
     def test_sin_power_basics(self):
         assert abs(sin_power_integral(1, math.pi / 4) - (1 - math.sqrt(2) / 2)) < 1e-15
         assert sin_power_integral(0, 0.7) == 0.7
+        # an integral float power is accepted, as sphere_volume accepts one
+        assert sin_power_integral(3.0, 0.5) == sin_power_integral(3, 0.5)
 
     def test_nine_at_quarter_turn(self):
         got = sin_power_integral(9, math.pi / 4)
@@ -288,10 +292,10 @@ class TestScalarHelpers:
         assert abs(sphere_volume(0) - 2.0) < 1e-14
 
     def test_mpmath_backend(self):
-        mpmath.mp.dps = 30
-        a = sin_power_integral(9, mpmath.pi / 4, lib=mpmath)
+        with mpmath.workdps(30):
+            a = sin_power_integral(9, mpmath.pi / 4, lib=mpmath)
+            v = sphere_volume(9, lib=mpmath)
         assert abs(float(a) - sin_power_integral(9, math.pi / 4)) < 1e-15
-        v = sphere_volume(9, lib=mpmath)
         assert abs(float(v) - sphere_volume(9)) < 1e-12
 
     def test_validation(self):
