@@ -24,7 +24,9 @@ Subpackage tour:
 - report / suite / cli: machine-readable reports and the curvlab command.
 
 Every bad argument raises curvlab.ArgumentError, a ValueError; the curvlab
-command turns it into exit code 2.  Internal faults raise RuntimeError.
+command turns it into exit code 2.  Internal faults raise RuntimeError.  An
+integer argument (a dimension or a count) is any whole number at or above
+its least value, and 6.0 and numpy integers are read as ints.
 """
 
 from .errors import ArgumentError

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .errors import ArgumentError
+from .errors import ArgumentError, need_int
 from .model_spaces import theta_threshold
 from .shi_bounds import shi_constants
 from .symmetry_op import g_lower_bound, sin_power_integral, sphere_volume
@@ -64,31 +64,31 @@ _MODE_ALIASES = {"paper-constants": "quoted"}
 
 def kappa0(n: int) -> float:
     """Curvature-norm ceiling sqrt((7n-4)/(4(n-1))) at the critical angle."""
-    if n < 2:
-        raise ArgumentError(f"need n >= 2, got {n}")
+    n = need_int(n, 2)
     return math.sqrt((7.0 * n - 4.0) / (4.0 * (n - 1.0)))
 
 
 def beta_angle(n: int) -> float:
     """Angle between the distinguished critical operator and the identity."""
-    if n < 5:
-        raise ArgumentError(f"need n >= 5, got {n}")
+    n = need_int(n, 5)
     return math.acos(math.sqrt(3.0 * n / (7.0 * n - 4.0)))
 
 
 def _cot_beta(n: int) -> tuple[float, float]:
     """c = cot(beta_n) = sqrt(3n/(4n-4)) and the rhs slope 8 s (1 + c^2)."""
-    if n < 5:
-        raise ArgumentError(f"need n >= 5, got {n}")
+    n = need_int(n, 5)
     c = math.sqrt(3.0 * n / (4.0 * n - 4.0))
     return c, 8.0 * math.sqrt(2.0 * (n - 1) / n) * (1.0 + c * c)
 
 
 def ball_volume(n: int, lib=math):
     """Volume of the unit n-ball: pi^(n/2) / Gamma(n/2 + 1)."""
-    if not (0 <= n < math.inf and n % 1 == 0):
-        raise ArgumentError(f"ball dimension must be a nonnegative integer, got {n}")
-    return lib.pi ** (n / 2.0) / lib.gamma(n / 2.0 + 1.0)
+    n = need_int(n, 0)
+    try:
+        return lib.pi ** (n / 2.0) / lib.gamma(n / 2.0 + 1.0)
+    except OverflowError:
+        raise ArgumentError(f"ball volume at n = {n} needs Gamma beyond the "
+                            "float range; use lib=mpmath") from None
 
 
 def certificate_prefactor(n: int, lib=math):
@@ -122,6 +122,8 @@ def lhs_bound(n: int, G: float, C: float) -> float:
     is 4 prefactor G^4 / (1365 C^2).  The closed form avoids the float sum,
     which cancels 99.5% of its terms.
     """
+    if not (math.isfinite(G) and 0 < C < math.inf):
+        raise ArgumentError(f"need finite G and 0 < C < inf, got G={G}, C={C}")
     return 4.0 * certificate_prefactor(n) * G**4 / (1365.0 * C**2)
 
 
@@ -134,9 +136,9 @@ def alpha0_margin(n: int, lhs: float) -> float:
     """
     if not math.isfinite(lhs):
         raise ArgumentError(f"lhs must be finite, got {lhs}")
+    c, slope = _cot_beta(n)
     if lhs <= 0:
         return 0.0
-    c, slope = _cot_beta(n)
     return math.atan(lhs / (slope - c * lhs))
 
 
@@ -185,6 +187,7 @@ def alpha0_certificate(n: int, mode: str = "recomputed") -> Certificate:
     mode = _MODE_ALIASES.get(mode, mode)
     if mode not in _MODES:
         raise ArgumentError(f"unknown certificate mode {mode!r}")
+    n = need_int(n, 0)
     if n not in CERTIFIED_DIMS:
         raise ArgumentError(f"certificate supports n in {set(CERTIFIED_DIMS)}, got {n}")
     flags = []

@@ -500,5 +500,8 @@ def potential_normalized(r) -> float:
 def tri(r, s, t) -> float:
     """Trilinear form <Q(R,S), T>, fully symmetric in its three arguments."""
     tm, n = _as_mat(t, "third argument")
-    return _pairing(q_map(r, s).mat, tm)
+    q = q_map(r, s)
+    if q.dim != n:
+        raise ArgumentError("tri arguments live in different dimensions")
+    return _pairing(q.mat, tm)
 

@@ -32,7 +32,7 @@ import types
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, need_int
 
 __all__ = [
     "wedge_count",
@@ -52,12 +52,14 @@ __all__ = [
 
 def wedge_count(n: int) -> int:
     """Number of wedge basis elements N = n(n-1)/2."""
+    n = need_int(n, 2)
     return n * (n - 1) // 2
 
 
 @functools.lru_cache(maxsize=None)
 def dim_from_wedge_count(count: int) -> int:
     """Inverse of wedge_count; raises if count is not triangular."""
+    count = need_int(count, 1, "count")
     n = int(round((1 + np.sqrt(1 + 8 * count)) / 2))
     if wedge_count(n) != count:
         raise ArgumentError(f"{count} is not n(n-1)/2 for any integer n")
@@ -67,22 +69,22 @@ def dim_from_wedge_count(count: int) -> int:
 @functools.lru_cache(maxsize=None)
 def wedge_pairs(n: int) -> tuple[tuple[int, int], ...]:
     """All index pairs (i, j), 1-based, i < j, in lexicographic order."""
-    if n < 2:
-        raise ArgumentError(f"need n >= 2, got {n}")
+    n = need_int(n, 2)
     return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
 def wedge_rank(i: int, j: int, n: int) -> int:
     """0-based position of e_i ^ e_j in the lexicographic wedge basis."""
-    if not (1 <= i < j <= n):
+    i, j, n = need_int(i, 1, "i"), need_int(j, 2, "j"), need_int(n, 2)
+    if not i < j <= n:
         raise ArgumentError(f"need 1 <= i < j <= n, got (i, j, n) = ({i}, {j}, {n})")
     return (i - 1) * n - i * (i - 1) // 2 + (j - i) - 1
 
 
 def wedge_index(rank: int, n: int) -> tuple[int, int]:
     """Inverse of wedge_rank."""
-    pairs = wedge_pairs(n)
-    if not 0 <= rank < len(pairs):
+    pairs, rank = wedge_pairs(n), need_int(rank, 0, "rank")
+    if rank >= len(pairs):
         raise ArgumentError(f"rank {rank} out of range for n = {n}")
     return pairs[rank]
 
@@ -101,9 +103,8 @@ def wedge_vectors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def so_matrix(coords: np.ndarray, n: int | None = None) -> np.ndarray:
     """Antisymmetric n x n matrix of a bivector (e_i^e_j -> e_i e_j^T - e_j e_i^T)."""
     coords = np.asarray(coords, dtype=float)
-    if n is None:
-        n = dim_from_wedge_count(coords.shape[0])
-    elif coords.shape[0] != wedge_count(n):
+    n = dim_from_wedge_count(coords.shape[0]) if n is None else need_int(n, 2)
+    if coords.shape[0] != wedge_count(n):
         raise ArgumentError("coordinate length does not match dimension")
     mat = np.zeros((n, n))
     for r, (i, j) in enumerate(wedge_pairs(n)):
@@ -174,8 +175,7 @@ def structure_constants(n: int) -> np.ndarray:
     is the matrix of ad_{b_a}.  It is the bracket table spread into a dense
     array: tensor[take[x, y], y, x] = sign[x, y], and 0 everywhere else.
     """
-    if n < 3:
-        raise ArgumentError(f"need n >= 3, got {n}")
+    n = need_int(n, 3)
     take, sign = _bracket_table(n)
     x, y = np.nonzero(sign)
     tensor = np.zeros((wedge_count(n),) * 3)
@@ -196,9 +196,7 @@ def ad_matrix(v: np.ndarray) -> np.ndarray:
     if v.ndim != 1:
         raise ArgumentError("ad_matrix expects one bivector")
     N = v.shape[0]
-    n = dim_from_wedge_count(N)
-    if n < 3:
-        raise ArgumentError(f"need n >= 3, got {n}")
+    n = need_int(dim_from_wedge_count(N), 3)
     take, sign = _bracket_table(n)
     out = v[take]
     out *= sign
@@ -216,8 +214,7 @@ def sp1_basis(n: int) -> types.MappingProxyType:
     x/sqrt(2) are orthonormal.  The cached mapping and its vectors are
     read-only.
     """
-    if n < 4:
-        raise ArgumentError(f"sp(1) bases need n >= 4, got {n}")
+    n = need_int(n, 4)
     # each generator is e_i ^ e_j + e_p ^ e_q; the order of each pair carries its sign
     terms = {
         "i+": ((1, 2), (3, 4)),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature_core import CurvatureOperator, bianchi_project, decompose
-from .errors import ArgumentError
+from .errors import ArgumentError, need_int
 from .lie_basis import adjoint_rotation, sp1_basis, wedge_count
 
 __all__ = [
@@ -40,9 +40,7 @@ LAMBDA_CRIT = math.sqrt(1.5)
 
 def sphere(n: int) -> CurvatureOperator:
     """Curvature operator of the round unit sphere: the identity."""
-    if n < 3:
-        raise ArgumentError(f"need n >= 3, got {n}")
-    return CurvatureOperator(np.eye(wedge_count(n)))
+    return CurvatureOperator(np.eye(wedge_count(need_int(n, 3))))
 
 
 def sphere_product(k: int, l: int) -> CurvatureOperator:
@@ -52,6 +50,7 @@ def sphere_product(k: int, l: int) -> CurvatureOperator:
     diagonal in the wedge basis, 1 on the pairs inside R^k, (k-1)/(l-1) on
     those inside R^l, 0 on the mixed pairs.  Einstein with constant k-1.
     """
+    k, l = need_int(k, 0, "k"), need_int(l, 0, "l")
     if k < 2 or l < 2:
         raise ArgumentError(f"both factors need dimension >= 2, got ({k}, {l})")
     i, j = np.triu_indices(k + l, 1)
@@ -67,8 +66,7 @@ def cpn(n_half: int) -> CurvatureOperator:
     Id + Lambda^2 J + 2 omega omega^T, with omega = sum_k e_k ^ J e_k the
     Kaehler form.
     """
-    if n_half < 1:
-        raise ArgumentError(f"complex dimension must be >= 1, got {n_half}")
+    n_half = need_int(n_half, 1, "n_half")
     n = 2 * n_half
     j = np.kron([[0.0, -1.0], [1.0, 0.0]], np.eye(n_half))
     iu, ju = np.triu_indices(n, 1)
@@ -83,9 +81,7 @@ def w_cp2(n: int) -> CurvatureOperator:
     W = (2 P_i - P_j - P_k)/sqrt(6) where P_x projects onto the unit sp(1)-
     generator x/sqrt(2); an eigenvector of Q with Q(W) = sqrt(3/2) W.
     """
-    if n < 4:
-        raise ArgumentError(f"need n >= 4, got {n}")
-    sp = sp1_basis(n)
+    sp = sp1_basis(need_int(n, 4))
     proj = {x: 0.5 * np.outer(sp[x + "-"], sp[x + "-"]) for x in "ijk"}
     mat = (2.0 * proj["i"] - proj["j"] - proj["k"]) / math.sqrt(6.0)
     return CurvatureOperator(mat)
@@ -93,8 +89,8 @@ def w_cp2(n: int) -> CurvatureOperator:
 
 def r_lambda(lam: float, n: int, phi: float = 0.0) -> CurvatureOperator:
     """Einstein operator lambda/(n-1) Id + cos(phi) W_CP2."""
-    if not lam > 0:
-        raise ArgumentError(f"lambda must be positive, got {lam}")
+    if not 0 < lam < math.inf:
+        raise ArgumentError(f"lambda must be positive and finite, got {lam}")
     if not 0 <= phi <= math.pi / 2:
         raise ArgumentError(f"phi must lie in [0, pi/2], got {phi}")
     base = w_cp2(n)
@@ -105,23 +101,20 @@ def r_lambda(lam: float, n: int, phi: float = 0.0) -> CurvatureOperator:
 def theta(k: int, l: int) -> float:
     """Normalized potential of the Weyl part of a sphere product:
     sqrt(2 (k-1)/k * (l-1)/l * (n-1)/(n-2)) with n = k + l."""
-    if k < 2 or l < 2:
-        raise ArgumentError(f"both factors need dimension >= 2, got ({k}, {l})")
+    k, l = need_int(k, 2, "k"), need_int(l, 2, "l")
     n = k + l
     return math.sqrt(2.0 * (k - 1) / k * (l - 1) / l * (n - 1) / (n - 2))
 
 
 def theta_threshold(n: int) -> float:
-    """theta for the balanced sphere product in dimension n.
+    """theta for the balanced sphere product in dimension n:
+    theta(ceil(n/2), floor(n/2)).
 
-    Even n: sqrt(2(n-1)(n-2))/n; odd n: sqrt(2 (n-1)(n-3)/((n+1)(n-2))).
-    Coincides with theta(ceil(n/2), floor(n/2)) for both parities.
+    In closed form sqrt(2(n-1)(n-2))/n for even n and
+    sqrt(2 (n-1)(n-3)/((n+1)(n-2))) for odd n.
     """
-    if n < 4:
-        raise ArgumentError(f"need n >= 4, got {n}")
-    if n % 2 == 0:
-        return math.sqrt(2.0 * (n - 1) * (n - 2)) / n
-    return math.sqrt(2.0 * (n - 1) * (n - 3) / ((n + 1) * (n - 2)))
+    n = need_int(n, 4)
+    return theta((n + 1) // 2, n // 2)
 
 
 @dataclass(frozen=True)
@@ -145,9 +138,7 @@ def intermediate_range(n: int) -> Interval:
     [theta_threshold(n), sqrt(3/2)]; empty from n = 12 on, where the
     sphere-product threshold overtakes the CP^2 one.
     """
-    if n < 5:
-        raise ArgumentError(f"need n >= 5, got {n}")
-    return Interval(theta_threshold(n), LAMBDA_CRIT)
+    return Interval(theta_threshold(need_int(n, 5)), LAMBDA_CRIT)
 
 
 # --- seeded random operators --------------------------------------------------

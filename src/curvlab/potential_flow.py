@@ -24,7 +24,7 @@ from .curvature_core import (
     _unit_weyl,
     q_map,
 )
-from .errors import ArgumentError
+from .errors import ArgumentError, need_int
 
 __all__ = [
     "FlowState",
@@ -127,10 +127,8 @@ def flow_run(
     When sample_every > 0, rows (t, P, ||Q(W) - P W||) are appended to the
     state history at that stride (and at the final step).
     """
-    if steps < 0:
-        raise ArgumentError("steps must be non-negative")
-    if sample_every < 0:
-        raise ArgumentError(f"sample_every must be non-negative, got {sample_every}")
+    steps = need_int(steps, 0, "steps")
+    sample_every = need_int(sample_every, 0, "sample_every")
     history = list(state.history)
     for i in range(steps):
         step = dt

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ArgumentError
+from .errors import ArgumentError, need_int
 
 __all__ = [
     "ShiConstants",
@@ -51,12 +51,12 @@ CATALOGUED_TABLE = {
 
 def alpha_coeff(n: int) -> float:
     """First auxiliary coefficient 12.5 + 2 sqrt(n)."""
-    return 12.5 + 2.0 * math.sqrt(n)
+    return 12.5 + 2.0 * math.sqrt(need_int(n, 2))
 
 
 def beta_coeff(n: int) -> float:
     """Second auxiliary coefficient 35 + 4 sqrt(n)."""
-    return 35.0 + 4.0 * math.sqrt(n)
+    return 35.0 + 4.0 * math.sqrt(need_int(n, 2))
 
 
 def _a1_squared(n: int) -> float:
@@ -129,8 +129,7 @@ class ShiConstants:
 
 def shi_constants(n: int) -> ShiConstants:
     """All six constants for dimension n >= 2; everything positive."""
-    if n < 2:
-        raise ArgumentError(f"need n >= 2, got {n}")
+    n = need_int(n, 2)
     return ShiConstants(
         n=n,
         A1=math.sqrt(_a1_squared(n)),
@@ -160,10 +159,11 @@ def statement_vs_proof(n: int) -> dict:
 
 def derivative_bound(n: int, K: float, lam: float, order: int) -> float:
     """(2K - lambda)^(1 + order/2) C_order(n) for order in {1, 2, 3}."""
+    order = need_int(order, 1, "order")
     if order not in (1, 2, 3):
         raise ArgumentError(f"derivative order must be 1, 2 or 3, got {order}")
-    if not 0.0 < lam <= K:
-        raise ArgumentError(f"need 0 < lambda <= K, got lambda={lam}, K={K}")
+    if not 0.0 < lam <= K < math.inf:
+        raise ArgumentError(f"need 0 < lambda <= K < inf, got lambda={lam}, K={K}")
     c = shi_constants(n)
     value = (c.C1, c.C2, c.C3)[order - 1]
     return (2.0 * K - lam) ** (1.0 + order / 2.0) * value
@@ -174,7 +174,7 @@ def table_rows(dims=()) -> list:
     rows = []
     for n in dims or CATALOGUED_TABLE:
         c = shi_constants(n)
-        row = {"n": n, "C1": c.C1, "C2": c.C2, "C3": c.C3}
+        row = {"n": c.n, "C1": c.C1, "C2": c.C2, "C3": c.C3}
         if n in CATALOGUED_TABLE:
             row["C1_table"], row["C2_table"], row["C3_table"] = CATALOGUED_TABLE[n]
         rows.append(row)

@@ -53,7 +53,7 @@ from .curvature_core import (
     _symmetric,
     _unit_weyl,
 )
-from .errors import ArgumentError
+from .errors import ArgumentError, need_int
 from .lie_basis import (
     _bracket_table,
     _pair_table,
@@ -80,15 +80,13 @@ __all__ = [
 
 def weyl_dim(n: int) -> int:
     """Dimension of the Weyl space: (n-3)/2 * C(n+2, 3)."""
-    if n < 3:
-        raise ArgumentError(f"need n >= 3, got {n}")
+    n = need_int(n, 3)
     return (n - 3) * math.comb(n + 2, 3) // 2
 
 
 def x_dim(k: int) -> int:
     """Dimension of X_k: k C(k,2) - C(k,3) - k = k(k-2)(k+2)/3."""
-    if k < 3:
-        raise ArgumentError(f"need k >= 3, got {k}")
+    k = need_int(k, 3, "k")
     return k * (k - 2) * (k + 2) // 3
 
 
@@ -191,6 +189,7 @@ def weyl_basis(n: int) -> WeylBasis:
     largest-magnitude entry positive.  Every array is C-contiguous and owns
     its memory.
     """
+    n = need_int(n, 0)
     if n not in BASIS_DIMS:
         raise ArgumentError(f"weyl_basis supports {min(BASIS_DIMS)} "
                             f"<= n <= {max(BASIS_DIMS)}, got {n}")
@@ -543,8 +542,7 @@ def triple_wedge_matrix(k: int) -> np.ndarray:
 
     Domain coordinates are (pair rank, vector index), column = rank * k + m.
     """
-    if k < 3:
-        raise ArgumentError(f"need k >= 3, got {k}")
+    k = need_int(k, 3, "k")
     rank, _ = _pair_table(k)
     # row t is the e_a^e_b^e_c coefficient, for the t-th triple a < b < c:
     # e_a^e_b (x) e_c and e_b^e_c (x) e_a map to +1 times it, e_a^e_c (x) e_b to -1
@@ -622,6 +620,7 @@ def decomposition_dims(n: int, k: int) -> DimensionTable:
     Pin(2)-invariant pieces) is returned as well.  X-space dimensions are
     verified against the kernel rank of the triple wedge map.
     """
+    n, k = need_int(n, 0), need_int(k, 0, "k")
     l = n - k
     if not (3 <= k <= n - 3):
         raise ArgumentError(f"need 3 <= k <= n-3, got k={k}, n={n}")

@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import zlib
 from time import perf_counter
 
@@ -46,7 +47,7 @@ from .curvature_core import (
     sharp_pure,
     tri,
 )
-from .errors import ArgumentError
+from .errors import ArgumentError, need_int
 from .lie_basis import _pair_table, adjoint_rotation, wedge_count
 from .model_spaces import cpn, sphere_product, theta, theta_threshold
 from .potential_flow import flow_run, flow_state, neighborhood_potential_bound
@@ -368,7 +369,7 @@ def run_suite(
     seeded from its name, and records are sorted by name.  tolerances
     overrides entries of DEFAULT_TOLERANCES by family name.
     """
-    dims = tuple(int(n) for n in dims)
+    dims = tuple(need_int(n, 0) for n in dims)
     for n in dims:
         if n not in _ACCEPTED:
             raise ArgumentError(f"dimension {n} outside supported range "
@@ -376,10 +377,13 @@ def run_suite(
     if len(set(dims)) != len(dims):
         raise ArgumentError("duplicate dimensions in the request")
     tolerances = tolerances or {}
-    for key in tolerances:
+    for key, value in tolerances.items():
         if key not in DEFAULT_TOLERANCES:
             known = ", ".join(sorted(DEFAULT_TOLERANCES))
             raise ArgumentError(f"unknown tolerance {key!r}; known: {known}")
+        if not (isinstance(value, numbers.Real) and value >= 0):
+            raise ArgumentError(f"tolerance {key!r} must be a number >= 0, "
+                                f"got {value!r}")
 
     start = perf_counter()
     records = [

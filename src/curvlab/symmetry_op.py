@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .curvature_core import CurvatureOperator, _as_mat
-from .errors import ArgumentError
+from .errors import ArgumentError, need_int
 from .lie_basis import ad_matrix, wedge_count
 
 __all__ = [
@@ -54,14 +54,13 @@ def d2_family_norm(lam: float, n: int, phi: float, pair) -> float:
     coordinates, sqrt(2) cos(phi) |cos(phi)/2 - 3 lam_bar/sqrt(6)| on the
     remaining so(4) pairs, and cos(phi) lam_bar on the mixed pairs.
     """
-    if not lam > 0:
-        raise ArgumentError(f"lambda must be positive, got {lam}")
+    if not 0 < lam < math.inf:
+        raise ArgumentError(f"lambda must be positive and finite, got {lam}")
     if not 0 <= phi < math.pi / 2:
         raise ArgumentError(f"phi must lie in [0, pi/2), got {phi}")
-    if n < 5:
-        raise ArgumentError(f"the family needs n >= 5, got {n}")
-    i, j = map(int, pair)
-    if not 1 <= i < j <= n:
+    n = need_int(n, 5)
+    i, j = (need_int(index, 1, "pair index") for index in pair)
+    if not i < j <= n:
         raise ArgumentError(f"invalid index pair ({i}, {j})")
     lam_bar = lam / (n - 1)
     if j <= 4:
@@ -75,9 +74,7 @@ def d2_family_norm(lam: float, n: int, phi: float, pair) -> float:
     return 0.0
 
 
-def g_lower_bound(
-    lam, psi, phi, n: int, lib=math, norm_term_squared: bool = False
-):
+def g_lower_bound(lam, psi, phi, n: int, lib=math):
     """Scalar lower bound G(lambda, psi, phi) for the symmetry derivative mass.
 
     Evaluates, with lam_bar = lambda/(n-1),
@@ -87,9 +84,8 @@ def g_lower_bound(
         - 1/2 sin(phi) (sqrt(lambda n/(2(n-1)) + cos^2(phi)) + sin(phi))
 
     exactly as displayed; the subtracted term's "lambda n" is suspected to be
-    a misprint for "lambda^2 n", and norm_term_squared=True evaluates that
-    variant for comparison.  The value goes negative for large phi; it is
-    returned unclamped.
+    a misprint for "lambda^2 n".  The value goes negative for large phi; it
+    is returned unclamped.
     """
     if not 0 < lam < math.inf:
         raise ArgumentError(f"lambda must be positive and finite, got {lam}")
@@ -97,8 +93,7 @@ def g_lower_bound(
         raise ArgumentError(f"phi must be nonnegative and finite, got {phi}")
     if not 0 < psi <= lib.pi / 4:
         raise ArgumentError(f"psi must lie in (0, pi/4], got {psi}")
-    if n < 5:
-        raise ArgumentError(f"the family needs n >= 5, got {n}")
+    n = need_int(n, 5)
     lam_bar = lam / (n - 1)
     cphi, sphi = lib.cos(phi), lib.sin(phi)
     cpsi, spsi = lib.cos(psi), lib.sin(psi)
@@ -106,28 +101,29 @@ def g_lower_bound(
         2 * cpsi**4 * cphi**2 * (cphi / 2 - 3 * lam_bar / lib.sqrt(6)) ** 2
         + cpsi**2 * spsi**2 * cphi**2 * lam_bar**2
     )
-    norm_term = lam**2 * n if norm_term_squared else lam * n
-    loss = sphi / 2 * (lib.sqrt(norm_term / (2 * (n - 1)) + cphi**2) + sphi)
+    loss = sphi / 2 * (lib.sqrt(lam * n / (2 * (n - 1)) + cphi**2) + sphi)
     return gain - loss
 
 
 def sin_power_integral(m: int, psi, lib=math):
     """Integral of sin^m over [0, psi], by the exact reduction formula."""
-    if not (0 <= m < math.inf and m % 1 == 0):
-        raise ArgumentError(f"power must be a nonnegative integer, got {m}")
+    m = need_int(m, 0, "m")
     if not 0 <= psi <= lib.pi:
         raise ArgumentError(f"psi must lie in [0, pi], got {psi}")
     cos_psi, sin_psi = lib.cos(psi), lib.sin(psi)
     prev, cur = psi, 1 - cos_psi  # S_0, S_1
     if m == 0:
         return prev
-    for k in range(2, int(m) + 1):
+    for k in range(2, m + 1):
         prev, cur = cur, ((k - 1) * prev - cos_psi * sin_psi ** (k - 1)) / k
     return cur
 
 
 def sphere_volume(m: int, lib=math):
     """Volume of the round unit m-sphere: 2 pi^((m+1)/2) / Gamma((m+1)/2)."""
-    if not (0 <= m < math.inf and m % 1 == 0):
-        raise ArgumentError(f"sphere dimension must be a nonnegative integer, got {m}")
-    return 2 * lib.pi ** ((m + 1) / 2) / lib.gamma((m + 1) / 2)
+    m = need_int(m, 0, "m")
+    try:
+        return 2 * lib.pi ** ((m + 1) / 2) / lib.gamma((m + 1) / 2)
+    except OverflowError:
+        raise ArgumentError(f"sphere volume at m = {m} needs Gamma beyond the "
+                            "float range; use lib=mpmath") from None

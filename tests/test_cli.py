@@ -113,6 +113,14 @@ class TestVerify:
         assert (
             runner.invoke(main, ["verify", "--tol", "bw-identity=abc"]).exit_code == 2
         )
+        # a NaN or negative tolerance is refused before any check runs
+        for value in ("nan", "-1.0"):
+            args = ["verify", "--dim", "4", "--tol", f"bw-identity={value}"]
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2
+            assert "'bw-identity' must be a number >= 0" in result.output
+        args = ["verify", "--dim", "4", "--tol", "bw-identity=inf"]
+        assert runner.invoke(main, args).exit_code == 0
         # checks that never read their tolerance accept no override
         for family in ("certificate-quoted", "shi-table", "weyl-dimension"):
             result = runner.invoke(main, ["verify", "--tol", f"{family}=1"])

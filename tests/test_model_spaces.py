@@ -110,9 +110,14 @@ class TestTheta:
         assert abs(theta(2, 3) - 2 * math.sqrt(2) / 3) < 1e-12
 
     def test_threshold_both_parities(self):
+        # the closed forms of either parity are theta(ceil(n/2), floor(n/2))
+        # bit for bit at n = 4..12
         for n in range(4, 13):
-            k = (n + 1) // 2
-            assert abs(theta_threshold(n) - theta(k, n - k)) < 1e-12
+            if n % 2 == 0:
+                closed = math.sqrt(2.0 * (n - 1) * (n - 2)) / n
+            else:
+                closed = math.sqrt(2.0 * (n - 1) * (n - 3) / ((n + 1) * (n - 2)))
+            assert theta_threshold(n) == closed
         assert abs(theta_threshold(10) - 1.2) < 1e-12
 
 

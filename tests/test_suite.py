@@ -76,6 +76,22 @@ class TestConfig:
         with pytest.raises(ArgumentError):
             run_suite(dims=[4], tolerances={"no-such-check": 1e-3})
 
+    def test_dims_are_whole_numbers(self):
+        # int(4.5) would run n = 4
+        with pytest.raises(ArgumentError, match="need n >= 0, got 4.5"):
+            run_suite(dims=[4.5])
+        assert run_suite(dims=[np.int64(4), 5.0]).dims == (4, 5)
+
+    @pytest.mark.parametrize("value", [math.nan, -1.0, "x", None])
+    def test_rejects_bad_tolerance(self, value):
+        # a NaN or negative tolerance would fail every record of its family
+        with pytest.raises(ArgumentError, match="'bw-identity' must be a number >= 0"):
+            run_suite(dims=[4], tolerances={"bw-identity": value})
+
+    def test_accepts_infinite_tolerance(self):
+        report = run_suite(dims=[4], tolerances={"bw-identity": math.inf})
+        assert report.counts["fail"] == 0
+
     def test_tolerance_override_can_force_failure(self):
         report = run_suite(dims=[4], seed=0, tolerances={"bw-identity": 0.0})
         record = next(r for r in report.records if r.name == "bw-identity[n=4]")

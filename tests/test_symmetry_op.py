@@ -233,10 +233,15 @@ class TestGLowerBound:
         # the catalogue quotes ~0.303088 for these arguments; the displayed
         # formula evaluates to ~0.25550 and both variants of the norm term
         # agree to six decimals, so the discrepancy is reported, not asserted
-        got = g_lower_bound(math.sqrt(40 / 27), math.pi / 4, 1e-6, 11)
-        variant = g_lower_bound(
-            math.sqrt(40 / 27), math.pi / 4, 1e-6, 11, norm_term_squared=True
-        )
+        lam, phi, n = math.sqrt(40 / 27), 1e-6, 11
+        got = g_lower_bound(lam, math.pi / 4, phi, n)
+
+        def loss(norm_term):
+            root = math.sqrt(norm_term / (2 * (n - 1)) + math.cos(phi) ** 2)
+            return math.sin(phi) / 2 * (root + math.sin(phi))
+
+        # the suspected misprint: lambda^2 n in place of the displayed lambda n
+        variant = got + loss(lam * n) - loss(lam**2 * n)
         assert abs(got - 0.2554973) < 1e-6
         assert abs(variant - got) < 1e-7
         assert abs(got - 0.303088) > 0.04
