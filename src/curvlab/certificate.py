@@ -93,6 +93,7 @@ def ball_volume(n: int, lib=math):
 
 def certificate_prefactor(n: int, lib=math):
     """4 vol(S^(n-2)) Sn(n-2, pi/4) / vol(B_1^n)."""
+    n = need_int(n, 2)
     return (
         4.0
         * sphere_volume(n - 2, lib)

@@ -40,7 +40,8 @@ class FlowState:
     """A point on the unit sphere of Weyl operators, with flow time and value.
 
     q is Q(W) as a read-only matrix, so that the flow evaluates it once per
-    state; flow_state and flow_step set it.  A state that replaces w must
+    state.  flow_state and flow_step build states: each checks its w once
+    as a unit Weyl operator and sets q.  A state that replaces w must
     replace q too.
     """
 
@@ -50,20 +51,18 @@ class FlowState:
     q: np.ndarray = field(compare=False, repr=False)
     history: tuple = ()
 
-    def __post_init__(self):
-        _unit_weyl(self.w, "flow state")
 
-
-def _evaluated(op: CurvatureOperator, t: float, history: tuple = ()) -> FlowState:
-    """The state at op: Q(W) once, and P = <Q(W), W>."""
+def _evaluated(w, t: float, history: tuple = ()) -> FlowState:
+    """The state at w, checked once as a unit Weyl operator: Q(W) once, and
+    P = <Q(W), W>."""
+    op = _unit_weyl(w, "flow state")
     q = q_map(op).mat
     return FlowState(op, t, _pairing(q, op.mat), q, history)
 
 
 def flow_state(w) -> FlowState:
     """Wrap a unit Weyl operator as an initial flow state at t = 0."""
-    op = w if isinstance(w, CurvatureOperator) else CurvatureOperator(w)
-    return _evaluated(op, 0.0)
+    return _evaluated(w, 0.0)
 
 
 def _tangent(q: np.ndarray, mat: np.ndarray) -> np.ndarray:

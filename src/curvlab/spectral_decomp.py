@@ -396,10 +396,11 @@ def hessian_matrix(w0) -> HessianBlocks:
 
     over the entries (a, b) of X and (c, d) of Y, so G is gathered from W0
     entry by entry: no eigenpair, no Q(W0, b) and no N x N basis matrix.
-    Blocks of one shape (vectors, coordinates) are assembled together, in
-    two batched matrix products, and returned as one stack: w_cp2 has six
-    shapes at n = 8..16, for example 294 blocks of (2, 3) and one of
-    (56, 69) at n = 12.
+    Blocks of one shape (vectors, coordinates) are assembled together and
+    returned as one stack: the classes of each basis stack go into its V by
+    one fancy-index assignment, and two batched matrix products follow.
+    w_cp2 has six shapes at n = 8..16, for example 294 blocks of (2, 3) and
+    one of (56, 69) at n = 12.
     sharp_via_brackets and q_map are the oracles the tests check it against.
     """
     op = _unit_weyl(w0, "hessian base point")
@@ -408,54 +409,44 @@ def hessian_matrix(w0) -> HessianBlocks:
     take, sign = _bracket_table(n)
     _, block = np.unique(_block_keys(basis.characters, mat, n), return_inverse=True)
     nvec = np.array([v.shape[1] for v in basis.stacks])[basis.stack]
-    ncoord, rows, cols = basis.ncoord, basis.rows, basis.cols
+    ncoord = basis.ncoord
     # the blocks of one shape (vectors, coordinates) form one stack, in which
     # a block sits at its slot; in its block, a class's vectors start at row
     # vec_at and its coordinates at column coord_at
     sizes = [np.bincount(block, count).astype(np.intp) for count in (nvec, ncoord)]
     shapes, shape = _group_rows(np.stack(sizes, axis=1))
+    count = np.bincount(shape)
     slot = _offsets(np.ones_like(shape), shape)
     vec_at, coord_at = _offsets(nvec, block), _offsets(ncoord, block)
-    # a stack of c blocks of shape (m, k) pairs a (c, k) array of their
-    # coordinates and holds their vectors in a (c, m, k) array; the
-    # coordinate arrays of all stacks lie one after another in one flat
-    # buffer, stack s from coord_start[s]
-    count = np.bincount(shape)
-    m, k = shapes.T
-    coord_end = np.cumsum(count * k)
-    coord_start = coord_end - count * k
-    # every coordinate t = (rows[t], cols[t]) of every class, with its stack,
-    # slot and column, and its place in the coordinate buffer
+    # each class's stack, and its block's slot there
+    stack, slot = shape[block], slot[block]
+    # class i's coordinates t are first[i] + arange(ncoord[i]); E_t holds
+    # (A, B) and (B, A), and a diagonal t (A, A) twice, so a vector entry at
+    # t is weighted by 1/sqrt(2), or 1/2 on the diagonal
     first = np.cumsum(ncoord) - ncoord
-    cls = np.repeat(np.arange(len(ncoord)), ncoord)
-    t_stack, t_slot = shape[block[cls]], slot[block[cls]]
-    t_col = coord_at[cls] + np.arange(len(cls)) - first[cls]
-    t_at = coord_start[t_stack] + t_slot * k[t_stack] + t_col
-    # every entry of every class vector, classes in stack-then-slot order as
-    # the basis stacks hold them, with its stack and its place in that
-    # stack's flat (c, m, k) array; E_t holds (A, B) and (B, A), and a
-    # diagonal t (A, A) twice, so each is weighted by 1/sqrt(2), or 1/2 on
-    # the diagonal
-    by_stack = np.lexsort((basis.slot, basis.stack))
-    size = (nvec * ncoord)[by_stack]
-    owner = np.repeat(by_stack, size)
-    at = np.arange(len(owner)) - np.repeat(np.cumsum(size) - size, size)
-    e_row = vec_at[owner] + at // ncoord[owner]
-    e_coord = first[owner] + at % ncoord[owner]
-    e_stack = t_stack[e_coord]
-    e_at = (t_slot[e_coord] * m[e_stack] + e_row) * k[e_stack] + t_col[e_coord]
-    weight = np.where(rows == cols, 0.5, np.sqrt(0.5))
-    values = np.concatenate([v.ravel() for v in basis.stacks]) * weight[e_coord]
-    a_all, b_all = np.empty_like(rows), np.empty_like(cols)
-    a_all[t_at], b_all[t_at] = rows, cols
+    weight = np.where(basis.rows == basis.cols, 0.5, np.sqrt(0.5))
     stacks = []
-    for s, (lo, hi) in enumerate(zip(coord_start, coord_end)):
-        a, b = a_all[lo:hi].reshape(-1, k[s]), b_all[lo:hi].reshape(-1, k[s])
+    for s, (m, k) in enumerate(shapes.tolist()):
+        # the classes of basis stack q in block stack s, with their blocks'
+        # slots, their columns in those blocks and their coordinates
+        parts = []
+        for q, vectors in enumerate(basis.stacks):
+            mine = np.flatnonzero((basis.stack == q) & (stack == s))
+            if mine.size:
+                span = np.arange(vectors.shape[2])
+                parts.append((vectors, mine, slot[mine][:, None],
+                              coord_at[mine][:, None] + span, first[mine][:, None] + span))
+        # a stack of c blocks of shape (m, k) pairs a (c, k) array of their
+        # coordinates and holds their vectors in a (c, m, k) array
+        a, b = np.empty((2, count[s], k), dtype=np.intp)
+        for _, _, row, col, t in parts:
+            a[row, col], b[row, col] = basis.rows[t], basis.cols[t]
         g = _coordinate_pairing(mat, a, b, take, sign)
-        v = np.zeros(count[s] * m[s] * k[s])
-        here = e_stack == s
-        v[e_at[here]] = values[here]
-        v = v.reshape(-1, m[s], k[s])
+        v = np.zeros((count[s], m, k))
+        for vectors, mine, row, col, t in parts:
+            at = vec_at[mine][:, None] + np.arange(vectors.shape[1])
+            v[row[:, :, None], at[:, :, None], col[:, None, :]] = (
+                vectors[basis.slot[mine]] * weight[t][:, None, :])
         # g and v go before the symmetrization, which then needs one copy of h
         h = v @ g
         del g
@@ -464,7 +455,7 @@ def hessian_matrix(w0) -> HessianBlocks:
         h += h.transpose(0, 2, 1)
         h *= 0.5
         stacks.append(h)
-    return HessianBlocks(n, tuple(stacks), shape[block], slot[block])
+    return HessianBlocks(n, tuple(stacks), stack, slot)
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,7 @@ from .curvature_core import (
 )
 from .errors import ArgumentError, need_int
 from .lie_basis import _pair_table, adjoint_rotation, wedge_count
-from .model_spaces import cpn, sphere_product, theta, theta_threshold
+from .model_spaces import LAMBDA_CRIT, cpn, sphere_product, theta, theta_threshold
 from .potential_flow import flow_run, flow_state, neighborhood_potential_bound
 from .report import CheckRecord, SuiteReport
 from .shi_bounds import CATALOGUED_TABLE, shi_constants
@@ -211,18 +211,18 @@ def _ladder_multiplicities(n):
 
 
 def _check_hessian_clusters(n, rng, tol):
-    rep = eigen_report(hessian_matrix(w_cp2(n)))
-    scale = math.sqrt(1.5)
+    w0 = w_cp2(n)
+    rep = eigen_report(hessian_matrix(w0))
     # a wrong number of clusters fails as a wrong list of multiplicities
     mults, closed = [c[1] for c in rep.clusters], _ladder_multiplicities(n)
     problems = []
     if mults != closed:
         problems.append(f"multiplicities {mults} != closed form {closed}")
-    half = rep.multiplicity_of(scale * 0.5)
-    orbit = orbit_tangent_dim(w_cp2(n))
+    half = rep.multiplicity_of(LAMBDA_CRIT * 0.5)
+    orbit = orbit_tangent_dim(w0)
     if half != orbit:
         problems.append(f"1/2-eigenspace {half} != orbit dimension {orbit}")
-    residuals = [abs(c[0] - scale * v) for c, v in zip(rep.clusters, _LADDER)]
+    residuals = [abs(c[0] - LAMBDA_CRIT * v) for c, v in zip(rep.clusters, _LADDER)]
     fields = _residual(tol, residuals, "; ".join(problems) or f"multiplicities {mults}")
     return {**fields, "status": "fail"} if problems else fields
 
@@ -370,6 +370,8 @@ def run_suite(
     overrides entries of DEFAULT_TOLERANCES by family name.
     """
     dims = tuple(need_int(n, 0) for n in dims)
+    # any whole number: _record_for folds a negative seed into 32 bits
+    seed = need_int(seed, -math.inf, "seed")
     for n in dims:
         if n not in _ACCEPTED:
             raise ArgumentError(f"dimension {n} outside supported range "

@@ -20,12 +20,13 @@ import numpy as np
 import pytest
 
 import curvlab
-from curvlab.certificate import ball_volume, lhs_bound
+from curvlab.certificate import ball_volume, certificate_prefactor, lhs_bound
 from curvlab.curvature_core import SymmetricOperator, tri
 from curvlab.errors import ArgumentError, need_int
 from curvlab.model_spaces import r_lambda, random_weyl, w_cp2
 from curvlab.potential_flow import flow_state
 from curvlab.shi_bounds import derivative_bound
+from curvlab.suite import run_suite
 from curvlab.symmetry_op import d2_family_norm, sphere_volume
 
 #: the parameter names that hold a dimension or a count
@@ -203,6 +204,24 @@ def test_float_dimension_does_not_poison_the_caches():
 def test_real_and_operand_arguments_are_refused(call):
     with pytest.raises(ArgumentError):
         call()
+
+
+@pytest.mark.parametrize("value", [6.5, 1])
+def test_certificate_prefactor_names_n(value):
+    with pytest.raises(ArgumentError, match=f"^need n >= 2, got {value}$"):
+        certificate_prefactor(value)
+
+
+@pytest.mark.parametrize("seed", [1.5, math.nan, "3"])
+def test_run_suite_refuses_a_seed_that_is_not_whole(seed):
+    with pytest.raises(ArgumentError, match="^need seed"):
+        run_suite(dims=[4], seed=seed)
+
+
+def test_run_suite_accepts_a_negative_seed():
+    report = run_suite(dims=[4], seed=-1)
+    assert report.seed == -1
+    assert run_suite(dims=[4], seed=-1.0).records == report.records
 
 
 @pytest.mark.parametrize("func,limit", [(ball_volume, 342), (sphere_volume, 343)])

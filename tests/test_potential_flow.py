@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from curvlab import potential_flow
 from curvlab.curvature_core import bianchi_project, decompose, ricci
 from curvlab.errors import ArgumentError
 from curvlab.lie_basis import wedge_count
@@ -92,6 +93,21 @@ class TestFlowStep:
         state = flow_run(state, 10_000, dt=1e-3)
         assert fixed_point_residual(state.w) < 1e-2
         assert abs(state.potential - SQRT32) < 2e-4
+
+    def test_each_state_is_checked_once(self, monkeypatch):
+        calls = []
+        check = potential_flow._unit_weyl
+
+        def counting(w, name):
+            calls.append(name)
+            return check(w, name)
+
+        monkeypatch.setattr(potential_flow, "_unit_weyl", counting)
+        state = flow_state(w_cp2(5))
+        assert len(calls) == 1
+        state = flow_run(state, steps=6, sample_every=2)
+        assert len(calls) == 7
+        assert len(state.history) == 4
 
     def test_rejects_negative_sample_every(self):
         st = flow_state(w_cp2(5))

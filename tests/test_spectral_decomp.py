@@ -62,6 +62,18 @@ def unit_product_weyl(k, l):
     return report.weyl.mat / report.weyl.norm()
 
 
+def hessian_peak(n):
+    """tracemalloc peak of hessian_matrix(w_cp2(n)), with the basis cached."""
+    weyl_basis(n)
+    w0 = w_cp2(n)
+    tracemalloc.start()
+    try:
+        hessian_matrix(w0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 # The Weyl basis as a dense stack, for the properties of the whole basis.
 def dense_basis(n):
     basis = weyl_basis(n)
@@ -353,16 +365,22 @@ class TestHessian:
         assert sum(stack.shape[0] * stack.shape[1] for stack in h.stacks) == weyl_dim(n)
 
     def test_entries_between_blocks_are_exactly_zero(self):
-        w0 = w_cp2(8).mat
-        h = hessian_matrix(w0)
-        stacks = block_bases(h)
-        label = np.repeat(np.arange(len(stacks)), [len(s) for s in stacks])
-        stack = np.concatenate(stacks)
-        flat = stack.reshape(len(stack), -1)
-        full = np.array([q_map(w0, b).mat.ravel() for b in stack]) @ flat.T
-        across = label[:, None] != label[None, :]
-        assert np.count_nonzero(full[across]) == 0
-        assert np.max(np.abs(full - block_diagonal(h))) < 1e-13
+        # the dense oracle: <Q(W0, b_i), b_j> over every pair of basis
+        # vectors, each b_i placed where hessian_matrix says its class lies,
+        # at W_CP2, a sphere product and a random unit Weyl point
+        for n in range(5, 10):
+            rng = np.random.default_rng(n)
+            for w0 in (w_cp2(n).mat, unit_product_weyl(3, n - 3),
+                       random_unit_weyl(rng, n)):
+                h = hessian_matrix(w0)
+                stacks = block_bases(h)
+                label = np.repeat(np.arange(len(stacks)), [len(s) for s in stacks])
+                stack = np.concatenate(stacks)
+                flat = stack.reshape(len(stack), -1)
+                full = np.array([q_map(w0, b).mat.ravel() for b in stack]) @ flat.T
+                across = label[:, None] != label[None, :]
+                assert np.count_nonzero(full[across]) == 0, n
+                assert np.max(np.abs(full - block_diagonal(h))) < 1e-13, n
 
     def test_memory_at_n12(self):
         # tracemalloc peaks, each bounded at about twice the one measured:
@@ -370,9 +388,9 @@ class TestHessian:
         # (0.8 MiB with the pair-table and Bianchi index caches cold, 0.7 MiB
         # warm; one SVD per class peaked at 1.9 MiB), and, with the basis
         # cached, the Hessian at W_CP2 gathered in class coordinates
-        # (1.3 MiB with the bracket table cold, most of it the index arrays
-        # that place each class's vector entries in its block).  The dense
-        # route peaked at 159 and 96 MiB, the sharp kernel on 16-vector
+        # (0.48 MiB with the bracket table cold; 1.27 MiB when per-entry flat
+        # index arrays placed each class's vector entries in its block).  The
+        # dense route peaked at 159 and 96 MiB, the sharp kernel on 16-vector
         # chunks at 10.8 MiB and the pairing through W_CP2's three
         # eigenpairs at 4.3 MiB.
         tracemalloc.start()
@@ -381,16 +399,13 @@ class TestHessian:
             build = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        weyl_basis(12)
-        w0 = w_cp2(12)
-        tracemalloc.start()
-        try:
-            hessian_matrix(w0)
-            hessian = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         assert build < 1.5 * 2**20
-        assert hessian < 2.25 * 2**20
+        assert hessian_peak(12) < 1.0 * 2**20
+
+    def test_hessian_memory_at_n20(self):
+        # bounded at about twice the 4.1 MiB measured with the bracket table
+        # cold; the per-entry flat index arrays peaked at 11.6 MiB
+        assert hessian_peak(20) < 8.5 * 2**20
 
     def test_full_rank_memory_at_n10(self):
         # a random unit Weyl point couples every class: one 770-wide block
