@@ -5,10 +5,11 @@ basis that satisfies the first Bianchi identity.  This module provides the
 validated containers (in memory only: no file serialization), the Bianchi
 projection onto that subspace, the Ricci trace and its adjoint, the
 O(n)-irreducible decomposition, the sharp product (GEMM route, bracket route,
-and the fast diagonal path), and the quadratic map Q with its potential and
-trilinear form.  The scalar and Ricci parts have one route, the adjoint of the
-Ricci contraction read through the Ricci table; the wedge product of symmetric
-matrices is its test oracle, as the bracket route is the sharp product's.
+and the fast diagonal path), and the quadratic map Q (the pair-Gram route for
+Q(R)) with its potential and trilinear form.  The scalar and Ricci parts have
+one route, the adjoint of the Ricci contraction read through the Ricci table;
+the wedge product of symmetric matrices is its test oracle, as the bracket
+route is the sharp product's.
 
 The GEMM route expands R and S to 4-tensors and forms
 
@@ -23,6 +24,16 @@ n(n+1)/2 x n^2 factors.  For R # R, B is symmetric, so the last two terms
 equal the first two and only those are read.  It costs O(n^6) against the
 O(n^8) of the trace pairing -1/2 tr(ad_v R ad_w S) over all pairs of basis
 bivectors.
+
+Q(R) = R^2 + R # R takes a smaller route, correct on Bianchi input only.
+Split R_piqj into its symmetric and antisymmetric parts in (p, q).  By the
+Bianchi identity the antisymmetric part is 1/2 R_pqij, so its share of B is
+1/2 R^2, which Q needs anyway, and what is left is C = Z^T Z, the Gram matrix
+of the symmetric part over the pairs p <= q and i <= j: one n(n+1)/2-square
+product in place of the n^2-square one.  So q_map, potential and
+potential_normalized read their arguments as CurvatureOperators, and the
+flow's RK4 stages call the kernel on checked states plus Bianchi tangents.
+sharp(r, s) and R # S keep the GEMM route.
 
 Inner products: bivectors use the dot product in wedge coordinates (the
 matrix pairing -1/2 tr(AB)); operators use the Frobenius pairing, so
@@ -150,13 +161,18 @@ def _as_mat(x, name: str = "operator") -> tuple[np.ndarray, int]:
     return mat, dim_from_wedge_count(mat.shape[0])
 
 
+def _curvature(x) -> CurvatureOperator:
+    """x as a CurvatureOperator, checked only if it is not one already."""
+    return x if isinstance(x, CurvatureOperator) else CurvatureOperator(x)
+
+
 def _unit_weyl(x, name: str) -> CurvatureOperator:
     """x as a CurvatureOperator; ArgumentError unless it is a unit Weyl operator.
 
     The Bianchi residual, | ||W|| - 1 | and the largest Ricci entry must all
     lie below BIANCHI_TOL.
     """
-    op = x if isinstance(x, CurvatureOperator) else CurvatureOperator(x)
+    op = _curvature(x)
     if not abs(op.norm() - 1.0) <= BIANCHI_TOL:
         raise ArgumentError(f"{name} must have unit norm")
     if not np.abs(ricci(op)).max() <= BIANCHI_TOL:
@@ -398,10 +414,81 @@ def _sharp_mat(rm: np.ndarray, sm: np.ndarray, n: int) -> np.ndarray:
     return m
 
 
+@functools.lru_cache(maxsize=None)
+def _gram_gather(n: int):
+    """Index arrays of the pair-Gram route to Q(R) in dimension n.
+
+    With K = n(n+1)/2 pairs p <= q for rows and a <= b for columns,
+    mat.ravel()[take] * coef, summed over its first axis, is the K x K
+    matrix Z[(p,q),(a,b)] = w_pq S^ab_pq, S^ab_pq = 1/2 (R_paqb + R_qapb),
+    w_pq as in _sharp_gather.  read[:, ij, kl] holds the flat positions of
+    C_(ik,jl) and C_(il,jk) in the K x K Gram matrix C = Z^T Z, and r2, r2c
+    the flat positions in the N x N matrix M^2 and the signed halves of
+    (M^2)_ikjl and -(M^2)_iljk, 0 where a pair has equal indices.
+    """
+    N = wedge_count(n)
+    rank, sgn = _pair_table(n)
+    p, q = np.triu_indices(n)
+    weight = np.where(p < q, 0.5 * np.sqrt(2.0), 0.5)[:, None]
+    p, q, a, b = p[:, None], q[:, None], p[None, :], q[None, :]
+    take = np.stack([rank[p, a] * N + rank[q, b], rank[q, a] * N + rank[p, b]])
+    coef = np.stack([weight * sgn[p, a] * sgn[q, b], weight * sgn[q, a] * sgn[p, b]])
+    K = take.shape[1]
+    pair = np.zeros((n, n), dtype=np.intp)
+    pair[p, q] = pair[q, p] = np.arange(K).reshape(-1, 1)
+    iu, ju = np.triu_indices(n, 1)
+    i, j, k, l = iu[:, None], ju[:, None], iu[None, :], ju[None, :]
+    read = np.stack([pair[i, k] * K + pair[j, l], pair[i, l] * K + pair[j, k]])
+    r2 = np.stack([rank[i, k] * N + rank[j, l], rank[i, l] * N + rank[j, k]])
+    r2c = np.stack([0.5 * sgn[i, k] * sgn[j, l], -0.5 * sgn[i, l] * sgn[j, k]])
+    for arr in (take, coef, read, r2, r2c):
+        arr.setflags(write=False)
+    return take, coef, read, r2, r2c
+
+
+def _q_gram(rm: np.ndarray, n: int) -> np.ndarray:
+    """Q(R) = R^2 + R # R of a Bianchi N x N matrix M by the pair-Gram route.
+
+    Split X^ij_pq = R_piqj of _sharp_mat into its symmetric part S^ij_pq and
+    its antisymmetric part in (p, q).  By the Bianchi identity the latter is
+    1/2 R_pqij, so the Gram matrix B of X is C + 1/2 M^2, C = Z^T Z the Gram
+    matrix of S over the pairs p <= q (see _gram_gather): one K x K syrk in
+    place of the n^2 x n^2 one.  Then Q(R) = M^2 + C~ + 1/2 T~, with
+    C~_(ij,kl) = C_(ik,jl) - C_(il,jk) and T~_(ij,kl) = (M^2)_ikjl - (M^2)_iljk.
+    C and M^2 come from syrk and are exactly symmetric, so the result is.
+
+    Only Bianchi input gives Q(R): on any other R the answer is wrong.  The
+    C~ read of any symmetric C is exactly symmetric and Bianchi-valued, so
+    a fault inside C (a scale, or a wrong entry mirrored across the
+    diagonal) still passes the Bianchi check of the result; only the
+    oracle tests and the values read from Q can see it.
+    """
+    take, coef, read, r2, r2c = _gram_gather(n)
+    # take with no axis reads the matrix flattened, in C order
+    z = rm.take(take)
+    z *= coef
+    z = z[0] + z[1]
+    c = z.T @ z
+    m2 = rm.T @ rm
+    out = c.take(read[0])
+    out -= c.take(read[1])
+    t = m2.take(r2)
+    t *= r2c
+    out += t[0]
+    out += t[1]
+    out += m2
+    return out
+
+
 def _q_mat(rm: np.ndarray, sm: np.ndarray, n: int) -> np.ndarray:
-    """Q(R, S) = 1/2 (RS + SR) + R # S as a raw matrix (R^2 + R # R if sm is rm)."""
+    """Q(R, S) = 1/2 (RS + SR) + R # S as a raw matrix (R^2 + R # R if sm is rm).
+
+    Both inputs must satisfy the Bianchi identity: the self path is _q_gram.
+    """
+    if sm is rm:
+        return _q_gram(rm, n)
     out = _sharp_mat(rm, sm, n)
-    out += rm @ rm if sm is rm else 0.5 * (rm @ sm + sm @ rm)
+    out += 0.5 * (rm @ sm + sm @ rm)
     return out
 
 
@@ -464,16 +551,19 @@ def sharp_pure(r) -> CurvatureOperator:
 def q_map(r, s=None) -> CurvatureOperator:
     """Q(R, S) = 1/2 (RS + SR) + R # S; Q(R) = R^2 + R # R when s is omitted.
 
-    Inputs should satisfy the first Bianchi identity; Q then does too.
+    Each argument is read as a CurvatureOperator, so input that breaks the
+    first Bianchi identity is refused before the kernel runs: Q(R)'s kernel
+    is correct on Bianchi input only.
     """
-    rm, n = _as_mat(r)
+    r = _curvature(r)
     if s is None:
-        sm = rm
+        sm = r.mat
     else:
-        sm, m = _as_mat(s)
-        if m != n:
+        s = _curvature(s)
+        if s.dim != r.dim:
             raise ArgumentError("q_map arguments live in different dimensions")
-    return CurvatureOperator(_q_mat(rm, sm, n))
+        sm = s.mat
+    return CurvatureOperator(_q_mat(r.mat, sm, r.dim))
 
 
 def _pairing(a: np.ndarray, b: np.ndarray) -> float:
@@ -483,18 +573,21 @@ def _pairing(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def potential(r) -> float:
-    """Cubic potential P(R) = <Q(R), R> in the Frobenius pairing."""
-    mat, n = _as_mat(r)
-    return _pairing(_q_mat(mat, mat, n), mat)
+    """Cubic potential P(R) = <Q(R), R> in the Frobenius pairing; R is read
+    as a CurvatureOperator, as in q_map."""
+    op = _curvature(r)
+    return _pairing(_q_mat(op.mat, op.mat, op.dim), op.mat)
 
 
 def potential_normalized(r) -> float:
-    """P(R / ||R||); rejects operators with norm below 1e-14."""
-    mat, _ = _as_mat(r)
-    norm = np.linalg.norm(mat)
+    """P(R / ||R||); R is read as a CurvatureOperator, as in q_map, and
+    operators with norm below 1e-14 are refused."""
+    op = _curvature(r)
+    norm = np.linalg.norm(op.mat)
     if not norm > 1e-14:
         raise ArgumentError("potential_normalized needs a nonzero operator")
-    return potential(mat / norm)
+    mat = op.mat / norm
+    return _pairing(_q_mat(mat, mat, op.dim), mat)
 
 
 def tri(r, s, t) -> float:

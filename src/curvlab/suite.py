@@ -38,6 +38,7 @@ from .certificate import (
     certificate_prefactor,
 )
 from .curvature_core import (
+    CurvatureOperator,
     bianchi_project,
     bianchi_residual,
     decompose,
@@ -150,7 +151,8 @@ def _draw_d2_equivariance(n, rng):
 
 
 def _draw_tri_symmetry(n, rng):
-    ops = [random_curvature(rng, n) for _ in range(3)]
+    # checked once each, not in each of the six orders
+    ops = [CurvatureOperator(random_curvature(rng, n)) for _ in range(3)]
     return (np.ptp([tri(*order) for order in itertools.permutations(ops)]),)
 
 
@@ -170,7 +172,7 @@ def _draw_d2_closed_form(n, rng):
 
 def _check_product_potential(n, rng, tol):
     return _residual(tol, [
-        abs(potential_normalized(decompose(sphere_product(k, n - k)).weyl.mat)
+        abs(potential_normalized(decompose(sphere_product(k, n - k)).weyl)
             - theta(k, n - k))
         for k in range(2, n // 2 + 1)
     ])

@@ -114,10 +114,10 @@ class TestContainers:
             CurvatureOperator(g)
 
 
-def unchecked(mat):
-    """A SymmetricOperator holding mat without the container's checks, as a
+def unchecked(mat, cls=SymmetricOperator):
+    """A cls instance holding mat without the container's checks, as a
     corrupted operator would reach a kernel."""
-    op = object.__new__(SymmetricOperator)
+    op = object.__new__(cls)
     op._mat, op.dim, op.N = mat, dim_from_wedge_count(len(mat)), len(mat)
     return op
 
@@ -162,10 +162,14 @@ class TestRefusesNaN:
             sharp_pure(unchecked(mat))
 
     def test_potential_normalized_zero_norm_check(self):
+        # a SymmetricOperator is checked again as a CurvatureOperator, so
+        # only a corrupted CurvatureOperator reaches the norm check
         mat = np.eye(10)
         mat[0, 0] = np.nan
-        with pytest.raises(ArgumentError, match="nonzero operator"):
+        with pytest.raises(ArgumentError, match="must be symmetric"):
             potential_normalized(unchecked(mat))
+        with pytest.raises(ArgumentError, match="nonzero operator"):
+            potential_normalized(unchecked(mat, CurvatureOperator))
 
 
 class TestBianchi:

@@ -1,8 +1,9 @@
-"""The GEMM sharp kernel against its independent oracle, the Hessian assembly
-against the per-vector definition and the bracket oracle, the flow's reuse of
-Q(W) and its checks of each accepted state, and the read-only caches the
-kernels share."""
+"""The GEMM sharp kernel and the pair-Gram kernel of Q(R) against their
+independent oracle, the Hessian assembly against the per-vector definition and
+the bracket oracle, the flow's reuse of Q(W) and its checks of each accepted
+state, and the read-only caches the kernels share."""
 
+import math
 from collections import Counter
 from dataclasses import fields
 
@@ -15,12 +16,15 @@ from hypothesis import strategies as st
 from curvlab import curvature_core, potential_flow
 from curvlab.curvature_core import (
     _bianchi_flat,
+    _gram_gather,
+    _q_gram,
     _ricci_gather,
     _sharp_gather,
     _sharp_mat,
     bianchi_project,
     decompose,
     potential,
+    potential_normalized,
     q_map,
     sharp,
     sharp_via_brackets,
@@ -40,6 +44,7 @@ from curvlab.potential_flow import (
     flow_step,
 )
 from curvlab.spectral_decomp import hessian_matrix, weyl_basis
+from curvlab.suite import run_suite
 
 # Inputs have unit Frobenius norm; the routes differ only by rounding.
 TOL = 1e-13
@@ -69,8 +74,13 @@ class TestSharpOracle:
         assert gap(sharp(r, r.copy()).mat, oracle_rr) < TOL
         assert gap(sharp(r, s).mat, sharp_via_brackets(r, s).mat) < TOL
         assert gap(sharp(s, r).mat, sharp(r, s).mat) < TOL
-        oracle_p = float(np.sum((r @ r + oracle_rr) * r))
-        assert abs(potential(r) - oracle_p) < TOL
+        # below n = 4 every symmetric operator satisfies the Bianchi identity
+        if bianchi or n < 4:
+            oracle_p = float(np.sum((r @ r + oracle_rr) * r))
+            assert abs(potential(r) - oracle_p) < TOL
+        else:
+            with pytest.raises(ArgumentError, match="Bianchi"):
+                potential(r)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(3, 12), st.integers(0, 2**32 - 1))
@@ -120,6 +130,56 @@ class TestSharpOracle:
                           (_sharp_mat(rf, sf, n), _sharp_mat(r, s, n))):
             assert want.flags.c_contiguous and got.flags.c_contiguous
             assert got.tobytes() == want.tobytes()
+
+
+class TestPairGram:
+    @pytest.mark.parametrize("n", range(3, 21))
+    def test_matches_the_oracles(self, n, rng):
+        r = unit_symmetric(rng, n, True)
+        got = _q_gram(r, n)
+        assert gap(got, r @ r + sharp_via_brackets(r).mat) < TOL
+        assert gap(got, _sharp_mat(r, r, n) + r @ r) < TOL
+        # C and M^2 come from syrk, so every read of them is symmetric
+        assert np.array_equal(got, got.T)
+
+    def test_scaled_gram_read_is_seen(self, monkeypatch, rng):
+        # the C~ read of any symmetric C is symmetric and Bianchi-valued, so
+        # the check of Q's output cannot see a fault in C: a 1e-6 scale of
+        # it must fail the oracle, and a verify family by its own residual
+        table = curvature_core._gram_gather
+
+        def scaled(n):
+            take, coef, *reads = table(n)
+            return (take, coef * math.sqrt(1.0 + 1e-6), *reads)
+
+        monkeypatch.setattr(curvature_core, "_gram_gather", scaled)
+        r = unit_symmetric(rng, 8, True)
+        assert gap(_q_gram(r, 8), r @ r + sharp_via_brackets(r).mat) > 1e3 * TOL
+        q_map(r)  # the symmetry and Bianchi checks of the output pass
+        report = run_suite(dims=range(4, 12))
+        own = {record.tag for record in report.records
+               if record.status == "fail" and record.tag != "plumbing"}
+        assert "product-potential" in own
+
+
+class TestQRefusesNonBianchi:
+    """Q's kernel is correct on Bianchi input only, so the public Q
+    functions refuse anything else before any kernel runs."""
+
+    def test_refused_before_the_kernel(self, monkeypatch, rng):
+        def refuse(*args):
+            raise AssertionError("a kernel ran on non-Bianchi input")
+
+        for name in ("_q_mat", "_q_gram", "_sharp_mat"):
+            monkeypatch.setattr(curvature_core, name, refuse)
+        for n in (4, 7, 11):
+            raw = unit_symmetric(rng, n, False)
+            good = unit_symmetric(rng, n, True)
+            for call in (lambda: q_map(raw), lambda: q_map(good, raw),
+                         lambda: q_map(raw, good), lambda: potential(raw),
+                         lambda: potential_normalized(raw)):
+                with pytest.raises(ArgumentError, match="Bianchi"):
+                    call()
 
 
 class TestHessianAssembly:
@@ -253,18 +313,19 @@ class TestFlowReusesQ:
                 return kernel(*args)
             return count
 
-        for name in ("_sharp_mat", "bianchi_residual", "ricci"):
+        for name in ("_q_gram", "_sharp_mat", "bianchi_residual", "ricci"):
             monkeypatch.setattr(curvature_core, name,
                                 counting(name, getattr(curvature_core, name)))
         flow_run(start, steps=6, sample_every=1)
-        assert calls["_sharp_mat"] == 4 * 6
+        assert calls["_q_gram"] == 4 * 6
         # each accepted state: the Bianchi identity of W and of Q(W), and
-        # W's Ricci trace; the RK4 stages are not checked
+        # W's Ricci trace; the RK4 stages are not checked, and Q(W) never
+        # takes the polarized sharp product
         calls.clear()
         state = start
         for _ in range(6):
             state = flow_step(state, 1e-2)
-        assert calls == {"_sharp_mat": 4 * 6, "bianchi_residual": 2 * 6, "ricci": 6}
+        assert calls == {"_q_gram": 4 * 6, "bianchi_residual": 2 * 6, "ricci": 6}
 
 
 def antisymmetric_defect(n):
@@ -320,17 +381,24 @@ class TestReadOnlyCaches:
             lambda: _bianchi_flat(3),
             lambda: _ricci_gather(5),
             lambda: _sharp_gather(5),
+            lambda: _gram_gather(5),
             lambda: weyl_basis_arrays(6),
             lambda: _pair_table(5),
             lambda: _bracket_table(5),
         ],
         ids=["bianchi-flat", "bianchi-flat-empty", "ricci-gather", "sharp-gather",
-             "weyl-basis", "pair-table", "bracket-table"],
+             "gram-gather", "weyl-basis", "pair-table", "bracket-table"],
     )
     def test_writes_raise(self, arrays):
         for arr in arrays():
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 1.0
+
+    @pytest.mark.parametrize("n,size", [(11, 284_592), (20, 3_144_000)])
+    def test_gram_gather_bytes(self, n, size):
+        # the pair-Gram tables, pinned so that they cannot grow unseen;
+        # _sharp_gather holds 176_176 and 1_921_600 bytes at these n
+        assert sum(arr.nbytes for arr in _gram_gather(n)) == size
 
     @pytest.mark.parametrize("mapping", [lambda: sp1_basis(6)], ids=["sp1-basis"])
     def test_mapping_writes_raise(self, mapping):

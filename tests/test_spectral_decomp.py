@@ -613,6 +613,21 @@ class TestOrbitTangent:
     def test_cp2_weyl_orbit(self):
         assert orbit_tangent_dim(w_cp2(11)) == 30
 
+    @pytest.mark.parametrize("n", range(4, 21))
+    def test_cp2_weyl_orbit_is_4l_plus_2(self, n):
+        assert orbit_tangent_dim(w_cp2(n)) == 4 * (n - 4) + 2
+
+    @pytest.mark.parametrize("n", [4, 5, 8, 11, 14, 17, 20])
+    def test_gram_rank_matches_the_stack_svd(self, n, rng):
+        # the rank the stack's singular values gave, above 1e-8 times the
+        # largest, before the Gram matrix replaced them
+        product = decompose(sphere_product(2, n - 2)).weyl.mat
+        for w in (w_cp2(n).mat, product / np.linalg.norm(product),
+                  random_unit_weyl(rng, n)):
+            sv = np.linalg.svd(_orbit_commutators(w, n).reshape(len(w), -1),
+                               compute_uv=False)
+            assert orbit_tangent_dim(w) == int(np.sum(sv > 1e-8 * sv[0]))
+
     @pytest.mark.parametrize("k,l", [(2, 3), (4, 6), (4, 7), (5, 5), (5, 6)])
     def test_product_weyl_orbit(self, k, l):
         assert orbit_tangent_dim(unit_product_weyl(k, l)) == k * l
@@ -641,22 +656,45 @@ class TestOrbitTangent:
         self.replace_structure_constants(monkeypatch, refuse)
         assert orbit_tangent_dim(w_cp2(11)) == 30
 
-    def test_memory_at_n11(self, monkeypatch):
-        # cold: every table the call reads is built uncached inside the
-        # trace.  The (N, N, N) stack (1.27 MiB at n = 11) and the rank's
-        # SVD of it peak at 2.6 MiB and keep nothing; through the dense
-        # structure constants the peak was 3.8 MiB, and their 1.27 MiB
-        # stayed cached.
+    @pytest.mark.parametrize("n", [4, 11, 20])
+    def test_row_blocks_tile_the_stack(self, n, rng):
+        # the Gram matrix is summed over blocks of commutator rows; each
+        # block is those rows of the whole stack, bit for bit
+        w = random_unit_weyl(rng, n)
+        whole = _orbit_commutators(w, n)
+        N = len(w)
+        for lo, hi in ((0, 1), (0, N), (N // 3, N // 2), (N - 1, N)):
+            assert _orbit_commutators(w, n, lo, hi).tobytes() == \
+                np.ascontiguousarray(whole[:, lo:hi]).tobytes()
+
+    def orbit_peak(self, monkeypatch, n):
+        """Traced peak and kept bytes of orbit_tangent_dim(w_cp2(n)), cold:
+        every table the call reads is built uncached inside the trace."""
         self.replace_structure_constants(monkeypatch, structure_constants.__wrapped__)
         monkeypatch.setattr(spectral_decomp, "_bracket_table", _bracket_table.__wrapped__)
-        w0 = w_cp2(11)
+        w0 = w_cp2(n)
         tracemalloc.start()
         try:
-            assert orbit_tangent_dim(w0) == 30
+            assert orbit_tangent_dim(w0) == 4 * (n - 4) + 2
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3 * 2**20
+        return peak, kept
+
+    def test_memory_at_n11(self, monkeypatch):
+        # the Gram matrix is summed over six blocks of commutator rows, and
+        # the peak is 0.78 MiB.  The whole (N, N, N) stack (1.27 MiB at
+        # n = 11) and the rank's SVD of it peaked at 2.6 MiB; through the
+        # dense structure constants the peak was 3.8 MiB, and their
+        # 1.27 MiB stayed cached.
+        peak, kept = self.orbit_peak(monkeypatch, 11)
+        assert peak < 2**20
+        assert kept < 2**14
+
+    def test_memory_at_n20(self, monkeypatch):
+        # 1.76 MiB; the whole stack and its SVD peaked at 82.9 MiB
+        peak, kept = self.orbit_peak(monkeypatch, 20)
+        assert peak < 2.5 * 2**20
         assert kept < 2**14
 
 

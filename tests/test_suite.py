@@ -210,14 +210,17 @@ class TestNaNResiduals:
         assert checked("neighborhood-bound", 11)["status"] == "fail"
 
     def test_nan_in_the_sharp_kernel_passes_no_record(self, monkeypatch):
-        kernel = curvature_core._sharp_mat
-
-        def planted(rm, sm, n):
-            out = kernel(rm, sm, n).copy()
-            out[0, 0] = np.nan
+        # planted in both kernels: R # S, and Q(R) by the pair-Gram route
+        def planted(kernel):
+            def out(*args):
+                mat = kernel(*args).copy()
+                mat[0, 0] = np.nan
+                return mat
             return out
 
-        monkeypatch.setattr(curvature_core, "_sharp_mat", planted)
+        for name in ("_sharp_mat", "_q_gram"):
+            monkeypatch.setattr(curvature_core, name,
+                                planted(getattr(curvature_core, name)))
         status = {r.name: r.status for r in run_suite(dims=[6]).records}
         for family in ("bw-identity", "sharp-routes", "q-equivariance",
                        "sharp-equivariance", "tri-symmetry", "product-potential",
